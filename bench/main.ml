@@ -95,7 +95,8 @@ let kernel_tests =
   in
   [
     Test.make ~name:"e1.kernel: branch&bound n=8 m=2"
-      (Staged.stage (fun () -> Rt_core.Exact.branch_and_bound p_small));
+      (Staged.stage (fun () ->
+           Rt_core.Exact.branch_and_bound_budgeted p_small));
     Test.make ~name:"e2.kernel: lower_bound n=120 m=16"
       (Staged.stage (fun () -> Rt_core.Bounds.lower_bound p_big));
     Test.make ~name:"e3.kernel: ltf-reject + local search n=40 m=8"
@@ -274,26 +275,25 @@ let portfolio_race ~pool ~reps ~seed ~n ~m ~load =
         | Ok b -> b
         | Error e -> invalid_arg e)
   in
-  let seq_cost = Rt_expkit.Instances.solution_total p seq.Rt_core.Exact.solution in
   let par_wall, par =
     time_wall ~reps (fun () ->
-        match Rt_parallel.Portfolio.run ?pool p with
+        match Rt_core.Portfolio.run ?pool p with
         | Ok o -> o
         | Error e -> invalid_arg e)
   in
   let bb_nodes =
     List.fold_left
-      (fun acc (st : Rt_parallel.Portfolio.stat) ->
-        acc + st.Rt_parallel.Portfolio.nodes)
-      0 par.Rt_parallel.Portfolio.stats
+      (fun acc (st : Rt_core.Portfolio.stat) ->
+        acc + st.Rt_core.Portfolio.nodes)
+      0 par.Rt_core.Portfolio.stats
   in
   {
     race_name = Printf.sprintf "portfolio n=%d m=%d seed=%d" n m seed;
     seq_wall;
-    seq_cost;
+    seq_cost = seq.Rt_core.Exact.cost;
     seq_nodes = seq.Rt_core.Exact.nodes;
     par_wall;
-    par_cost = par.Rt_parallel.Portfolio.cost;
+    par_cost = par.Rt_core.Portfolio.cost;
     par_nodes = bb_nodes;
     race_domains = (match pool with None -> 1 | Some pl -> Rt_parallel.Pool.size pl);
     speedup = seq_wall /. Float.max 1e-9 par_wall;
@@ -318,10 +318,12 @@ let work_steal_race ~pool ~reps ~budget ~seed ~n ~m ~load =
         | Ok b -> b
         | Error e -> invalid_arg e)
   in
-  let par_wall, (par, stats) =
+  let par_wall, par =
     time_wall ~reps (fun () ->
-        match Rt_parallel.Par_search.solve_stats ?pool ~time_budget:budget p with
-        | Ok r -> r
+        match
+          Rt_core.Exact.branch_and_bound_budgeted ?pool ~time_budget:budget p
+        with
+        | Ok b -> b
         | Error e -> invalid_arg e)
   in
   let domains =
@@ -331,15 +333,17 @@ let work_steal_race ~pool ~reps ~budget ~seed ~n ~m ~load =
     race_name =
       Printf.sprintf "work-steal bb n=%d m=%d seed=%d d=%d" n m seed domains;
     seq_wall;
-    seq_cost = Rt_expkit.Instances.solution_total p seq.Rt_core.Exact.solution;
+    seq_cost = seq.Rt_core.Exact.cost;
     seq_nodes = seq.Rt_core.Exact.nodes;
     par_wall;
-    par_cost = Rt_expkit.Instances.solution_total p par.Rt_core.Exact.solution;
+    par_cost = par.Rt_core.Exact.cost;
     par_nodes = par.Rt_core.Exact.nodes;
     race_domains = domains;
     speedup = seq_wall /. Float.max 1e-9 par_wall;
     steals =
-      Some (List.fold_left ( + ) 0 stats.Rt_parallel.Par_search.steals);
+      Some
+        (List.fold_left ( + ) 0
+           par.Rt_core.Exact.stats.Rt_exact.Search.steals);
     completed =
       Some
         ((not seq.Rt_core.Exact.exhausted)
@@ -365,26 +369,26 @@ let budget_race ~pool ~seed ~n ~m ~load ~budget =
   let par_wall, par =
     time_wall ~reps:1 (fun () ->
         match
-          Rt_parallel.Portfolio.run ?pool ~time_budget:(budget /. 4.) p
+          Rt_core.Portfolio.run ?pool ~time_budget:(budget /. 4.) p
         with
         | Ok o -> o
         | Error e -> invalid_arg e)
   in
   let bb_nodes =
     List.fold_left
-      (fun acc (st : Rt_parallel.Portfolio.stat) ->
-        acc + st.Rt_parallel.Portfolio.nodes)
-      0 par.Rt_parallel.Portfolio.stats
+      (fun acc (st : Rt_core.Portfolio.stat) ->
+        acc + st.Rt_core.Portfolio.nodes)
+      0 par.Rt_core.Portfolio.stats
   in
   {
     race_name =
       Printf.sprintf "portfolio-budget n=%d m=%d seed=%d tb=%.1fs" n m seed
         budget;
     seq_wall;
-    seq_cost = Rt_expkit.Instances.solution_total p seq.Rt_core.Exact.solution;
+    seq_cost = seq.Rt_core.Exact.cost;
     seq_nodes = seq.Rt_core.Exact.nodes;
     par_wall;
-    par_cost = par.Rt_parallel.Portfolio.cost;
+    par_cost = par.Rt_core.Portfolio.cost;
     par_nodes = bb_nodes;
     race_domains = (match pool with None -> 1 | Some pl -> Rt_parallel.Pool.size pl);
     speedup = seq_wall /. Float.max 1e-9 par_wall;

@@ -97,10 +97,26 @@ let solve proc_name penalty_name seed n m load alg_name gantt =
           end;
           Ok ())
 
+(* the OPTIMAL row of [compare --exact], under the oracle node limit *)
+let optimal_row p =
+  match
+    Rt_core.Exact.branch_and_bound_budgeted
+      ~node_budget:Rt_exact.Search.node_limit p
+  with
+  | Error e -> Error (`Msg e)
+  | Ok b when b.Rt_core.Exact.exhausted ->
+      Error (`Msg "exact search exceeded its node limit")
+  | Ok b -> Ok ("OPTIMAL", b.Rt_core.Exact.cost, b.Rt_core.Exact.solution)
+
 let compare_all proc_name penalty_name seed n m load exact =
-  match build_instance ~proc_name ~penalty_name ~seed ~n ~m ~load with
+  match
+    Result.bind (build_instance ~proc_name ~penalty_name ~seed ~n ~m ~load)
+      (fun (_, p) ->
+        if exact then Result.map (fun row -> (p, [ row ])) (optimal_row p)
+        else Ok (p, []))
+  with
   | Error e -> Error e
-  | Ok (_, p) ->
+  | Ok (p, optimal) ->
       Printf.printf "instance: n=%d m=%d load=%.2f penalties=%s seed=%d\n" n m
         load penalty_name seed;
       let rows =
@@ -109,13 +125,7 @@ let compare_all proc_name penalty_name seed n m load exact =
             let s = alg p in
             (name, Rt_expkit.Instances.solution_total p s, s))
           named_algorithms
-      in
-      let rows =
-        if exact then begin
-          let s = Rt_core.Exact.branch_and_bound p in
-          rows @ [ ("OPTIMAL", Rt_expkit.Instances.solution_total p s, s) ]
-        end
-        else rows
+        @ optimal
       in
       let table =
         List.fold_left
@@ -556,7 +566,7 @@ let portfolio proc_name penalty_name seed n m load node_budget time_budget
   | Ok (_, p) ->
       with_jobs jobs (fun pool ->
           match
-            Rt_parallel.Portfolio.run ?pool ?node_budget ?time_budget p
+            Rt_core.Portfolio.run ?pool ?node_budget ?time_budget p
           with
           | Error e -> Error (`Msg e)
           | Ok o ->
@@ -569,17 +579,17 @@ let portfolio proc_name penalty_name seed n m load node_budget time_budget
                 (match pool with Some pl when Rt_parallel.Pool.size pl > 1 -> "s" | _ -> "");
               let table =
                 List.fold_left
-                  (fun t (st : Rt_parallel.Portfolio.stat) ->
+                  (fun t (st : Rt_core.Portfolio.stat) ->
                     Rt_prelude.Tablefmt.add_row t
                       [
-                        st.Rt_parallel.Portfolio.name;
-                        (match st.Rt_parallel.Portfolio.cost with
+                        st.Rt_core.Portfolio.name;
+                        (match st.Rt_core.Portfolio.cost with
                         | None -> "-"
                         | Some c -> Rt_prelude.Tablefmt.float_cell c);
                         Printf.sprintf "%.1f"
-                          (1e3 *. st.Rt_parallel.Portfolio.wall);
-                        string_of_int st.Rt_parallel.Portfolio.nodes;
-                        (if st.Rt_parallel.Portfolio.exhausted then "yes"
+                          (1e3 *. st.Rt_core.Portfolio.wall);
+                        string_of_int st.Rt_core.Portfolio.nodes;
+                        (if st.Rt_core.Portfolio.exhausted then "yes"
                          else "");
                       ])
                   (Rt_prelude.Tablefmt.create
@@ -592,14 +602,14 @@ let portfolio proc_name penalty_name seed n m load node_budget time_budget
                          Rt_prelude.Tablefmt.Left;
                        ]
                      [ "entrant"; "cost"; "wall ms"; "nodes"; "exhausted" ])
-                  o.Rt_parallel.Portfolio.stats
+                  o.Rt_core.Portfolio.stats
               in
               Rt_prelude.Tablefmt.print table;
               Printf.printf "winner: %s  total %.4f\n"
-                o.Rt_parallel.Portfolio.winner o.Rt_parallel.Portfolio.cost;
-              print_cost p o.Rt_parallel.Portfolio.solution;
+                o.Rt_core.Portfolio.winner o.Rt_core.Portfolio.cost;
+              print_cost p o.Rt_core.Portfolio.solution;
               Printf.printf "  %s\n"
-                (validation_tag p o.Rt_parallel.Portfolio.solution);
+                (validation_tag p o.Rt_core.Portfolio.solution);
               Ok ())
 
 let exact proc_name penalty_name seed n m load node_budget time_budget
@@ -610,27 +620,33 @@ let exact proc_name penalty_name seed n m load node_budget time_budget
       with_jobs jobs (fun pool ->
           let t0 = Rt_prelude.Clock.now () in
           match
-            Rt_parallel.Par_search.solve_stats ?pool ?node_budget ?time_budget
-              ?split_factor p
+            Rt_core.Exact.branch_and_bound_budgeted ?pool ?split_factor
+              ?node_budget ?time_budget p
           with
           | Error e -> Error (`Msg e)
-          | Ok (b, stats) ->
+          | Ok b ->
               let wall = Rt_prelude.Clock.elapsed ~since:t0 in
-              Printf.printf
-                "work-stealing exact search on n=%d m=%d load=%.2f (seed %d, \
-                 %d domain%s, split factor %d)\n"
-                n m load seed stats.Rt_parallel.Par_search.domains
-                (if stats.Rt_parallel.Par_search.domains > 1 then "s" else "")
-                (Option.value split_factor
-                   ~default:Rt_parallel.Par_search.default_split_factor);
-              Printf.printf
-                "  wall %.1f ms   nodes %d   splits %d   subtree drops %d   \
-                 steals per domain [%s]\n"
-                (1e3 *. wall) b.Rt_core.Exact.nodes
-                stats.Rt_parallel.Par_search.splits
-                stats.Rt_parallel.Par_search.pruned
-                (String.concat "; "
-                   (List.map string_of_int stats.Rt_parallel.Par_search.steals));
+              let st = b.Rt_core.Exact.stats in
+              (match pool with
+              | None ->
+                  Printf.printf
+                    "sequential exact search on n=%d m=%d load=%.2f (seed %d)\n\
+                    \  wall %.1f ms   nodes %d\n"
+                    n m load seed (1e3 *. wall) b.Rt_core.Exact.nodes
+              | Some pl ->
+                  Printf.printf
+                    "work-stealing exact search on n=%d m=%d load=%.2f (seed \
+                     %d, %d domains%s)\n\
+                    \  wall %.1f ms   nodes %d   splits %d   subtree drops %d   \
+                     steals per domain [%s]\n"
+                    n m load seed (Rt_parallel.Pool.size pl)
+                    (match split_factor with
+                    | Some sf -> Printf.sprintf ", split factor %d" sf
+                    | None -> "")
+                    (1e3 *. wall) b.Rt_core.Exact.nodes
+                    st.Rt_exact.Search.splits st.Rt_exact.Search.pruned
+                    (String.concat "; "
+                       (List.map string_of_int st.Rt_exact.Search.steals)));
               if b.Rt_core.Exact.exhausted then
                 print_endline
                   "  budget exhausted: best incumbent, not a proven optimum";
@@ -993,8 +1009,9 @@ let exact_cmd =
   Cmd.v
     (Cmd.info "exact"
        ~doc:
-         "run the work-stealing exact branch-and-bound (deterministic: \
-          identical output at any domain count and split factor)")
+         "run the exact branch-and-bound, by work stealing with --jobs > 1 \
+          (deterministic: identical solution at any domain count and split \
+          factor)")
     Term.(
       term_result
         (const exact $ proc_arg $ penalty_arg $ seed_arg $ n_arg $ m_arg

@@ -61,7 +61,11 @@ let () =
   | Error e -> failwith ("validation failed: " ^ e));
 
   (* compare against the exact optimum (fine at this size) *)
-  let optimal = Rt_core.Exact.branch_and_bound problem in
+  let optimal =
+    match Rt_core.Exact.branch_and_bound_budgeted problem with
+    | Ok b -> b.Rt_core.Exact.solution
+    | Error e -> failwith e
+  in
   let opt_cost =
     match Rt_core.Solution.cost problem optimal with
     | Ok c -> c

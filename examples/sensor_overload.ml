@@ -47,6 +47,11 @@ let name_of id = match List.nth_opt specs id with
   | Some (n, _, _, _) -> n
   | None -> "?"
 
+let optimal p =
+  match Rt_core.Exact.branch_and_bound_budgeted p with
+  | Ok b -> b.Rt_core.Exact.solution
+  | Error e -> failwith e
+
 let () =
   let m = 4 in
   let problem =
@@ -69,7 +74,7 @@ let () =
       ("marginal-ls",
        Rt_core.Local_search.with_local_search Rt_core.Greedy.marginal_greedy);
       ("density", Rt_core.Greedy.density_reject);
-      ("OPTIMAL", fun p -> Rt_core.Exact.branch_and_bound p);
+      ("OPTIMAL", optimal);
     ]
   in
   print_endline "algorithm    total-cost  dropped tasks";
@@ -88,7 +93,7 @@ let () =
     algorithms;
 
   (* 3. EDF-simulate the optimal solution core by core *)
-  let best = Rt_core.Exact.branch_and_bound problem in
+  let best = optimal problem in
   print_endline "\nEDF check of the optimal assignment, per core:";
   let part = best.Rt_core.Solution.partition in
   List.iter

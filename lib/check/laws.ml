@@ -51,13 +51,6 @@ let scale_penalties k (inst : Instance.t) =
         inst.Instance.items;
   }
 
-(* exact optimum with the same typed-error discipline as the oracles *)
-let opt_total prob =
-  let s = Rt_core.Exact.branch_and_bound prob in
-  match Rt_core.Solution.cost prob s with
-  | Ok c -> Ok (s, c.Rt_core.Solution.total)
-  | Error e -> Error ("branch-and-bound solution rejected by cost: " ^ e)
-
 let with_problem inst f =
   match Instance.to_problem inst with
   | Error e -> Fail ("instance does not build a problem: " ^ e)
@@ -128,7 +121,7 @@ let law_extra_processor =
               with_problem
                 { inst with Instance.m = inst.Instance.m + 1 }
                 (fun p1 ->
-                  match (opt_total p, opt_total p1) with
+                  match (Oracle.exact_optimum p, Oracle.exact_optimum p1) with
                   | Error e, _ | _, Error e -> Fail e
                   | Ok (_, opt_m), Ok (_, opt_m1) ->
                       if Fc.leq ~eps opt_m1 opt_m then Pass
@@ -159,7 +152,7 @@ let law_smax_relief =
           match (problem_at 1.0, problem_at 1.3) with
           | Error e, _ | _, Error e -> Fail ("cubic problem: " ^ e)
           | Ok p_lo, Ok p_hi -> (
-              match (opt_total p_lo, opt_total p_hi) with
+              match (Oracle.exact_optimum p_lo, Oracle.exact_optimum p_hi) with
               | Error e, _ | _, Error e -> Fail e
               | Ok (_, opt_lo), Ok (_, opt_hi) ->
                   if Fc.leq ~eps opt_hi opt_lo then Pass
@@ -182,7 +175,7 @@ let law_cheap_reject =
         if Instance.n inst > exact_cap then Skip "instance above exact cap"
         else
           with_problem inst (fun p ->
-              match opt_total p with
+              match Oracle.exact_optimum p with
               | Error e -> Fail e
               | Ok (opt, _) ->
                   let accepted = Rt_core.Solution.accepted_ids opt in

@@ -24,13 +24,22 @@ type t = {
   run : ctx -> Rt_core.Solution.t -> outcome;
 }
 
+let exact_optimum prob =
+  match
+    Rt_core.Exact.branch_and_bound_budgeted
+      ~node_budget:Rt_exact.Search.node_limit prob
+  with
+  | Error e -> Error ("branch-and-bound: " ^ e)
+  | Ok b when b.Rt_core.Exact.exhausted ->
+      Error "branch-and-bound: node limit exceeded"
+  | Ok b -> Ok (b.Rt_core.Exact.solution, b.Rt_core.Exact.cost)
+
 let solve_exact inst prob ~exact_cap =
   if Instance.n inst > exact_cap then Too_big
   else
-    let s = Rt_core.Exact.branch_and_bound prob in
-    match Rt_core.Solution.cost prob s with
-    | Ok c -> Optimum (s, c.Rt_core.Solution.total)
-    | Error e -> Broken ("branch-and-bound solution rejected by cost: " ^ e)
+    match exact_optimum prob with
+    | Ok (s, c) -> Optimum (s, c)
+    | Error e -> Broken e
 
 let dp_agreement inst exact =
   match (inst.Instance.m, exact) with

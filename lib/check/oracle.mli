@@ -37,6 +37,12 @@ val instance : ctx -> Instance.t
 val optimal_cost : ctx -> float option
 (** Forces the cached branch-and-bound solve; [None] above [exact_cap]. *)
 
+val exact_optimum :
+  Rt_core.Problem.t -> (Rt_core.Solution.t * float, string) result
+(** The branch-and-bound optimum and its {!Rt_core.Solution.cost} total,
+    searched under {!Rt_exact.Search.node_limit}; running out of nodes
+    is an error, like every other failure of the search. *)
+
 type outcome =
   | Pass
   | Skip of string  (** oracle not applicable (e.g. instance too large) *)

@@ -1,48 +1,37 @@
-let to_solution (s : Rt_exact.Search.solution) =
-  { Solution.partition = s.partition; rejected = s.rejected }
+type budgeted = {
+  solution : Solution.t;
+  cost : float;
+  nodes : int;
+  exhausted : bool;
+  stats : Rt_exact.Search.stats;
+}
 
-let run solver (p : Problem.t) =
-  let sol =
-    solver ~m:p.m ~capacity:(Problem.capacity p)
-      ~bucket_cost:(Problem.bucket_energy p) p.items
-  in
-  let solution = to_solution sol in
-  (* cross-check the search's internal cost against the official one *)
-  (match Solution.cost p solution with
-  | Ok c ->
-      if not (Rt_prelude.Float_cmp.approx_eq ~eps:1e-6 c.total sol.cost) then
-        invalid_arg "Exact: search cost disagrees with Solution.cost"
-  | Error msg -> invalid_arg ("Exact: invalid optimal solution: " ^ msg));
-  solution
-
-let exhaustive p = run Rt_exact.Search.exhaustive p
-
-let branch_and_bound ?node_limit p =
-  run (Rt_exact.Search.branch_and_bound ?node_limit) p
-
-type budgeted = { solution : Solution.t; nodes : int; exhausted : bool }
-
-let branch_and_bound_budgeted ?shared ?node_budget ?time_budget (p : Problem.t)
-    =
+let branch_and_bound_budgeted ?pool ?split_factor ?shared ?node_budget
+    ?time_budget (p : Problem.t) =
   match
-    Rt_exact.Search.branch_and_bound_budgeted ?shared ?node_budget ?time_budget
-      ~m:p.m
+    Rt_exact.Search.solve ?pool ?split_factor ?shared ?node_budget
+      ?time_budget ~m:p.m
       ~capacity:(Problem.capacity p)
       ~bucket_cost:(Problem.bucket_energy p) p.items
   with
   | Error _ as e -> e
   | Ok (a : Rt_exact.Search.anytime) -> (
-      let solution = to_solution a.best in
+      let solution =
+        { Solution.partition = a.best.partition; rejected = a.best.rejected }
+      in
+      (* cross-check the search's internal cost against the official one *)
       match Solution.cost p solution with
       | Error msg -> Error ("Exact: invalid best-so-far solution: " ^ msg)
       | Ok c ->
           if
             not (Rt_prelude.Float_cmp.approx_eq ~eps:1e-6 c.total a.best.cost)
           then Error "Exact: search cost disagrees with Solution.cost"
-          else Ok { solution; nodes = a.nodes; exhausted = a.exhausted })
-
-let optimal_cost ?node_limit p =
-  let s = branch_and_bound ?node_limit p in
-  match Solution.cost p s with
-  | Ok c -> c.Solution.total
-  | Error msg -> invalid_arg ("Exact.optimal_cost: " ^ msg)
+          else
+            Ok
+              {
+                solution;
+                cost = c.total;
+                nodes = a.nodes;
+                exhausted = a.exhausted;
+                stats = a.stats;
+              })

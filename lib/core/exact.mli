@@ -2,33 +2,27 @@
 
     The selection+partition problem is NP-hard (it embeds both
     multiprocessor makespan feasibility and knapsack — see {!Hardness}),
-    so these solvers are exponential; experiments use them up to a dozen
-    items to normalize heuristic costs against the true optimum. *)
-
-val exhaustive : Problem.t -> Solution.t
-(** Full symmetry-broken enumeration. @raise Invalid_argument beyond 16
-    items. *)
-
-val branch_and_bound : ?node_limit:int -> Problem.t -> Solution.t
-(** Same optimum, pruned; the default oracle for experiment E1. *)
+    so the search is exponential; experiments use it up to a dozen items
+    to normalize heuristic costs against the true optimum. *)
 
 type budgeted = {
   solution : Solution.t;
+  cost : float; [@rt.dim "joules"]
+      (** {!Solution.cost} total of [solution], cross-checked against
+          the search's own *)
   nodes : int;
   exhausted : bool;  (** a budget ran out; [solution] is the incumbent *)
+  stats : Rt_exact.Search.stats;  (** work-stealing telemetry *)
 }
 
 val branch_and_bound_budgeted :
+  ?pool:Rt_parallel.Pool.t -> ?split_factor:int ->
   ?shared:Rt_exact.Search.shared -> ?node_budget:int -> ?time_budget:float ->
   Problem.t -> (budgeted, string) result
-(** Anytime oracle (wraps {!Rt_exact.Search.branch_and_bound_budgeted}):
+(** {!Rt_exact.Search.solve} on the problem, with the same options:
     always returns a valid solution — seeded with all-reject, improved
-    until the node budget or the wall-clock time budget runs out — with
-    [exhausted] flagging an unproven optimum. [shared] connects the
-    search to a cross-domain incumbent (the {!Rt_parallel.Portfolio}
-    plumbing). All failure modes (including a cost mismatch against
-    {!Solution.cost}) are typed errors, never exceptions. *)
-
-val optimal_cost : ?node_limit:int -> Problem.t -> float [@rt.dim "joules"]
-(** Total cost of [branch_and_bound] (recomputed through
-    {!Solution.cost}, so a disagreement raises). *)
+    until the search completes or a budget runs out — with [exhausted]
+    flagging an unproven optimum. [shared] connects the search to a
+    cross-domain incumbent (the {!Portfolio} plumbing); [pool] runs it
+    by work stealing. All failure modes, including a cost mismatch
+    against {!Solution.cost}, are typed errors, never exceptions. *)

@@ -265,9 +265,16 @@ let exhaustive (p : Problem.t) tasks =
             items
         in
         let s =
-          Rt_exact.Search.branch_and_bound ~m:p.Problem.m
-            ~capacity:(Problem.capacity p)
-            ~bucket_cost:(Problem.bucket_energy p) priced
+          match
+            Rt_exact.Search.solve ~node_budget:Rt_exact.Search.node_limit
+              ~m:p.Problem.m
+              ~capacity:(Problem.capacity p)
+              ~bucket_cost:(Problem.bucket_energy p) priced
+          with
+          | Error e -> invalid_arg ("Qos.exhaustive: " ^ e)
+          | Ok { Rt_exact.Search.exhausted = true; _ } ->
+              invalid_arg "Qos.exhaustive: node limit exceeded"
+          | Ok a -> a.Rt_exact.Search.best
         in
         if s.Rt_exact.Search.rejected = [] then begin
           let penalty =

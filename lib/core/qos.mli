@@ -78,4 +78,5 @@ val greedy_degrade : Problem.t -> qtask list -> solution
 val exhaustive : Problem.t -> qtask list -> solution
 (** Enumerate level menus × partitions (via {!Rt_exact.Search} on each
     menu combination). @raise Invalid_argument when the menu product
-    exceeds 200_000 combinations. *)
+    exceeds 200_000 combinations, or when one combination's search
+    exceeds {!Rt_exact.Search.node_limit} nodes. *)

@@ -1,5 +1,7 @@
 module Fc = Rt_prelude.Float_cmp
 module Clock = Rt_prelude.Clock
+module Pool = Rt_parallel.Pool
+module Deque = Rt_parallel.Deque
 
 open Rt_task
 
@@ -9,13 +11,19 @@ type solution = {
   cost : float;
 }
 
-let check_args ~m ~capacity =
-  if m < 1 then invalid_arg "Search: m < 1";
-  if Fc.exact_le capacity 0. then invalid_arg "Search: capacity <= 0"
+type stats = {
+  steals : int list;
+  splits : int;
+  pruned : int;
+  subtrees : (int list * int) list;
+}
 
-type anytime = { best : solution; nodes : int; exhausted : bool }
-
-exception Budget_exhausted
+type anytime = {
+  best : solution;
+  nodes : int;
+  exhausted : bool;
+  stats : stats;
+}
 
 (* ---------------------------------------------------------------- *)
 (* Shared incumbent: a monotonically decreasing cost bound published
@@ -27,7 +35,6 @@ exception Budget_exhausted
 type shared = float Atomic.t
 
 let shared () = Atomic.make infinity
-let shared_best = Atomic.get
 
 let rec publish cell cost =
   let cur = Atomic.get cell in
@@ -44,8 +51,8 @@ let rec publish cell cost =
    prefix; [expand] enumerates a node's children in depth-first visit
    order (buckets 0..used, first unused bucket for symmetry breaking,
    then rejection), which is what makes a frontier split equivalent to
-   the sequential search: all leaves of subtree i precede all leaves of
-   subtree i+1 in DFS order. *)
+   the sequential search: all leaves of child i precede all leaves of
+   child i+1 in DFS order. *)
 
 type engine = {
   m : int;
@@ -88,49 +95,50 @@ let root e =
     penalty = 0.;
   }
 
+(* children of an interior node ([st.next] < number of items) *)
 let expand e st =
-  if st.next >= Array.length e.arr then [ st ]
-  else begin
-    let it = e.arr.(st.next) in
-    let children = ref [] in
-    for j = min (e.m - 1) st.used downto 0 do
-      if Fc.leq (st.loads.(j) +. it.weight) e.capacity then begin
-        let loads = Array.copy st.loads in
-        let buckets = Array.copy st.buckets in
-        loads.(j) <- loads.(j) +. it.weight;
-        buckets.(j) <- it :: buckets.(j);
-        children :=
-          {
-            next = st.next + 1;
-            used = max st.used (j + 1);
-            loads;
-            buckets;
-            rejected = st.rejected;
-            penalty = st.penalty;
-          }
-          :: !children
-      end
-    done;
-    !children
-    @ [
+  let it = e.arr.(st.next) in
+  let children = ref [] in
+  for j = min (e.m - 1) st.used downto 0 do
+    if Fc.leq (st.loads.(j) +. it.weight) e.capacity then begin
+      let loads = Array.copy st.loads in
+      let buckets = Array.copy st.buckets in
+      loads.(j) <- loads.(j) +. it.weight;
+      buckets.(j) <- it :: buckets.(j);
+      children :=
         {
-          st with
           next = st.next + 1;
-          loads = Array.copy st.loads;
-          buckets = Array.copy st.buckets;
-          rejected = it :: st.rejected;
-          penalty = st.penalty +. it.item_penalty;
-        };
-      ]
-  end
+          used = max st.used (j + 1);
+          loads;
+          buckets;
+          rejected = st.rejected;
+          penalty = st.penalty;
+        }
+        :: !children
+    end
+  done;
+  !children
+  @ [
+      {
+        st with
+        next = st.next + 1;
+        loads = Array.copy st.loads;
+        buckets = Array.copy st.buckets;
+        rejected = it :: st.rejected;
+        penalty = st.penalty +. it.item_penalty;
+      };
+    ]
 
-(* Depth-first exploration from [st]. The domain running this owns the
-   private [loads]/[buckets] copies; the only cross-domain traffic is the
+(* Depth-first exploration from [st] until done or until [stop nodes]
+   holds; returns the best solution, the nodes visited and whether
+   [stop] fired. The domain running this owns the private
+   [loads]/[buckets] copies; the only cross-domain traffic is the
    optional [shared] incumbent. Backtracking restores each load to the
    exact float it held before the move (rather than subtracting the
    weight back out), so the cost of a leaf is a pure function of its
    assignment — identical whether reached sequentially or from a split
-   subtree. *)
+   subtree. Once stopped, every pending call returns at once, so the
+   node count is that of the stopping node. *)
 let run_from ?shared ~prune ~stop e st =
   let m = e.m in
   let n = Array.length e.arr in
@@ -138,6 +146,7 @@ let run_from ?shared ~prune ~stop e st =
   let buckets = Array.copy st.buckets in
   let rejected = ref st.rejected in
   let nodes = ref 0 in
+  let stopped = ref false in
   let buckets_cost () =
     let acc = ref 0. in
     for j = 0 to m - 1 do
@@ -171,48 +180,45 @@ let run_from ?shared ~prune ~stop e st =
   in
   publish_best !best_cost;
   let rec go i used penalty_so_far =
-    incr nodes;
-    if stop !nodes then raise Budget_exhausted;
-    if i = n then begin
-      let cost = buckets_cost () +. penalty_so_far +. e.forced_penalty in
-      if Fc.exact_lt cost !best_cost then begin
-        best_cost := cost;
-        best := (Array.map List.rev buckets, !rejected);
-        publish_best cost
+    if not !stopped then begin
+      incr nodes;
+      if stop !nodes then stopped := true
+      else if i = n then begin
+        let cost = buckets_cost () +. penalty_so_far +. e.forced_penalty in
+        if Fc.exact_lt cost !best_cost then begin
+          best_cost := cost;
+          best := (Array.map List.rev buckets, !rejected);
+          publish_best cost
+        end
       end
-    end
-    else begin
-      let bound = buckets_cost () +. penalty_so_far +. e.forced_penalty in
-      if
-        (not prune)
-        || (Fc.exact_lt bound !best_cost && not (foreign_cut bound))
-      then begin
-        let it = e.arr.(i) in
-        let try_bucket j =
-          let before = loads.(j) in
-          if Fc.leq (before +. it.weight) e.capacity then begin
-            loads.(j) <- before +. it.weight;
-            buckets.(j) <- it :: buckets.(j);
-            go (i + 1) (max used (j + 1)) penalty_so_far;
-            buckets.(j) <- List.tl buckets.(j);
-            loads.(j) <- before
-          end
-        in
-        for j = 0 to min (m - 1) used do
-          try_bucket j
-        done;
-        (* rejection branch *)
-        rejected := it :: !rejected;
-        go (i + 1) used (penalty_so_far +. it.item_penalty);
-        rejected := List.tl !rejected
+      else begin
+        let bound = buckets_cost () +. penalty_so_far +. e.forced_penalty in
+        if
+          (not prune)
+          || (Fc.exact_lt bound !best_cost && not (foreign_cut bound))
+        then begin
+          let it = e.arr.(i) in
+          for j = 0 to min (m - 1) used do
+            let before = loads.(j) in
+            if Fc.leq (before +. it.weight) e.capacity then begin
+              let bucket = buckets.(j) in
+              loads.(j) <- before +. it.weight;
+              buckets.(j) <- it :: bucket;
+              go (i + 1) (max used (j + 1)) penalty_so_far;
+              buckets.(j) <- bucket;
+              loads.(j) <- before
+            end
+          done;
+          (* rejection branch *)
+          let rej = !rejected in
+          rejected := it :: rej;
+          go (i + 1) used (penalty_so_far +. it.item_penalty);
+          rejected := rej
+        end
       end
     end
   in
-  let exhausted =
-    match go st.next st.used st.penalty with
-    | () -> false
-    | exception Budget_exhausted -> true
-  in
+  go st.next st.used st.penalty;
   let bs, rej = !best in
   ( {
       partition = Rt_partition.Partition.of_buckets bs;
@@ -220,54 +226,7 @@ let run_from ?shared ~prune ~stop e st =
       cost = !best_cost;
     },
     !nodes,
-    exhausted )
-
-let search_core ?shared ~prune ~stop ~m ~capacity ~bucket_cost items =
-  let e = prepare ~m ~capacity ~bucket_cost items in
-  run_from ?shared ~prune ~stop e (root e)
-
-(* ---------------------------------------------------------------- *)
-(* Incremental frontier generation for the domain-parallel search
-   (Rt_parallel.Par_search). A subtree is a search-tree node labelled
-   with its DFS path — the sequence of child indices from the root —
-   so subtrees produced on demand, at any depth and in any order, can
-   still be totally ordered by depth-first position. [expand_subtree]
-   refines one subtree into its children (the incremental analogue of
-   the old one-shot root split); work-stealing schedulers call it
-   whenever they need more independent units. *)
-
-type subtree = { engine : engine; state : state; path : int list }
-
-let root_subtree ~m ~capacity ~bucket_cost items =
-  check_args ~m ~capacity;
-  let e = prepare ~m ~capacity ~bucket_cost items in
-  { engine = e; state = root e; path = [] }
-
-let subtree_path t = t.path
-let subtree_open t = Array.length t.engine.arr - t.state.next
-
-let subtree_bound t =
-  let acc = ref (t.state.penalty +. t.engine.forced_penalty) in
-  for j = 0 to t.engine.m - 1 do
-    acc := !acc +. t.engine.bucket_cost t.state.loads.(j)
-  done;
-  !acc
-
-let expand_subtree t =
-  if t.state.next >= Array.length t.engine.arr then None
-  else
-    Some
-      (List.mapi
-         (fun i state -> { engine = t.engine; state; path = t.path @ [ i ] })
-         (expand t.engine t.state))
-
-let rec compare_path a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | (x : int) :: a', y :: b' ->
-      if x < y then -1 else if x > y then 1 else compare_path a' b'
+    !stopped )
 
 let make_stop ?node_budget ?deadline () =
   let node_stop =
@@ -285,59 +244,262 @@ let make_stop ?node_budget ?deadline () =
   in
   fun nodes -> node_stop nodes || time_stop nodes
 
+(* a non-positive or non-finite budget is an already-expired deadline *)
 let deadline_of_budget b =
   if Fc.exact_le b 0. || not (Float.is_finite b) then neg_infinity
   else Clock.now () +. b
 
-let run_subtree ?shared ?node_budget ?deadline ~prune t =
-  let stop = make_stop ?node_budget ?deadline () in
-  let best, nodes, exhausted =
-    run_from ?shared ~prune ~stop t.engine t.state
+(* ---------------------------------------------------------------- *)
+(* Work-stealing search over subtrees.
+
+   A subtree is a search-tree node labelled with its DFS path — the
+   child indices from the root — so subtrees produced on demand, at any
+   depth and in any order, are still totally ordered by depth-first
+   position (paths compared lexicographically, a prefix first): all
+   leaves of a path-lesser subtree precede all leaves of a path-greater
+   one. Combining completed results by (cost, then path, keeping strict
+   improvements) therefore yields the sequential search's solution for
+   any carving of the tree and any execution order. *)
+
+type subtree = { state : state; path : int list }
+
+(* the monotone lower bound of the subtree's prefix: every leaf below
+   costs at least this *)
+let subtree_bound e t =
+  let acc = ref (t.state.penalty +. e.forced_penalty) in
+  for j = 0 to e.m - 1 do
+    acc := !acc +. e.bucket_cost t.state.loads.(j)
+  done;
+  !acc
+
+let default_split_factor = 4
+
+(* The split factor maps to a *grain*: a popped subtree with more than
+   [grain] undecided items is expanded (its children pushed on the
+   owner's deque, stealable); at or below it, the subtree is run whole.
+   Larger factors granulate finer. The floor of 3 keeps run units at
+   least a few hundred raw nodes, so deque traffic never dominates. *)
+let grain_of_split_factor sf =
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  max 3 (6 - log2 sf)
+
+(* one worker's private tally, allocated inside its own call (fresh per
+   domain — nothing here crosses domains) and returned through the pool *)
+type worker_out = {
+  results : (int list * (solution * int * bool)) list;
+  steals : int;
+  splits : int;
+  pruned : int;
+}
+
+(* [workers + 1] deques: one per worker plus an ownerless seed deque
+   holding the root subtree, so every worker's first unit of work — the
+   root-taker's included — arrives by stealing; bootstrapping is not a
+   special case. Each worker pops its own deque LIFO (depth-first), and
+   when empty sweeps the other deques' shallow ends. Workers coordinate
+   through four atomics:
+
+   - [outstanding]: subtrees in deques plus in flight. An expansion
+     converts one outstanding subtree into k (incremented *before* the
+     children are pushed, so a thief finishing a child early can never
+     drive the count to zero while the parent still holds work);
+     completing or pruning a subtree decrements. Zero means done.
+   - [shared], the incumbent, which makes pruning cooperative without
+     threatening determinism: both the in-search cut and the
+     whole-subtree drop below fire only on *strictly* worse bounds.
+   - [drained], set on the first budget-exhausted subtree run: the
+     engine stops expanding — without this, a tiny [node_budget] on a
+     big instance would keep carving frontier (expansion visits no
+     nodes, so per-subtree budgets alone cannot bound the spine).
+   - [quit], set by every worker leaving its loop: normally (when
+     [outstanding] is already zero) or because its subtree run raised,
+     so the others stop hunting instead of spinning on a count that
+     will never reach zero; the pool then re-raises the exception and
+     stays usable.
+
+   Idle workers spin with [Domain.cpu_relax] between sweeps rather than
+   parking on a condition variable: run units are bounded by the grain
+   (a few hundred nodes, microseconds), so hunger gaps are short, and
+   spinning keeps every deque operation a single self-contained
+   [Mutex.protect] section — no cross-deque lock nesting for the
+   lock-order analysis to reason about. *)
+let run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e =
+  let workers = Pool.size pool in
+  let slots = workers + 1 in
+  let deques =
+    (Array.init slots (fun _ -> Deque.create ())
+    [@rt.domain_safe
+      "allocated and fully populated before the workers are submitted; \
+       indexed reads only afterwards — all mutation is inside Deque's own \
+       critical sections"])
   in
-  { best; nodes; exhausted }
+  let outstanding = Atomic.make 1 in
+  let quit = Atomic.make false in
+  let drained = Atomic.make false in
+  Deque.push deques.(slots - 1) { state = root e; path = [] };
+  let worker w =
+    let results = ref [] in
+    let steals = ref 0 in
+    let splits = ref 0 in
+    let pruned = ref 0 in
+    let deadline_expired () =
+      match deadline with
+      | None -> false
+      | Some d -> Fc.exact_gt (Clock.now ()) d
+    in
+    let finish t =
+      (* an expired deadline turns the run into a drain: a zero node
+         budget stops at the first node, returning the subtree's
+         reject-the-rest seed incumbent with [exhausted = true] — every
+         pending subtree still yields a valid result, cheaply *)
+      let node_budget = if deadline_expired () then Some 0 else node_budget in
+      let stop = make_stop ?node_budget ?deadline () in
+      let ((_, _, exhausted) as r) = run_from ~shared ~prune ~stop e t.state in
+      if exhausted then Atomic.set drained true;
+      results := (t.path, r) :: !results;
+      ignore (Atomic.fetch_and_add outstanding (-1))
+    in
+    let process t =
+      if prune && Fc.exact_gt (subtree_bound e t) (Atomic.get shared) then begin
+        (* strictly worse than a published feasible cost: no leaf below
+           can match the returned optimum, so dropping the subtree whole
+           preserves determinism (the subtree holding the optimum has
+           bound <= optimum <= shared and is never dropped) *)
+        incr pruned;
+        ignore (Atomic.fetch_and_add outstanding (-1))
+      end
+      else if
+        Array.length e.arr - t.state.next > grain
+        && (not (Atomic.get drained))
+        && not (deadline_expired ())
+      then begin
+        (* more than [grain] >= 3 open items: an interior node *)
+        let children =
+          List.mapi
+            (fun i state -> { state; path = t.path @ [ i ] })
+            (expand e t.state)
+        in
+        incr splits;
+        ignore (Atomic.fetch_and_add outstanding (List.length children - 1));
+        (* reversed, so the owner pops the first child next: the local
+           order stays depth-first, and the deque's shallow end holds the
+           latest (largest) unexplored siblings *)
+        List.iter (Deque.push deques.(w)) (List.rev children)
+      end
+      else finish t
+    in
+    let rec loop () =
+      if not (Atomic.get quit) then
+        match Deque.pop deques.(w) with
+        | Some t ->
+            process t;
+            loop ()
+        | None -> hunt 0
+    and hunt k =
+      if not (Atomic.get quit) then
+        if k = slots - 1 then begin
+          if Atomic.get outstanding <> 0 then begin
+            Domain.cpu_relax ();
+            hunt 0
+          end
+        end
+        else
+          let victim = (w + 1 + k) mod slots in
+          match Deque.steal deques.(victim) with
+          | Some t ->
+              incr steals;
+              process t;
+              loop ()
+          | None -> hunt (k + 1)
+    in
+    Fun.protect ~finally:(fun () -> Atomic.set quit true) loop;
+    { results = !results; steals = !steals; splits = !splits; pruned = !pruned }
+  in
+  Pool.map ~pool worker (List.init workers Fun.id)
+
+(* Results arrive DFS-sorted (by subtree path), so keeping only strict
+   improvements makes the earliest subtree win ties — the same solution
+   the sequential depth-first search would have returned. *)
+let combine results =
+  List.fold_left
+    (fun acc (_, (sol, nodes, exhausted)) ->
+      match acc with
+      | None -> Some (sol, nodes, exhausted)
+      | Some (best, total, ex) ->
+          Some
+            ( (if Fc.exact_lt sol.cost best.cost then sol else best),
+              total + nodes,
+              ex || exhausted ))
+    None results
+
+let run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e =
+  let grain = grain_of_split_factor split_factor in
+  let outs = run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e in
+  let sorted =
+    List.sort
+      (fun (p, _) (q, _) -> List.compare Int.compare p q)
+      (List.concat_map (fun o -> o.results) outs)
+  in
+  match combine sorted with
+  | None -> Error "Search: every subtree was pruned before running"
+  | Some (best, nodes, exhausted) ->
+      let sum f = List.fold_left (fun acc o -> acc + f o) 0 outs in
+      Ok
+        {
+          best;
+          nodes;
+          exhausted;
+          stats =
+            {
+              steals = List.map (fun (o : worker_out) -> o.steals) outs;
+              splits = sum (fun o -> o.splits);
+              pruned = sum (fun o -> o.pruned);
+              subtrees = List.map (fun (p, (_, k, _)) -> (p, k)) sorted;
+            };
+        }
 
 (* ---------------------------------------------------------------- *)
 
-let search ~prune ~node_limit ~m ~capacity ~bucket_cost items =
-  check_args ~m ~capacity;
-  let sol, _, exhausted =
-    search_core ~prune
-      ~stop:(fun nodes -> nodes > node_limit)
-      ~m ~capacity ~bucket_cost items
-  in
-  if exhausted then
-    (* lint: allow-no-raise "documented @raise Failure on node-limit blowup" *)
-    failwith "Search: node limit exceeded"
-  else sol
+let node_limit = 50_000_000
 
-let budgeted ?shared ~prune ?node_budget ?time_budget ~m ~capacity
-    ~bucket_cost items =
+let solve ?pool ?(split_factor = default_split_factor) ?shared ?node_budget
+    ?time_budget ?(prune = true) ~m ~capacity ~bucket_cost items =
   if m < 1 then Error "Search: m < 1"
   else if Fc.exact_le capacity 0. then Error "Search: capacity <= 0"
-  else begin
-    let deadline = Option.map deadline_of_budget time_budget in
-    let stop = make_stop ?node_budget ?deadline () in
-    let best, nodes, exhausted =
-      search_core ?shared ~prune ~stop ~m ~capacity ~bucket_cost items
-    in
-    Ok { best; nodes; exhausted }
-  end
-
-let exhaustive ~m ~capacity ~bucket_cost items =
-  if List.length items > 16 then
-    invalid_arg "Search.exhaustive: more than 16 items";
-  search ~prune:false ~node_limit:max_int ~m ~capacity ~bucket_cost items
-
-let exhaustive_budgeted ?node_budget ?time_budget ~m ~capacity ~bucket_cost
-    items =
-  budgeted ~prune:false ?node_budget ?time_budget ~m ~capacity ~bucket_cost
-    items
-
-let branch_and_bound ?(node_limit = 50_000_000) ~m ~capacity ~bucket_cost items
-    =
-  search ~prune:true ~node_limit ~m ~capacity ~bucket_cost items
-
-let branch_and_bound_budgeted ?shared ?node_budget ?time_budget ~m ~capacity
-    ~bucket_cost items =
-  budgeted ?shared ~prune:true ?node_budget ?time_budget ~m ~capacity
-    ~bucket_cost items
+  else if split_factor < 1 then
+    Error
+      (Printf.sprintf "Search: split factor must be at least 1 (got %d)"
+         split_factor)
+  else
+    match node_budget with
+    | Some b when b < 0 ->
+        Error
+          (Printf.sprintf "Search: node budget must be non-negative (got %d)"
+             b)
+    | None
+      when (not prune) && Option.is_none time_budget && List.length items > 16
+      ->
+        Error
+          "Search: full enumeration of more than 16 items needs a node or \
+           time budget"
+    | _ -> (
+        let e = prepare ~m ~capacity ~bucket_cost items in
+        let deadline = Option.map deadline_of_budget time_budget in
+        match pool with
+        | Some pool ->
+            let shared = Option.value shared ~default:(Atomic.make infinity) in
+            run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e
+        | None ->
+            let stop = make_stop ?node_budget ?deadline () in
+            let best, nodes, exhausted =
+              run_from ?shared ~prune ~stop e (root e)
+            in
+            let stats =
+              {
+                steals = [];
+                splits = 0;
+                pruned = 0;
+                subtrees = [ ([], nodes) ];
+              }
+            in
+            Ok { best; nodes; exhausted; stats })

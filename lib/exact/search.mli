@@ -1,4 +1,4 @@
-(** Exact solvers for select-and-partition problems.
+(** Exact solver for select-and-partition problems.
 
     The problem: place each item on one of [m] identical processors or
     reject it (paying its penalty); a processor's load (weight sum) must
@@ -6,19 +6,17 @@
 
     {v Σ_j bucket_cost(load_j)  +  Σ_rejected penalty v}
 
-    with [bucket_cost] non-decreasing (energy of sustaining a load). Both
-    solvers enumerate assignments with processor-symmetry breaking (an item
-    may only open the lowest-indexed empty processor), so identical
-    processors are never counted twice. [branch_and_bound] additionally
-    prunes with the monotonicity bound: committed bucket energies and
-    committed penalties never decrease as the remaining items are placed.
+    with [bucket_cost] non-decreasing (energy of sustaining a load).
+    {!solve} enumerates assignments largest item first, with
+    processor-symmetry breaking (an item may only open the
+    lowest-indexed empty processor), so identical processors are never
+    counted twice, and by default prunes with the monotonicity bound:
+    committed bucket energies and committed penalties never decrease as
+    the remaining items are placed.
 
-    Complexity is exponential — these are the ground-truth oracles for the
-    small instances of experiment E1 and for the property tests, not
-    production algorithms. The {!shared} incumbent and the
-    {!root_subtree} / {!expand_subtree} / {!run_subtree} triple are the
-    hooks {!Rt_parallel} races and distributes these searches with;
-    sequential callers can ignore them. *)
+    Complexity is exponential — this is the ground-truth oracle for the
+    small instances of experiment E1 and for the property tests, not a
+    production algorithm. *)
 
 type solution = {
   partition : Rt_partition.Partition.t;
@@ -26,143 +24,90 @@ type solution = {
   cost : float;
 }
 
+type stats = {
+  steals : int list;
+      (** successful steals per pool worker; [[]] without a pool *)
+  splits : int;  (** subtrees expanded instead of run (spine nodes) *)
+  pruned : int;
+      (** pending subtrees dropped whole against the shared bound *)
+  subtrees : (int list * int) list;
+      (** (DFS path, nodes visited) for every subtree actually run, in
+          depth-first order — [[([], nodes)]] without a pool. The paths
+          are pairwise prefix-free and cover the tree exactly: on a
+          prune-free run, the nodes here plus [splits] equal the
+          sequential visit count. *)
+}
+(** Scheduling telemetry of a {!solve} run. *)
+
 type anytime = {
   best : solution;  (** best solution found within the budget *)
   nodes : int;  (** search-tree nodes visited *)
   exhausted : bool;
       (** [true] when a budget ran out before the search completed — the
           solution is then the incumbent, not a proven optimum *)
+  stats : stats;
 }
-(** Result of a budgeted (anytime) search. The incumbent is seeded with
-    the all-reject solution, so [best] is a feasible solution even on a
-    zero budget. *)
+(** Result of a search. The incumbent is seeded with the all-reject
+    solution, so [best] is a feasible solution even on a zero budget. *)
 
 (** {2 Shared incumbent}
 
     A cross-domain upper bound on the optimal cost. Any solver or
     heuristic may {!publish} the cost of a solution it actually holds;
-    the branch-and-bound prune test reads the cell and additionally cuts
-    subtrees whose lower bound is {e strictly worse} than the published
-    value. Strictness is what keeps parallel runs deterministic: a search
-    still visits every node that could tie its own best, so the solution
-    it returns never depends on when a sibling's publication arrived —
-    only how fast it got there does (see docs/PARALLEL.md). *)
+    the prune test reads the cell and additionally cuts subtrees whose
+    lower bound is {e strictly worse} than the published value.
+    Strictness is what keeps parallel runs deterministic: a search still
+    visits every node that could tie its own best, so the solution it
+    returns never depends on when a sibling's publication arrived — only
+    how fast it got there does (see docs/PARALLEL.md). *)
 
 type shared
 
 val shared : unit -> shared
 (** A fresh cell holding [infinity]. *)
 
-val shared_best : shared -> float
-(** Current published bound ([infinity] if none yet). *)
-
 val publish : shared -> float -> unit
 (** Lower the cell to [cost] if it improves it (lock-free CAS loop).
     Publish only costs of feasible solutions the caller holds. *)
 
-(** {2 Incremental frontier generation}
+(** {2 Search} *)
 
-    A {!subtree} is one node of the search tree bundled with private
-    load/bucket state, ready to be explored independently — the unit of
-    work the domain-parallel searches schedule. Frontiers are produced
-    {e incrementally}: {!root_subtree} makes the whole search one
-    subtree, and {!expand_subtree} refines any subtree into its
-    children in depth-first visit order, on demand — the work-stealing
-    scheduler in {!Rt_parallel.Par_search} expands exactly as much
-    frontier as load balancing requires, instead of guessing a one-shot
-    split width up front.
+val node_limit : int
+(** 50 million — the [node_budget] oracle callers pass to guard against
+    runaway instances, treating an [exhausted] result as an error. *)
 
-    Every subtree carries its DFS {!subtree_path} (the child indices
-    from the root), so subtrees expanded at {e different} depths, in any
-    order, on any domain, are still totally ordered by
-    {!compare_path} — all leaves of a path-lesser subtree precede all
-    leaves of a path-greater one in the sequential depth-first visit.
-    Combining completed results by (cost, then path, keeping strict
-    improvements) therefore yields the same solution as the sequential
-    search, for {e any} partition of the tree into disjoint subtrees and
-    any execution order. *)
-
-type subtree
-
-val root_subtree :
-  m:int -> capacity:float -> bucket_cost:(float -> float) ->
-  Rt_task.Task.item list -> subtree
-(** The whole search as a single subtree (path [[]]).
-    @raise Invalid_argument if [m < 1] or [capacity <= 0]. *)
-
-val expand_subtree : subtree -> subtree list option
-(** The subtree's children in depth-first visit order (each placement
-    of the next item on an open processor, then its rejection), or
-    [None] when the subtree is a complete assignment — a leaf that can
-    only be {!run_subtree}. The children partition the parent's leaves:
-    running all of them visits exactly the parent's leaves, each once. *)
-
-val subtree_path : subtree -> int list
-(** Child indices from the root; [[]] for the root. The deterministic
-    depth-first tie-break key (see {!compare_path}). *)
-
-val subtree_open : subtree -> int
-(** Number of still-undecided items — the depth of the tree below this
-    subtree. Schedulers run small subtrees whole and expand large ones. *)
-
-val subtree_bound : subtree -> float
-(** The monotone lower bound of the subtree's prefix: committed bucket
-    energies + committed penalties + forced rejections. Every leaf below
-    costs at least this, so a scheduler may drop the whole subtree when
-    the bound is {e strictly} above the {!shared} incumbent without
-    affecting the returned solution. *)
-
-val compare_path : int list -> int list -> int
-(** Lexicographic order on paths = depth-first order on subtrees. *)
-
-val run_subtree :
-  ?shared:shared -> ?node_budget:int -> ?deadline:float -> prune:bool ->
-  subtree -> anytime
-(** Explore one subtree to completion or until [node_budget] nodes (per
-    subtree) or the absolute monotonic [deadline] (a {!Rt_prelude.Clock}
-    instant, polled every 1024 nodes). The seed incumbent rejects every
-    item the subtree's prefix has not already placed. *)
-
-val deadline_of_budget : float -> float
-(** [Rt_prelude.Clock.now () +. budget]; a non-positive or non-finite
-    budget maps to an already-expired deadline. *)
-
-(** {2 Solvers} *)
-
-val exhaustive :
-  m:int -> capacity:float -> bucket_cost:(float -> float) ->
-  Rt_task.Task.item list -> solution
-(** Full enumeration ((m+1)^n with symmetry breaking).
-    @raise Invalid_argument if [m < 1], [capacity <= 0] or [n > 16]. *)
-
-val exhaustive_budgeted :
-  ?node_budget:int -> ?time_budget:float -> m:int -> capacity:float ->
-  bucket_cost:(float -> float) -> Rt_task.Task.item list ->
-  (anytime, string) result
-(** Anytime full enumeration: explores until done or until [node_budget]
-    nodes have been visited or [time_budget] seconds of monotonic
-    wall-clock time have elapsed (the clock is polled every 1024 nodes,
-    so the time budget is approximate). No 16-item cap — the budget is
-    the guard. Errors on [m < 1] or [capacity <= 0]. *)
-
-val branch_and_bound :
-  ?node_limit:int -> m:int -> capacity:float -> bucket_cost:(float -> float) ->
-  Rt_task.Task.item list -> solution
-(** Same optimum with pruning; items are explored largest-first. The
-    optional [node_limit] (default 50 million) guards runaway instances.
-    @raise Invalid_argument if [m < 1] or [capacity <= 0].
-    @raise Failure if the node limit is hit. *)
-
-val branch_and_bound_budgeted :
-  ?shared:shared -> ?node_budget:int -> ?time_budget:float -> m:int ->
+val solve :
+  ?pool:Rt_parallel.Pool.t -> ?split_factor:int -> ?shared:shared ->
+  ?node_budget:int -> ?time_budget:float -> ?prune:bool -> m:int ->
   capacity:float -> bucket_cost:(float -> float) -> Rt_task.Task.item list ->
   (anytime, string) result
-(** Anytime branch-and-bound: like {!branch_and_bound}, but exhausting a
-    budget is not a failure — the incumbent comes back with
-    [exhausted = true]. [time_budget] is monotonic wall-clock seconds
-    ({!Rt_prelude.Clock}): a busy sibling domain no longer shrinks it the
-    way the former CPU-time measurement did. When [shared] is given, the
-    search prunes against the published bound and publishes its own
-    improvements. Use this when a bounded response time matters more
-    than proof of optimality (the fault-recovery paths do). Errors on
-    [m < 1] or [capacity <= 0]. *)
+(** Exact search until done or until a budget runs out; running out is
+    not a failure — the incumbent comes back with [exhausted = true].
+
+    Without [pool], one depth-first search runs on the calling domain.
+    With [pool] (of any size), the tree is carved into subtrees on
+    demand and balanced across the workers by work stealing: each
+    worker pops its own deque depth-first and expands any subtree with
+    more than a grain of undecided items into stealable children; a
+    [split_factor] (default 4, mapped to a grain of
+    [max 3 (6 - log2 split_factor)] items) granulates finer as it
+    grows. All workers prune against one shared incumbent. A completed
+    pooled run is byte-identical to the sequential one at any pool
+    size, split factor and steal schedule; only [nodes] and [stats]
+    depend on scheduling (see docs/PARALLEL.md).
+
+    [node_budget] bounds each run subtree — the whole search without a
+    pool; with one, the first exhausted subtree stops further expansion,
+    so the total stays bounded. [time_budget] is one monotonic
+    wall-clock deadline ({!Rt_prelude.Clock}, polled every 1024 nodes);
+    once it passes, pending subtrees return their reject-the-rest seeds.
+    [shared] connects the search to a cross-domain incumbent: it prunes
+    against the published bound and publishes its own improvements.
+    [prune] (default [true]) exists for the tests: [~prune:false]
+    disables the bound, making the search a full enumeration and node
+    accounting exact.
+
+    Errors on [m < 1], [capacity <= 0], [split_factor < 1],
+    [node_budget < 0], and on a full enumeration ([~prune:false]) of
+    more than 16 items with neither budget given. An exception raised
+    by [bucket_cost] propagates, and leaves [pool] usable. *)

@@ -34,11 +34,16 @@ let optimal_energy ~m items =
         Task.item ~penalty:big_penalty ~id:it.item_id ~weight:it.weight ())
       items
   in
-  let s =
-    Rt_exact.Search.branch_and_bound ~m ~capacity:1. ~bucket_cost priced
-  in
-  if s.Rt_exact.Search.rejected <> [] then Float.nan
-  else s.Rt_exact.Search.cost
+  match
+    Rt_exact.Search.solve ~node_budget:Rt_exact.Search.node_limit ~m
+      ~capacity:1. ~bucket_cost priced
+  with
+  | Error e -> invalid_arg ("exp_substrate: " ^ e)
+  | Ok { Rt_exact.Search.exhausted = true; _ } ->
+      invalid_arg "exp_substrate: node limit exceeded"
+  | Ok { Rt_exact.Search.best = s; _ } ->
+      if s.Rt_exact.Search.rejected <> [] then Float.nan
+      else s.Rt_exact.Search.cost
 
 let e7_ltf_vs_rand ?(seeds = 15) () =
   let seed_list = Runner.seeds ~base:700 ~n:seeds in

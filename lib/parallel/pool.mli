@@ -3,8 +3,8 @@
     OCaml 5.1's stdlib ships domains but no scheduler, and this repo
     deliberately adds no external dependency (domainslib is not in the
     build image) — so this is the one, hand-rolled substrate every
-    parallel feature builds on: the solver portfolio, the root-split
-    branch-and-bound, and the embarrassingly-parallel experiment/fuzz
+    parallel feature builds on: the solver portfolio, the work-stealing
+    exact search, and the embarrassingly-parallel experiment/fuzz
     sweeps.
 
     Design constraints, in order:

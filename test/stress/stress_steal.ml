@@ -9,7 +9,7 @@
    way an idle domain eats is to steal the shallowest pending subtree
    the moment it appears.
 
-   Asserted here, on the raw Par_search API:
+   Asserted here, on the raw Search.solve API:
    - the run stays byte-identical to the sequential branch-and-bound;
    - every domain steals at least once (the ownerless seed deque makes
      even the first unit of work arrive by stealing), and the run as a
@@ -24,7 +24,6 @@
 module Fc = Rt_prelude.Float_cmp
 module Clock = Rt_prelude.Clock
 module Search = Rt_exact.Search
-module Par = Rt_parallel.Par_search
 
 let failures = ref 0
 
@@ -64,7 +63,7 @@ let () =
   (* sequential reference and its node throughput *)
   let t0 = Clock.now () in
   let seq =
-    match Search.branch_and_bound_budgeted ~m ~capacity ~bucket_cost items with
+    match Search.solve ~m ~capacity ~bucket_cost items with
     | Ok a -> a
     | Error e -> failwith e
   in
@@ -73,11 +72,12 @@ let () =
 
   Rt_parallel.Pool.with_pool ~domains:4 (fun pool ->
       let t1 = Clock.now () in
-      let a, stats =
-        match Par.branch_and_bound_stats ~pool ~m ~capacity ~bucket_cost items with
+      let a =
+        match Search.solve ~pool ~m ~capacity ~bucket_cost items with
         | Ok r -> r
         | Error e -> failwith e
       in
+      let stats = a.Search.stats in
       let par_wall = Clock.elapsed ~since:t1 in
       check "parallel search completed" (not a.Search.exhausted);
       check "cost bit-identical to sequential"
@@ -90,11 +90,11 @@ let () =
         (fun w s ->
           check (Printf.sprintf "domain %d stole at least once (got %d)" w s)
             (s >= 1))
-        stats.Par.steals;
-      let total_steals = List.fold_left ( + ) 0 stats.Par.steals in
+        stats.Search.steals;
+      let total_steals = List.fold_left ( + ) 0 stats.Search.steals in
       check
         (Printf.sprintf "total steals >= 2 per domain (got %d)" total_steals)
-        (total_steals >= 2 * stats.Par.domains);
+        (total_steals >= 2 * Rt_parallel.Pool.size pool);
 
       let seq_tput = float_of_int seq.Search.nodes /. seq_wall in
       let par_tput = float_of_int a.Search.nodes /. par_wall in
@@ -103,8 +103,8 @@ let () =
          %.3fs (%.0f/s); steals %s; splits %d\n%!"
         seq.Search.nodes seq_wall seq_tput a.Search.nodes par_wall par_tput
         (String.concat ","
-           (List.map string_of_int stats.Par.steals))
-        stats.Par.splits;
+           (List.map string_of_int stats.Search.steals))
+        stats.Search.splits;
       if Domain.recommended_domain_count () >= 4 then
         check
           (Printf.sprintf "parallel node throughput >= 2x sequential (%.0f vs %.0f)"
@@ -124,15 +124,14 @@ let () =
         else bucket_cost load
       in
       (match
-         Par.branch_and_bound_stats ~pool ~m ~capacity ~bucket_cost:poisoned
-           items
+         Search.solve ~pool ~m ~capacity ~bucket_cost:poisoned items
        with
       | Ok _ -> check "poisoned run must raise" false
       | exception Failure msg ->
           check "poison message intact" (msg = "poisoned bucket_cost")
       | Error e -> check (Printf.sprintf "unexpected Error %s" e) false);
-      match Par.branch_and_bound_stats ~pool ~m ~capacity ~bucket_cost items with
-      | Ok (a2, _) ->
+      match Search.solve ~pool ~m ~capacity ~bucket_cost items with
+      | Ok a2 ->
           check "pool reusable after poisoned run: same result"
             (fingerprint a.Search.best = fingerprint a2.Search.best)
       | Error e -> check (Printf.sprintf "clean rerun failed: %s" e) false);

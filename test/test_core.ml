@@ -28,6 +28,11 @@ let cost_exn p s =
   | Ok c -> c
   | Error e -> Alcotest.failf "cost: %s" e
 
+let optimal_cost p =
+  match Exact.branch_and_bound_budgeted p with
+  | Ok b -> b.Exact.cost
+  | Error e -> Alcotest.failf "exact: %s" e
+
 (* random rejection instances around a given load factor *)
 let random_instance ?(proc = cubic) ~seed ~n ~m ~load () =
   let rng = Rt_prelude.Rng.create ~seed in
@@ -131,7 +136,7 @@ let prop_lower_bound_sound =
     QCheck2.Gen.(pair (int_range 1 500) (float_range 0.5 2.0))
     (fun (seed, load) ->
       let p = random_instance ~seed ~n:7 ~m:2 ~load () in
-      Bounds.lower_bound p <= Exact.optimal_cost p +. 1e-6)
+      Bounds.lower_bound p <= optimal_cost p +. 1e-6)
 
 let test_min_rejected_penalty_extremes () =
   let items = items_of [ (0.5, 1.); (0.5, 3.) ] in
@@ -327,7 +332,7 @@ let prop_heuristics_above_optimal =
     QCheck2.Gen.(pair (int_range 1 10_000) (float_range 0.5 2.0))
     (fun (seed, load) ->
       let p = random_instance ~seed ~n:8 ~m:2 ~load () in
-      let opt = Exact.optimal_cost p in
+      let opt = optimal_cost p in
       List.for_all
         (fun (_, alg) -> (cost_exn p (alg p)).Solution.total >= opt -. 1e-6)
         all_algorithms)
@@ -357,9 +362,23 @@ let prop_exhaustive_equals_bnb =
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
       let p = random_instance ~seed ~n:7 ~m:2 ~load:1.3 () in
-      let a = (cost_exn p (Exact.exhaustive p)).Solution.total in
-      let b = (cost_exn p (Exact.branch_and_bound p)).Solution.total in
-      Fc.approx_eq ~eps:1e-9 a b)
+      let all =
+        match
+          Rt_exact.Search.solve ~prune:false ~m:p.Problem.m
+            ~capacity:(Problem.capacity p)
+            ~bucket_cost:(Problem.bucket_energy p) p.Problem.items
+        with
+        | Ok a -> a.Rt_exact.Search.best
+        | Error e -> Alcotest.failf "enumeration: %s" e
+      in
+      let a =
+        cost_exn p
+          {
+            Solution.partition = all.Rt_exact.Search.partition;
+            rejected = all.Rt_exact.Search.rejected;
+          }
+      in
+      Fc.approx_eq ~eps:1e-9 a.Solution.total (optimal_cost p))
 
 (* ------------------------------------------------------------------ *)
 (* Uni_dp *)
@@ -399,7 +418,7 @@ let prop_uni_dp_matches_exhaustive =
       match Uni_dp.exact ~proc:cubic ~frame_length:1000. tasks with
       | Error _ -> false
       | Ok o ->
-          let opt = Exact.optimal_cost o.Uni_dp.problem in
+          let opt = optimal_cost o.Uni_dp.problem in
           Fc.approx_eq ~eps:1e-6 o.Uni_dp.cost opt)
 
 let prop_uni_dp_scaled_sound =
@@ -431,7 +450,7 @@ let test_partition_gadget_yes_instance () =
   match Hardness.partition_gadget [ 3; 3; 2; 2; 2 ] with
   | Error e -> Alcotest.fail e
   | Ok g ->
-      let opt = Exact.optimal_cost g.Hardness.problem in
+      let opt = optimal_cost g.Hardness.problem in
       (match g.Hardness.all_accepted_cost with
       | Some c -> check_float 1e-6 "optimum = balanced accept-all" c opt
       | None -> Alcotest.fail "expected a perfect cost")
@@ -441,7 +460,7 @@ let test_partition_gadget_no_instance () =
   match Hardness.partition_gadget [ 3; 1 ] with
   | Error e -> Alcotest.fail e
   | Ok g ->
-      let opt = Exact.optimal_cost g.Hardness.problem in
+      let opt = optimal_cost g.Hardness.problem in
       (match g.Hardness.all_accepted_cost with
       | Some c -> check_bool "optimum strictly above perfect" true (opt > c +. 1.)
       | None -> Alcotest.fail "expected a perfect cost")
@@ -460,7 +479,7 @@ let test_knapsack_gadget_is_knapsack () =
   with
   | Error e -> Alcotest.fail e
   | Ok g ->
-      let opt = Exact.optimal_cost g.Hardness.problem in
+      let opt = optimal_cost g.Hardness.problem in
       (* best: accept 5+5 (reject the 6, penalty 3)? or accept 6 (reject
          both 5s, penalty 3)? or accept 6+... 6+5 = 11 > 10. Optimal = 3
          either way; energy is negligible. *)

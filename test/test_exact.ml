@@ -1,5 +1,5 @@
-(* Tests for rt_exact: subset enumeration, exhaustive/branch-and-bound
-   search, and the knapsack DP. *)
+(* Tests for rt_exact: subset enumeration, the exact search (full
+   enumeration and branch-and-bound), and the knapsack DP. *)
 
 open Rt_task
 module Fc = Rt_prelude.Float_cmp
@@ -42,38 +42,43 @@ let test_subsets_guard () =
 (* ------------------------------------------------------------------ *)
 (* Search *)
 
+let solve ?split_factor ?node_budget ?time_budget ?prune ~m items =
+  Rt_exact.Search.solve ?split_factor ?node_budget ?time_budget ?prune ~m
+    ~capacity:1. ~bucket_cost:cubic_cost items
+
+let solve_ok ?node_budget ?time_budget ?prune ~m items =
+  match solve ?node_budget ?time_budget ?prune ~m items with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "unexpected error: %s" e
+
+(* the optimum by full enumeration and by branch-and-bound *)
+let enumerate ~m items = (solve_ok ~prune:false ~m items).Rt_exact.Search.best
+let bnb ~m items = (solve_ok ~m items).Rt_exact.Search.best
+
 let test_exhaustive_trivial () =
   (* one small item, huge penalty: accept it *)
   let items = items_of [ (0.5, 100.) ] in
-  let s =
-    Rt_exact.Search.exhaustive ~m:2 ~capacity:1. ~bucket_cost:cubic_cost items
-  in
+  let s = enumerate ~m:2 items in
   check_int "accepted" 1 (Rt_partition.Partition.size s.Rt_exact.Search.partition);
   check_float 1e-9 "cost is its energy" (0.5 ** 3.) s.Rt_exact.Search.cost
 
 let test_exhaustive_prefers_rejection () =
   (* penalty below the energy of running: reject *)
   let items = items_of [ (1.0, 0.1) ] in
-  let s =
-    Rt_exact.Search.exhaustive ~m:1 ~capacity:1. ~bucket_cost:cubic_cost items
-  in
+  let s = enumerate ~m:1 items in
   check_int "rejected" 1 (List.length s.Rt_exact.Search.rejected);
   check_float 1e-12 "cost is the penalty" 0.1 s.Rt_exact.Search.cost
 
 let test_forced_rejection_oversize () =
   let items = items_of [ (2.0, 5.) ] in
-  let s =
-    Rt_exact.Search.exhaustive ~m:3 ~capacity:1. ~bucket_cost:cubic_cost items
-  in
+  let s = enumerate ~m:3 items in
   check_int "oversize rejected" 1 (List.length s.Rt_exact.Search.rejected);
   check_float 1e-12 "pays the penalty" 5. s.Rt_exact.Search.cost
 
 let test_exhaustive_balances () =
   (* two items, huge penalties: convexity wants them on separate processors *)
   let items = items_of [ (0.8, 100.); (0.8, 100.) ] in
-  let s =
-    Rt_exact.Search.exhaustive ~m:2 ~capacity:1. ~bucket_cost:cubic_cost items
-  in
+  let s = enumerate ~m:2 items in
   check_float 1e-9 "one per processor" (2. *. (0.8 ** 3.)) s.Rt_exact.Search.cost
 
 let prop_bnb_matches_exhaustive =
@@ -84,13 +89,8 @@ let prop_bnb_matches_exhaustive =
            (pair (float_range 0.1 1.2) (float_range 0. 1.))))
     (fun (m, specs) ->
       let items = items_of specs in
-      let a =
-        Rt_exact.Search.exhaustive ~m ~capacity:1. ~bucket_cost:cubic_cost items
-      in
-      let b =
-        Rt_exact.Search.branch_and_bound ~m ~capacity:1.
-          ~bucket_cost:cubic_cost items
-      in
+      let a = enumerate ~m items in
+      let b = bnb ~m items in
       Fc.approx_eq ~eps:1e-9 a.Rt_exact.Search.cost b.Rt_exact.Search.cost)
 
 let prop_search_solution_consistent =
@@ -99,10 +99,7 @@ let prop_search_solution_consistent =
       list_size (int_range 1 7) (pair (float_range 0.1 1.2) (float_range 0. 1.)))
     (fun specs ->
       let items = items_of specs in
-      let s =
-        Rt_exact.Search.branch_and_bound ~m:2 ~capacity:1.
-          ~bucket_cost:cubic_cost items
-      in
+      let s = bnb ~m:2 items in
       let loads = Rt_partition.Partition.loads s.Rt_exact.Search.partition in
       let energy = Array.fold_left (fun acc l -> acc +. cubic_cost l) 0. loads in
       let penalty = Taskset.total_penalty_items s.Rt_exact.Search.rejected in
@@ -110,58 +107,39 @@ let prop_search_solution_consistent =
       && Fc.approx_eq ~eps:1e-9 (energy +. penalty) s.Rt_exact.Search.cost)
 
 let test_node_limit () =
+  (* running out of nodes is a result, not an exception: the search
+     stops at the first node past the budget *)
   let items =
     items_of (List.init 14 (fun i -> (0.1 +. (0.01 *. float_of_int i), 0.5)))
   in
-  match
-    Rt_exact.Search.branch_and_bound ~node_limit:10 ~m:3 ~capacity:1.
-      ~bucket_cost:cubic_cost items
-  with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "node limit should fire"
+  let a = solve_ok ~node_budget:10 ~m:3 items in
+  check_bool "exhausted" true a.Rt_exact.Search.exhausted;
+  check_int "stopped at the 11th node" 11 a.Rt_exact.Search.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Anytime (budgeted) search *)
 
 let test_budgeted_zero_budget_seed () =
   (* even a zero node budget returns the all-reject incumbent, typed
-     exhausted rather than raising like the node_limit path *)
+     exhausted rather than raising *)
   let items = items_of [ (0.5, 1.); (0.4, 2.) ] in
-  match
-    Rt_exact.Search.branch_and_bound_budgeted ~node_budget:0 ~m:2 ~capacity:1.
-      ~bucket_cost:cubic_cost items
-  with
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-  | Ok a ->
-      check_bool "exhausted" true a.Rt_exact.Search.exhausted;
-      let b = a.Rt_exact.Search.best in
-      check_int "all rejected" 2 (List.length b.Rt_exact.Search.rejected);
-      check_float 1e-12 "cost = total penalty" 3. b.Rt_exact.Search.cost
+  let a = solve_ok ~node_budget:0 ~m:2 items in
+  check_bool "exhausted" true a.Rt_exact.Search.exhausted;
+  let b = a.Rt_exact.Search.best in
+  check_int "all rejected" 2 (List.length b.Rt_exact.Search.rejected);
+  check_float 1e-12 "cost = total penalty" 3. b.Rt_exact.Search.cost
 
 let test_budgeted_completes_matches_optimum () =
   let items = items_of [ (0.8, 100.); (0.8, 100.); (0.3, 0.01) ] in
-  let opt =
-    Rt_exact.Search.branch_and_bound ~m:2 ~capacity:1.
-      ~bucket_cost:cubic_cost items
-  in
-  (match
-     Rt_exact.Search.branch_and_bound_budgeted ~node_budget:1_000_000 ~m:2
-       ~capacity:1. ~bucket_cost:cubic_cost items
-   with
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-  | Ok a ->
-      check_bool "not exhausted" false a.Rt_exact.Search.exhausted;
-      check_float 1e-12 "matches branch-and-bound"
-        opt.Rt_exact.Search.cost a.Rt_exact.Search.best.Rt_exact.Search.cost);
-  match
-    Rt_exact.Search.exhaustive_budgeted ~m:2 ~capacity:1.
-      ~bucket_cost:cubic_cost items
-  with
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-  | Ok a ->
-      check_bool "exhaustive not exhausted" false a.Rt_exact.Search.exhausted;
-      check_float 1e-12 "exhaustive matches too"
-        opt.Rt_exact.Search.cost a.Rt_exact.Search.best.Rt_exact.Search.cost
+  let opt = bnb ~m:2 items in
+  let a = solve_ok ~node_budget:1_000_000 ~m:2 items in
+  check_bool "not exhausted" false a.Rt_exact.Search.exhausted;
+  check_float 1e-12 "matches branch-and-bound"
+    opt.Rt_exact.Search.cost a.Rt_exact.Search.best.Rt_exact.Search.cost;
+  let a = solve_ok ~prune:false ~m:2 items in
+  check_bool "exhaustive not exhausted" false a.Rt_exact.Search.exhausted;
+  check_float 1e-12 "exhaustive matches too"
+    opt.Rt_exact.Search.cost a.Rt_exact.Search.best.Rt_exact.Search.cost
 
 let test_budgeted_hardness_anytime () =
   (* acceptance criterion: on a hardness instance a tiny node budget must
@@ -185,13 +163,8 @@ let test_budgeted_hardness_anytime () =
       (match Rt_core.Solution.validate p r.Rt_core.Exact.solution with
       | Ok () -> ()
       | Error e -> Alcotest.failf "invalid incumbent: %s" e);
-      let c =
-        match Rt_core.Solution.cost p r.Rt_core.Exact.solution with
-        | Ok c -> c
-        | Error e -> Alcotest.failf "cost: %s" e
-      in
       check_bool "incumbent cost >= lower bound" true
-        (c.Rt_core.Solution.total >= Rt_core.Bounds.lower_bound p -. 1e-9)
+        (r.Rt_core.Exact.cost >= Rt_core.Bounds.lower_bound p -. 1e-9)
 
 let test_budgeted_time_budget () =
   (* an already-expired time budget stops the search at the next clock
@@ -201,27 +174,58 @@ let test_budgeted_time_budget () =
     items_of (List.init 18 (fun i -> (0.1 +. (0.01 *. float_of_int i), 0.5)))
   in
   let all_reject = Rt_task.Taskset.total_penalty_items items in
-  match
-    Rt_exact.Search.branch_and_bound_budgeted ~time_budget:0. ~m:3 ~capacity:1.
-      ~bucket_cost:cubic_cost items
-  with
-  | Error e -> Alcotest.failf "unexpected error: %s" e
-  | Ok a ->
-      check_bool "exhausted" true a.Rt_exact.Search.exhausted;
-      check_bool "incumbent no worse than all-reject" true
-        (Fc.leq ~eps:1e-12 a.Rt_exact.Search.best.Rt_exact.Search.cost
-           all_reject)
+  let a = solve_ok ~time_budget:0. ~m:3 items in
+  check_bool "exhausted" true a.Rt_exact.Search.exhausted;
+  check_bool "incumbent no worse than all-reject" true
+    (Fc.leq ~eps:1e-12 a.Rt_exact.Search.best.Rt_exact.Search.cost all_reject)
 
 let test_budgeted_bad_args () =
   let items = items_of [ (0.5, 1.) ] in
   check_bool "m < 1 is a typed error" true
-    (Result.is_error
-       (Rt_exact.Search.branch_and_bound_budgeted ~m:0 ~capacity:1.
-          ~bucket_cost:cubic_cost items));
+    (Result.is_error (solve ~m:0 items));
   check_bool "capacity <= 0 is a typed error" true
     (Result.is_error
-       (Rt_exact.Search.exhaustive_budgeted ~m:2 ~capacity:0.
+       (Rt_exact.Search.solve ~prune:false ~m:2 ~capacity:0.
           ~bucket_cost:cubic_cost items))
+
+let test_split_factor_below_one () =
+  let items = items_of [ (0.5, 1.) ] in
+  List.iter
+    (fun split_factor ->
+      check_bool
+        (Printf.sprintf "split factor %d is a typed error" split_factor)
+        true
+        (Result.is_error (solve ~split_factor ~m:2 items)))
+    [ 0; -7 ];
+  check_bool "split factor 1 runs" true
+    (Result.is_ok (solve ~split_factor:1 ~m:2 items))
+
+let test_negative_node_budget () =
+  let items = items_of [ (0.5, 1.) ] in
+  check_bool "node budget -1 is a typed error" true
+    (Result.is_error (solve ~node_budget:(-1) ~m:2 items));
+  match
+    Rt_core.Problem.make ~proc:(Rt_power.Processor.cubic ()) ~m:2 ~horizon:1.
+      items
+  with
+  | Error e -> Alcotest.failf "problem: %s" e
+  | Ok p ->
+      check_bool "through Exact too" true
+        (Result.is_error
+           (Rt_core.Exact.branch_and_bound_budgeted ~node_budget:(-1) p))
+
+let test_enumeration_cap () =
+  (* a full enumeration beyond 16 items needs a budget to be its guard *)
+  let items n = items_of (List.init n (fun _ -> (0.05, 1.))) in
+  check_bool "17 items, no budget: typed error" true
+    (Result.is_error (solve ~prune:false ~m:1 (items 17)));
+  check_bool "16 items, no budget: runs" false
+    (solve_ok ~prune:false ~m:1 (items 16)).Rt_exact.Search.exhausted;
+  check_bool "17 items under a node budget: runs" true
+    (solve_ok ~prune:false ~node_budget:1000 ~m:1 (items 17))
+      .Rt_exact.Search.exhausted;
+  check_bool "branch-and-bound has no cap" false
+    (solve_ok ~m:1 (items 17)).Rt_exact.Search.exhausted
 
 (* ------------------------------------------------------------------ *)
 (* Knapsack *)
@@ -368,6 +372,12 @@ let () =
             test_budgeted_time_budget;
           Alcotest.test_case "bad arguments are typed errors" `Quick
             test_budgeted_bad_args;
+          Alcotest.test_case "split factor below 1 is a typed error" `Quick
+            test_split_factor_below_one;
+          Alcotest.test_case "negative node budget is a typed error" `Quick
+            test_negative_node_budget;
+          Alcotest.test_case "full enumeration over 16 items needs a budget"
+            `Quick test_enumeration_cap;
         ] );
       ( "knapsack",
         [

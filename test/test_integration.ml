@@ -12,6 +12,11 @@ let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let cubic = Rt_power.Processor.cubic ()
+
+let optimal_cost p =
+  match Rt_core.Exact.branch_and_bound_budgeted p with
+  | Ok b -> b.Rt_core.Exact.cost
+  | Error e -> Alcotest.failf "exact: %s" e
 let xscale_enable =
   Rt_power.Processor.xscale
     ~dormancy:(Rt_power.Processor.Dormant_enable { t_sw = 0.; e_sw = 0. })
@@ -105,7 +110,7 @@ let prop_levels_pipeline =
       match Instance.to_problem inst with
       | Error _ -> false
       | Ok p ->
-          let opt = Rt_core.Exact.optimal_cost p in
+          let opt = optimal_cost p in
           List.for_all
             (fun (_, alg) ->
               let s = alg p in
@@ -143,7 +148,9 @@ let prop_ltf_energy_bound_113 =
           | None -> invalid_arg "over capacity"
         in
         let opt =
-          Rt_exact.Search.branch_and_bound ~m ~capacity:1. ~bucket_cost items
+          match Rt_exact.Search.solve ~m ~capacity:1. ~bucket_cost items with
+          | Ok a -> a.Rt_exact.Search.best
+          | Error e -> Alcotest.failf "search: %s" e
         in
         opt.Rt_exact.Search.rejected <> []
         || Fc.exact_le opt.Rt_exact.Search.cost 0.
@@ -174,7 +181,7 @@ let prop_exact_agree_m1 =
       with
       | Error _ -> false
       | Ok o ->
-          let bnb = Rt_core.Exact.optimal_cost o.Rt_core.Uni_dp.problem in
+          let bnb = optimal_cost o.Rt_core.Uni_dp.problem in
           Fc.approx_eq ~eps:1e-6 bnb o.Rt_core.Uni_dp.cost)
 
 (* ------------------------------------------------------------------ *)

@@ -1,4 +1,4 @@
-(* Tests for rt_parallel: the domain pool, the determinism contracts of
+(* Tests for rt_parallel's domain pool, the determinism contracts of
    the portfolio / work-stealing search / parallel sweeps, and the
    wall-clock (not CPU-time) budget semantics. *)
 
@@ -198,27 +198,70 @@ let test_expired_budget_returns_seed () =
       check_bool "seed validates" true
         (Result.is_ok (Rt_core.Solution.validate p b.Rt_core.Exact.solution))
 
+let solve ?pool ?split_factor ?time_budget ?node_budget p =
+  match
+    Rt_core.Exact.branch_and_bound_budgeted ?pool ?split_factor ?time_budget
+      ?node_budget p
+  with
+  | Ok b -> b
+  | Error e -> Alcotest.failf "exact search: %s" e
+
+(* the raw search on a problem's items, without pruning *)
+let enumerate ?pool ?split_factor p =
+  match
+    Rt_exact.Search.solve ?pool ?split_factor ~prune:false
+      ~m:p.Rt_core.Problem.m
+      ~capacity:(Rt_core.Problem.capacity p)
+      ~bucket_cost:(Rt_core.Problem.bucket_energy p)
+      p.Rt_core.Problem.items
+  with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "enumeration: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot immunity (regression for the dead double-copy at the
-   incumbent snapshot): the solution a budgeted search returns was
-   snapshotted mid-flight, while the search went on mutating its live
-   bucket arrays — a completed budgeted run must therefore agree exactly
-   with the independent from-scratch optimum, for every seed. *)
+   incumbent snapshot): the solution a search returns was snapshotted
+   mid-flight, while the search went on mutating its live bucket arrays
+   — a completed branch-and-bound must therefore agree exactly with the
+   independent full enumeration (whose strict-improvement fold keeps the
+   same depth-first-earliest optimum), for every seed. *)
 
 let test_incumbent_snapshot_immune () =
   List.iter
     (fun seed ->
       let p = instance ~seed ~n:10 ~m:3 ~load:1.6 in
-      let reference = Rt_core.Exact.branch_and_bound p in
-      match Rt_core.Exact.branch_and_bound_budgeted p with
-      | Error e -> Alcotest.failf "budgeted: %s" e
-      | Ok b ->
-          check_bool "completed" false b.Rt_core.Exact.exhausted;
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "seed %d matches branch_and_bound" seed)
-            (fingerprint reference)
-            (fingerprint b.Rt_core.Exact.solution))
+      let all = (enumerate p).Rt_exact.Search.best in
+      let reference =
+        {
+          Rt_core.Solution.partition = all.Rt_exact.Search.partition;
+          rejected = all.Rt_exact.Search.rejected;
+        }
+      in
+      let b = solve p in
+      check_bool "completed" false b.Rt_core.Exact.exhausted;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "seed %d matches the full enumeration" seed)
+        (fingerprint reference)
+        (fingerprint b.Rt_core.Exact.solution))
     (List.init 10 (fun i -> 100 + i))
+
+(* Golden node counts of the pool-less search: no pool must mean one
+   whole depth-first search — never a carved tree, never an incumbent
+   seeded per subtree. *)
+let test_sequential_node_counts () =
+  List.iter
+    (fun (seed, n, load, nodes) ->
+      let p = instance ~seed ~n ~m:3 ~load in
+      let b = solve p in
+      let tag = Printf.sprintf "seed %d n %d" seed n in
+      check_bool (tag ^ ": completed") false b.Rt_core.Exact.exhausted;
+      check_int (tag ^ ": nodes") nodes b.Rt_core.Exact.nodes;
+      check_int (tag ^ ": no splits") 0
+        b.Rt_core.Exact.stats.Rt_exact.Search.splits;
+      check_bool (tag ^ ": one subtree, the root") true
+        (b.Rt_core.Exact.stats.Rt_exact.Search.subtrees = [ ([], nodes) ]))
+    [ (100, 10, 1.6, 776); (101, 10, 1.6, 981); (102, 10, 1.6, 827);
+      (5, 12, 1.4, 20743) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel == sequential, byte for byte *)
@@ -231,12 +274,12 @@ let test_portfolio_deterministic () =
       List.map
         (fun seed ->
           let p = instance ~seed ~n:10 ~m:3 ~load:1.5 in
-          match Rt_parallel.Portfolio.run ?pool p with
+          match Rt_core.Portfolio.run ?pool p with
           | Error e -> Alcotest.failf "portfolio: %s" e
           | Ok o ->
-              ( o.Rt_parallel.Portfolio.winner,
-                o.Rt_parallel.Portfolio.cost,
-                fingerprint o.Rt_parallel.Portfolio.solution ))
+              ( o.Rt_core.Portfolio.winner,
+                o.Rt_core.Portfolio.cost,
+                fingerprint o.Rt_core.Portfolio.solution ))
         seeds20
     in
     if domains = 0 then run None
@@ -281,8 +324,7 @@ let test_ws_determinism_battery () =
   in
   let references =
     List.map
-      (fun (seed, n, m, p) ->
-        (seed, n, m, p, Rt_core.Exact.branch_and_bound p))
+      (fun (seed, n, m, p) -> (seed, n, m, p, (solve p).Rt_core.Exact.solution))
       battery_instances
   in
   List.iter
@@ -292,24 +334,19 @@ let test_ws_determinism_battery () =
             (fun split_factor ->
               List.iter
                 (fun (seed, n, m, p, reference) ->
-                  match
-                    Rt_parallel.Par_search.solve ~pool ~split_factor p
-                  with
-                  | Error e -> Alcotest.failf "par solve: %s" e
-                  | Ok b ->
-                      let tag =
-                        Printf.sprintf
-                          "seed %d n %d m %d domains %d split %d" seed n m
-                          domains split_factor
-                      in
-                      check_bool (tag ^ ": completed") false
-                        b.Rt_core.Exact.exhausted;
-                      check_bool (tag ^ ": cost bit-identical") true
-                        (Fc.exact_eq (cost p reference)
-                           (cost p b.Rt_core.Exact.solution));
-                      Alcotest.(check (list (pair int int)))
-                        tag (fingerprint reference)
-                        (fingerprint b.Rt_core.Exact.solution))
+                  let b = solve ~pool ~split_factor p in
+                  let tag =
+                    Printf.sprintf "seed %d n %d m %d domains %d split %d"
+                      seed n m domains split_factor
+                  in
+                  check_bool (tag ^ ": completed") false
+                    b.Rt_core.Exact.exhausted;
+                  check_bool (tag ^ ": cost bit-identical") true
+                    (Fc.exact_eq (cost p reference)
+                       (cost p b.Rt_core.Exact.solution));
+                  Alcotest.(check (list (pair int int)))
+                    tag (fingerprint reference)
+                    (fingerprint b.Rt_core.Exact.solution))
                 references)
             [ 1; 4; 16 ]))
     [ 1; 2; 4; 8 ]
@@ -321,7 +358,8 @@ let test_ws_determinism_battery () =
    subtree undercounts, any duplicated one overcounts. The per-subtree
    paths double-check structurally: strictly ascending in DFS order
    (each subtree ran exactly once) and pairwise prefix-free (no subtree
-   ran both whole and split). *)
+   ran both whole and split). Without a pool the root is the one
+   subtree. *)
 let test_ws_subtree_accounting () =
   let is_prefix p q =
     (* sorted lexicographically, a prefix immediately precedes its first
@@ -337,60 +375,48 @@ let test_ws_subtree_accounting () =
   List.iter
     (fun (n, m, seed) ->
       let p = instance ~seed ~n ~m ~load:1.6 in
-      let capacity = Rt_core.Problem.capacity p in
-      let bucket_cost = Rt_core.Problem.bucket_energy p in
-      let items = p.Rt_core.Problem.items in
-      let seq_nodes =
-        match
-          Rt_exact.Search.exhaustive_budgeted ~m ~capacity ~bucket_cost items
-        with
-        | Ok a ->
-            check_bool "exhaustive completed" false a.Rt_exact.Search.exhausted;
-            a.Rt_exact.Search.nodes
-        | Error e -> Alcotest.failf "exhaustive: %s" e
-      in
+      let seq = enumerate p in
+      check_bool "exhaustive completed" false seq.Rt_exact.Search.exhausted;
+      let seq_nodes = seq.Rt_exact.Search.nodes in
+      check_bool "no pool: the root is the one subtree" true
+        (seq.Rt_exact.Search.stats.Rt_exact.Search.subtrees
+        = [ ([], seq_nodes) ]);
       List.iter
         (fun domains ->
-          let run pool =
-            List.iter
-              (fun split_factor ->
-                match
-                  Rt_parallel.Par_search.branch_and_bound_stats ?pool
-                    ~split_factor ~prune:false ~m ~capacity ~bucket_cost items
-                with
-                | Error e -> Alcotest.failf "par stats: %s" e
-                | Ok (a, st) ->
-                    let tag =
-                      Printf.sprintf "n %d m %d domains %d split %d" n m
-                        domains split_factor
-                    in
-                    let subtree_nodes =
-                      List.fold_left
-                        (fun acc (_, k) -> acc + k)
-                        0 st.Rt_parallel.Par_search.subtrees
-                    in
-                    check_int
-                      (tag ^ ": subtree nodes + splits = exhaustive nodes")
-                      seq_nodes
-                      (subtree_nodes + st.Rt_parallel.Par_search.splits);
-                    check_int (tag ^ ": combined node count")
-                      subtree_nodes a.Rt_exact.Search.nodes;
-                    let rec pairs = function
-                      | (p1, _) :: ((p2, _) :: _ as rest) ->
-                          check_bool
-                            (tag ^ ": paths strictly ascending (DFS)") true
-                            (Rt_exact.Search.compare_path p1 p2 < 0);
-                          check_bool (tag ^ ": paths prefix-free") false
-                            (is_prefix p1 p2);
-                          pairs rest
-                      | _ -> ()
-                    in
-                    pairs st.Rt_parallel.Par_search.subtrees)
-              [ 1; 4; 16 ]
-          in
-          if domains = 0 then run None
-          else Pool.with_pool ~domains (fun pool -> run (Some pool)))
-        [ 0; 2; 4 ])
+          Pool.with_pool ~domains (fun pool ->
+              List.iter
+                (fun split_factor ->
+                  let a = enumerate ~pool ~split_factor p in
+                  let st = a.Rt_exact.Search.stats in
+                  let tag =
+                    Printf.sprintf "n %d m %d domains %d split %d" n m domains
+                      split_factor
+                  in
+                  let subtree_nodes =
+                    List.fold_left
+                      (fun acc (_, k) -> acc + k)
+                      0 st.Rt_exact.Search.subtrees
+                  in
+                  check_int
+                    (tag ^ ": subtree nodes + splits = exhaustive nodes")
+                    seq_nodes
+                    (subtree_nodes + st.Rt_exact.Search.splits);
+                  check_int (tag ^ ": combined node count") subtree_nodes
+                    a.Rt_exact.Search.nodes;
+                  let rec pairs = function
+                    | (p1, _) :: ((p2, _) :: _ as rest) ->
+                        check_bool
+                          (tag ^ ": paths strictly ascending (DFS)")
+                          true
+                          (List.compare Int.compare p1 p2 < 0);
+                        check_bool (tag ^ ": paths prefix-free") false
+                          (is_prefix p1 p2);
+                        pairs rest
+                    | _ -> ()
+                  in
+                  pairs st.Rt_exact.Search.subtrees)
+                [ 1; 4; 16 ]))
+        [ 2; 4 ])
     [ (10, 3, 40); (11, 2, 57); (12, 2, 74) ]
 
 (* Budget exhaustion on the parallel path: validity without
@@ -406,21 +432,14 @@ let test_ws_budget_exhaustion_valid () =
       (Result.is_ok (Rt_core.Solution.validate p b.Rt_core.Exact.solution))
   in
   Pool.with_pool ~domains:4 (fun pool ->
-      (match Rt_parallel.Par_search.solve ~pool ~time_budget:0. p with
-      | Error e -> Alcotest.failf "zero budget: %s" e
-      | Ok b -> check_exhausted_valid "zero budget" b);
-      (match Rt_parallel.Par_search.solve ~pool ~time_budget:0.05 p with
-      | Error e -> Alcotest.failf "50ms budget: %s" e
-      | Ok b -> check_exhausted_valid "50ms budget" b);
+      check_exhausted_valid "zero budget" (solve ~pool ~time_budget:0. p);
+      check_exhausted_valid "50ms budget" (solve ~pool ~time_budget:0.05 p);
       (* drain mode: the first exhausted subtree stops further expansion,
          so the dynamic frontier cannot outrun a small node budget *)
       let t0 = Rt_prelude.Clock.now () in
-      match Rt_parallel.Par_search.solve ~pool ~node_budget:200 p with
-      | Error e -> Alcotest.failf "node budget: %s" e
-      | Ok b ->
-          check_exhausted_valid "node budget 200" b;
-          check_bool "drain mode terminates promptly" true
-            (Fc.exact_lt (Rt_prelude.Clock.elapsed ~since:t0) 10.))
+      check_exhausted_valid "node budget 200" (solve ~pool ~node_budget:200 p);
+      check_bool "drain mode terminates promptly" true
+        (Fc.exact_lt (Rt_prelude.Clock.elapsed ~since:t0) 10.))
 
 let test_runner_replicate_par_identical () =
   let seeds = Rt_expkit.Runner.seeds ~base:7 ~n:24 in
@@ -499,6 +518,8 @@ let () =
         [
           Alcotest.test_case "incumbent snapshot immune" `Quick
             test_incumbent_snapshot_immune;
+          Alcotest.test_case "sequential node counts are pinned" `Quick
+            test_sequential_node_counts;
           Alcotest.test_case "work stealing: 20-instance determinism battery"
             `Slow test_ws_determinism_battery;
           Alcotest.test_case "work stealing: subtree accounting" `Slow

@@ -166,19 +166,63 @@ let scaling_tests =
   @ family ~name:"marginal" Rt_core.Greedy.marginal_greedy
   @ family ~name:"unsorted" Rt_core.Greedy.unsorted_reject
 
+(* QoS degradation prices every one-level move exactly as an LTF repack
+   would, O(steps · n · n · m): 0.2-0.3 s a run at n=200 on a 2-core
+   x86 container, so this family stops there instead of at
+   [scaling_sizes]. *)
+let qos_scaling_sizes = [ 40; 100; 200 ]
+
+let qos_scaling_tests =
+  List.map
+    (fun n ->
+      let p = instance ~seed:(100 + n) ~n ~m:8 ~load:1.5 in
+      let tasks =
+        List.map (Rt_core.Qos.graceful ~steps:4 ~curve:2.) p.Rt_core.Problem.items
+      in
+      let platform =
+        match
+          Rt_core.Problem.make ~proc ~m:8 ~horizon:p.Rt_core.Problem.horizon []
+        with
+        | Ok p -> p
+        | Error e -> invalid_arg e
+      in
+      Test.make ~name:(Printf.sprintf "qos-degrade:n=%d" n)
+        (Staged.stage (fun () -> Rt_core.Qos.greedy_degrade platform tasks)))
+    qos_scaling_sizes
+
+(* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
+   minor_words only advances at a minor collection on OCaml 5.1: a sample
+   that allocates less than one minor heap reads 0, so kernels below a few
+   hundred thousand words per run recorded 0 words. [Gc.minor_words]
+   counts the allocation pointer itself. *)
+module Minor_words = struct
+  type witness = unit
+
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run_timings () =
   let tests =
     Test.make_grouped ~name:"rt-reject"
       [
         Test.make_grouped ~name:"kernels" kernel_tests;
-        Test.make_grouped ~name:"scaling(n=10..100000)" scaling_tests;
+        Test.make_grouped ~name:"scaling(n=10..100000)"
+          (scaling_tests @ qos_scaling_tests);
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) () in
-  (* minor_allocated rides along: the Gc.minor_words delta per run is the
+  (* minor_words rides along: the Gc.minor_words delta per run is the
      allocation axis the hot-path lint (docs/PERF_LINT.md) optimizes *)
   let raw =
-    Benchmark.all cfg Instance.[ monotonic_clock; minor_allocated ] tests
+    Benchmark.all cfg [ Instance.monotonic_clock; minor_words ] tests
   in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -192,7 +236,7 @@ let run_timings () =
         | Some [] | None -> None)
   in
   let times = Analyze.all ols Instance.monotonic_clock raw in
-  let words = Analyze.all ols Instance.minor_allocated raw in
+  let words = Analyze.all ols minor_words raw in
   let names = Hashtbl.fold (fun name _ acc -> name :: acc) times [] in
   let names = List.sort compare names in
   let rows =

@@ -70,10 +70,17 @@ val validate :
 (** {1 Algorithms} *)
 
 val greedy_degrade : Problem.t -> qtask list -> solution
+[@@rt.hot "inner loop of experiment E16 and the sweep battery"]
 (** Start everything at full service; while the LTF packing is infeasible
     {e or} some single-step degradation pays for itself (energy saved
     exceeds penalty added), apply the best such step and repack.
-    Terminates: each step strictly moves down a finite menu. *)
+    Terminates: each step strictly moves down a finite menu.
+
+    Each candidate step is priced exactly as a full LTF repack would
+    price it, but the pack resumes from a snapshot of the loads before
+    the moved task's position in the LTF order: O(steps · n · n · m)
+    for [n] tasks on [m] processors, with steps at most the total menu
+    length. *)
 
 val exhaustive : Problem.t -> qtask list -> solution
 (** Enumerate level menus × partitions (via {!Rt_exact.Search} on each

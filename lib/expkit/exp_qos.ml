@@ -59,18 +59,19 @@ let e16_graceful_degradation ?(seeds = 20) () =
             Some (cm /. cb, 100. *. float_of_int degraded /. 24.)
         | _ -> None
       in
-      let greedy_ratio =
+      (* both greedy columns come from one degradation run per seed *)
+      let greedy = Hashtbl.create (List.length seed_list) in
+      List.iter
+        (fun seed -> Hashtbl.replace greedy seed (greedy_ratio_and_degraded seed))
+        seed_list;
+      let greedy_mean pick =
         Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
-            match greedy_ratio_and_degraded seed with
-            | Some (r, _) -> r
+            match Hashtbl.find greedy seed with
+            | Some pair -> pick pair
             | None -> Float.nan)
       in
-      let degraded_pct =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
-            match greedy_ratio_and_degraded seed with
-            | Some (_, d) -> d
-            | None -> Float.nan)
-      in
+      let greedy_ratio = greedy_mean fst in
+      let degraded_pct = greedy_mean snd in
       let exact_ratio =
         Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
             let items = instance ~seed:(seed + 7) ~n:4 ~m:1 ~load in

@@ -9,11 +9,15 @@
 let out_file = "BENCH_fault.json"
 
 let json_of_row (r : Rt_expkit.Exp_fault.row) =
-  Printf.sprintf
-    "  {\"fault_rate\": %.4f, \"policy\": %S, \"cost_ratio\": %.6f, \
-     \"miss_pct\": %.4f, \"shed_pct\": %.4f}"
-    r.Rt_expkit.Exp_fault.fault_rate r.policy r.cost_ratio r.miss_pct
-    r.shed_pct
+  Rt_prelude.Json.(
+    Obj
+      [
+        ("fault_rate", Float r.fault_rate);
+        ("policy", Str r.policy);
+        ("cost_ratio", Float r.cost_ratio);
+        ("miss_pct", Float r.miss_pct);
+        ("shed_pct", Float r.shed_pct);
+      ])
 
 let () =
   let seeds = if Sys.getenv_opt "RT_BENCH_FULL" = None then 12 else 48 in
@@ -26,11 +30,9 @@ let () =
           Rt_expkit.Exp_fault.sweep ~pool ~seeds ())
     else Rt_expkit.Exp_fault.sweep ~seeds ()
   in
-  let oc = open_out out_file in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.map json_of_row rows));
-  output_string oc "\n]\n";
-  close_out oc;
+  Out_channel.with_open_text out_file (fun oc ->
+      output_string oc
+        Rt_prelude.Json.(to_string (List (List.map json_of_row rows))));
   Printf.printf "wrote %s (%d records, %d seeds)\n" out_file
     (List.length rows) seeds;
   (* echo the sweep so the run is self-describing *)

@@ -269,6 +269,8 @@ let run_timings () =
 (* ---------------------------------------------------------------- *)
 (* Section 3: solver races + persisted trajectory (BENCH_core.json) *)
 
+module Json = Rt_prelude.Json
+
 let out_file = "BENCH_core.json"
 
 (* best-of-[reps] monotonic wall-clock seconds plus the last result *)
@@ -488,45 +490,56 @@ let lint_timing () =
   else None
 
 let json_of_lint (roots, wall, n) =
-  Printf.sprintf
-    "  {\"kind\": \"lint\", \"name\": %S, \"wall_s\": %.6f, \"findings\": %d}"
-    roots wall n
+  Json.(
+    Obj
+      [
+        ("kind", Str "lint");
+        ("name", Str roots);
+        ("wall_s", Float wall);
+        ("findings", Int n);
+      ])
 
 let json_of_kernel (name, ns, words) =
-  let num = function Some x -> Printf.sprintf "%.1f" x | None -> "null" in
-  Printf.sprintf
-    "  {\"kind\": \"kernel\", \"name\": %S, \"ns_per_run\": %s, \
-     \"minor_words_per_run\": %s}"
-    name (num ns) (num words)
+  let num = function Some x -> Json.Float x | None -> Json.Null in
+  Json.(
+    Obj
+      [
+        ("kind", Str "kernel");
+        ("name", Str name);
+        ("ns_per_run", num ns);
+        ("minor_words_per_run", num words);
+      ])
 
+(* steals / completed are absent, not null, on rows that lack them *)
 let json_of_race r =
-  Printf.sprintf
-    "  {\"kind\": \"race\", \"name\": %S, \"domains\": %d, \"hw_cores\": %d, \
-     \"seq_wall_s\": %.6f, \"seq_cost\": %.6f, \"seq_nodes\": %d, \
-     \"par_wall_s\": %.6f, \"par_cost\": %.6f, \"par_nodes\": %d, \
-     \"speedup\": %.3f%s%s}"
-    r.race_name r.race_domains
-    (Domain.recommended_domain_count ())
-    r.seq_wall r.seq_cost r.seq_nodes r.par_wall r.par_cost r.par_nodes
-    r.speedup
-    (match r.steals with
-    | None -> ""
-    | Some s -> Printf.sprintf ", \"steals\": %d" s)
-    (match r.completed with
-    | None -> ""
-    | Some c -> Printf.sprintf ", \"completed\": %b" c)
+  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+  Json.(
+    Obj
+      ([
+         ("kind", Str "race");
+         ("name", Str r.race_name);
+         ("domains", Int r.race_domains);
+         ("hw_cores", Int (Domain.recommended_domain_count ()));
+         ("seq_wall_s", Float r.seq_wall);
+         ("seq_cost", Float r.seq_cost);
+         ("seq_nodes", Int r.seq_nodes);
+         ("par_wall_s", Float r.par_wall);
+         ("par_cost", Float r.par_cost);
+         ("par_nodes", Int r.par_nodes);
+         ("speedup", Float r.speedup);
+       ]
+      @ opt "steals" (fun s -> Int s) r.steals
+      @ opt "completed" (fun c -> Bool c) r.completed))
 
 let write_json ~kernels ~races ~lint =
   let lints = Option.to_list lint in
-  let oc = open_out out_file in
-  output_string oc "[\n";
-  output_string oc
-    (String.concat ",\n"
-       (List.map json_of_kernel kernels
-       @ List.map json_of_race races
-       @ List.map json_of_lint lints));
-  output_string oc "\n]\n";
-  close_out oc;
+  let rows =
+    List.map json_of_kernel kernels
+    @ List.map json_of_race races
+    @ List.map json_of_lint lints
+  in
+  Out_channel.with_open_text out_file (fun oc ->
+      output_string oc (Json.to_string (Json.List rows)));
   Printf.printf "\nwrote %s (%d kernel timings, %d races, %d lint timings)\n"
     out_file (List.length kernels) (List.length races) (List.length lints)
 

@@ -43,16 +43,20 @@ type row = {
 }
 
 let json_of_row r =
-  Printf.sprintf
-    "  {\"case\": %S, \"jobs\": %d, \"wall_s\": %.6f, \"jobs_per_min\": \
-     %.1f, \"p99_latency_s\": %.9f, \"max_latency_s\": %.9f, \
-     \"shed_fraction\": %.6f, \"ratio_lower_bound\": %.6f, \"ratio_yds\": \
-     %s}"
-    r.case r.jobs r.wall_s r.jobs_per_min r.p99_latency_s r.max_latency_s
-    r.shed_fraction r.ratio_lower_bound
-    (match r.ratio_yds with
-    | Some x -> Printf.sprintf "%.6f" x
-    | None -> "null")
+  Rt_prelude.Json.(
+    Obj
+      [
+        ("case", Str r.case);
+        ("jobs", Int r.jobs);
+        ("wall_s", Float r.wall_s);
+        ("jobs_per_min", Float r.jobs_per_min);
+        ("p99_latency_s", Float r.p99_latency_s);
+        ("max_latency_s", Float r.max_latency_s);
+        ("shed_fraction", Float r.shed_fraction);
+        ("ratio_lower_bound", Float r.ratio_lower_bound);
+        ( "ratio_yds",
+          match r.ratio_yds with Some x -> Float x | None -> Null );
+      ])
 
 let row_of_report ~case ~n ~wall (r : Rt_serve.Serve.report) =
   {
@@ -140,11 +144,9 @@ let () =
   let wall4 = Rt_prelude.Clock.elapsed ~since:t0 in
   let row4 = row_of_report ~case:"competitive" ~n:n4 ~wall:wall4 r4 in
   let rows = [ row1; row2; row3; row4 ] in
-  let oc = open_out out_file in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.map json_of_row rows));
-  output_string oc "\n]\n";
-  close_out oc;
+  Out_channel.with_open_text out_file (fun oc ->
+      output_string oc
+        Rt_prelude.Json.(to_string (List (List.map json_of_row rows))));
   Printf.printf "wrote %s (%d records)\n" out_file (List.length rows);
   List.iter
     (fun r ->

@@ -1,4 +1,5 @@
 module Fc = Rt_prelude.Float_cmp
+module Json = Rt_prelude.Json
 
 type entry = {
   name : string;

@@ -26,8 +26,8 @@ type entry = {
   instance : Instance.t;  (** minimized *)
 }
 
-val to_json : entry -> Json.t
-val of_json : Json.t -> (entry, string) result
+val to_json : entry -> Rt_prelude.Json.t
+val of_json : Rt_prelude.Json.t -> (entry, string) result
 
 val to_string : entry -> string
 val of_string : string -> (entry, string) result

@@ -163,7 +163,9 @@ let run ?pool ?(config = default_config) () =
     List.iter
       (fun f ->
         let key =
-          (f.algorithm, f.oracle, Json.to_string (Instance.to_json f.minimized))
+          ( f.algorithm,
+            f.oracle,
+            Rt_prelude.Json.to_string (Instance.to_json f.minimized) )
         in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.replace seen key ();

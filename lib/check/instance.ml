@@ -1,5 +1,6 @@
 module Fc = Rt_prelude.Float_cmp
 module Rng = Rt_prelude.Rng
+module Json = Rt_prelude.Json
 
 type proc_kind = Cubic | Xscale | Xscale_levels
 

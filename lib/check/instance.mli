@@ -59,8 +59,8 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Serialization} *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Rt_prelude.Json.t
+val of_json : Rt_prelude.Json.t -> (t, string) result
 
 (** {1 Generation}
 

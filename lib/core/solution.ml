@@ -46,8 +46,6 @@ let validate (p : Problem.t) s =
   in
   Rt_sim.Frame_sim.validate sim
 
-let accept_all (_ : Problem.t) partition = { partition; rejected = [] }
-
 let acceptance_ratio (p : Problem.t) s =
   match List.length p.items with
   | 0 -> 1.

@@ -26,10 +26,6 @@ val validate : Problem.t -> t -> (unit, string) result
     (accepted or rejected), no foreign items, and the accepted schedule
     passes {!Rt_sim.Frame_sim.validate} on a concrete timeline. *)
 
-val accept_all : Problem.t -> Rt_partition.Partition.t -> t
-(** Wrap a partition of the full item set as a solution with no
-    rejections (feasibility is checked by [cost]/[validate], not here). *)
-
 val accepted_ids : t -> int list
 (** Sorted. *)
 

@@ -26,7 +26,7 @@ let e11_rounding ?(seeds = 12) () =
   List.fold_left
     (fun t (n_types, n_tasks, gamma) ->
       let per alg =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let rng = Rt_prelude.Rng.create ~seed:(seed + (n_types * 1000) + n_tasks) in
             match
               Rt_alloc.Alloc.gen rng ~n_types ~n_tasks ~instance_gamma:gamma
@@ -41,7 +41,7 @@ let e11_rounding ?(seeds = 12) () =
       (* the published rounding does not re-enforce the energy budget;
          report how often the realized energy exceeds it *)
       let overruns =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let rng = Rt_prelude.Rng.create ~seed:(seed + (n_types * 1000) + n_tasks) in
             match
               Rt_alloc.Alloc.gen rng ~n_types ~n_tasks ~instance_gamma:gamma
@@ -124,11 +124,11 @@ let e12_rs_leuf ?(seeds = 15) () =
         | _ -> None
       in
       let ff =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             match run seed with Some (ff, _) -> ff | None -> Float.nan)
       in
       let rs =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             match run seed with Some (_, rs) -> rs | None -> Float.nan)
       in
       Rt_prelude.Tablefmt.add_float_row t

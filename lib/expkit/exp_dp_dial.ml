@@ -46,7 +46,7 @@ let e17_dp_dial ?(seeds = 25) () =
           seed_list
       in
       let shrink =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let tasks = gen_tasks seed in
             let cycles =
               Array.of_list (List.map (fun (tk : Task.frame) -> tk.cycles) tasks)

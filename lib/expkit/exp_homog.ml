@@ -31,7 +31,7 @@ let optimal_cost p =
 let ratio_row ~seeds ~baseline ~instance =
   List.map
     (fun (_, alg) ->
-      Runner.mean_over ~seeds ~f:(fun seed ->
+      Runner.mean_over ~seeds (fun seed ->
           let p = instance seed in
           let base = baseline p in
           if Fc.exact_le base 0. then Float.nan
@@ -97,7 +97,7 @@ let e3_load_sweep ?(seeds = 20) () =
         ratio_row ~seeds:seed_list ~baseline:Bounds.lower_bound ~instance
       in
       let acceptance =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let p = instance seed in
             100. *. Solution.acceptance_ratio p (ltf_ls p))
       in

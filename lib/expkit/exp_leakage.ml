@@ -75,7 +75,7 @@ let e8_leakage_aware ?(seeds = 20) () =
       let row =
         List.map
           (fun (_, policy) ->
-            Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+            Runner.mean_over ~seeds:seed_list (fun seed ->
                 let rng =
                   Rt_prelude.Rng.create ~seed:(seed + n + int_of_float e_sw)
                 in

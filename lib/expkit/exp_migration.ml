@@ -16,7 +16,7 @@ let e15_partition_vs_migration ?(seeds = 30) () =
     (fun t per_proc ->
       let n = m * per_proc in
       let ratio alg =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let rng = Rt_prelude.Rng.create ~seed:(seed + n) in
             let tasks =
               Rt_task.Gen.frame_tasks_with_load rng ~n ~m ~s_max:1.

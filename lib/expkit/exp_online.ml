@@ -41,7 +41,7 @@ let e13_online_admission ?(seeds = 20) () =
       let ratios =
         List.map
           (fun (_, policy) ->
-            Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+            Runner.mean_over ~seeds:seed_list (fun seed ->
                 match run seed policy with
                 | Some (o, lb) when Fc.exact_gt lb 0. ->
                     o.Rt_online.Admission.total /. lb
@@ -49,7 +49,7 @@ let e13_online_admission ?(seeds = 20) () =
           policies
       in
       let acceptance =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             match run seed Rt_online.Admission.Admit_all with
             | Some (o, _) ->
                 100.

@@ -48,7 +48,7 @@ let e5_discrete_levels ?(seeds = 25) () =
   List.fold_left
     (fun t (name, proc) ->
       let ratio_at load =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let items = workload ~seed ~n:24 ~m:4 ~load in
             let e =
               partition_energy ~proc ~m:4
@@ -82,7 +82,7 @@ let e6_leakage ?(seeds = 25) () =
       in
       let s_crit = Rt_power.Processor.critical_speed clamped in
       let ratio =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let items = workload ~seed ~n:20 ~m:4 ~load:0.15 in
             let part = Rt_partition.Heuristics.ltf ~m:4 items in
             let loads = Rt_partition.Partition.loads part in

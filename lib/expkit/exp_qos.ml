@@ -65,7 +65,7 @@ let e16_graceful_degradation ?(seeds = 20) () =
         (fun seed -> Hashtbl.replace greedy seed (greedy_ratio_and_degraded seed))
         seed_list;
       let greedy_mean pick =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             match Hashtbl.find greedy seed with
             | Some pair -> pick pair
             | None -> Float.nan)
@@ -73,7 +73,7 @@ let e16_graceful_degradation ?(seeds = 20) () =
       let greedy_ratio = greedy_mean fst in
       let degraded_pct = greedy_mean snd in
       let exact_ratio =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let items = instance ~seed:(seed + 7) ~n:4 ~m:1 ~load in
             let p = empty_problem ~m:1 in
             let binary = List.map Qos.of_item items in

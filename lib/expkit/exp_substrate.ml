@@ -56,7 +56,7 @@ let e7_ltf_vs_rand ?(seeds = 15) () =
   List.fold_left
     (fun t (m, n) ->
       let per alg =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let items = homog_workload ~seed:(seed + (31 * m) + n) ~n ~m in
             let opt = optimal_energy ~m items in
             if Float.is_nan opt || Fc.exact_le opt 0. then Float.nan
@@ -133,7 +133,7 @@ let e7_hetero_leuf ?(seeds = 10) () =
     (fun t eta ->
       let n = int_of_float (eta *. float_of_int m) in
       let per alg =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let items = hetero_workload ~seed:(seed + n) ~n ~m in
             let opt = hetero_optimal ~m items in
             if Float.is_nan opt || Fc.exact_le opt 0. then Float.nan

@@ -28,7 +28,7 @@ let e14_sync_rails ?(seeds = 30) () =
             Float.max 0.05 (base +. (jitter *. base)))
       in
       let ratio =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             let workloads = sample seed in
             match Rt_speed.Sync_global.solve model ~window:1. ~workloads with
             | Error _ -> Float.nan
@@ -41,7 +41,7 @@ let e14_sync_rails ?(seeds = 30) () =
                 else s.Rt_speed.Sync_global.energy /. indep)
       in
       let peak =
-        Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+        Runner.mean_over ~seeds:seed_list (fun seed ->
             match
               Rt_speed.Sync_global.solve model ~window:1.
                 ~workloads:(sample seed)

@@ -44,7 +44,7 @@ let ratio_table ~base_seed ~seeds ~alt_kind ~algorithms =
       let row =
         List.map
           (fun (_, alg) ->
-            Runner.mean_over ~seeds:seed_list ~f:(fun seed ->
+            Runner.mean_over ~seeds:seed_list (fun seed ->
                 let rng = Rt_prelude.Rng.create ~seed in
                 let tasks = gen rng ~n:10 ~total_alt:u2 in
                 let opt =

@@ -1,7 +1,7 @@
 let seeds ~base ~n =
   List.map (fun i -> base + (7919 * i)) (Rt_prelude.Math_util.range 0 (n - 1))
 
-let replicate_par ~pool ~seeds ~f =
+let replicate ?pool ~seeds f =
   let values =
     List.filter
       (fun v -> not (Float.is_nan v))
@@ -11,9 +11,4 @@ let replicate_par ~pool ~seeds ~f =
     invalid_arg "Runner.replicate: every replication returned NaN";
   Rt_prelude.Stats.summarize values
 
-let replicate ~seeds ~f = replicate_par ~pool:None ~seeds ~f
-
-let mean_over_par ~pool ~seeds ~f =
-  (replicate_par ~pool ~seeds ~f).Rt_prelude.Stats.mean
-
-let mean_over ~seeds ~f = (replicate ~seeds ~f).Rt_prelude.Stats.mean
+let mean_over ?pool ~seeds f = (replicate ?pool ~seeds f).Rt_prelude.Stats.mean

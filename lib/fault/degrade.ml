@@ -178,8 +178,7 @@ let simulate_buckets ~proc ~horizon ~tasks ~inject_of part =
       in
       let* speed = speed_for proc (Rt_partition.Partition.load part j) in
       let* o =
-        Rt_sim.Edf_sim.run_injected ~horizon ~proc ~speed
-          ~inject:(inject_of j) btasks
+        Rt_sim.Edf_sim.run ~horizon ~proc ~speed ~inject:(inject_of j) btasks
       in
       let bucket_misses =
         List.map
@@ -294,34 +293,14 @@ type residual_job = {
 
 let online_eps = 1e-9
 
-(* the EDF density of the residual set from [now] — the same statistic
-   Rt_online.Admission prices feasibility with, restated over bare
-   (remaining, deadline) pairs so this module stays independent of the
-   job representation *)
-let online_density ~now jobs =
-  let sorted =
-    List.sort (fun a b -> Float.compare a.rj_deadline b.rj_deadline) jobs
-  in
-  let _, best =
-    List.fold_left
-      (fun (work, best) j ->
-        let work = work +. j.rj_remaining in
-        let slack = j.rj_deadline -. now in
-        if Fc.exact_le slack online_eps then (work, Float.infinity)
-        else (work, Float.max best (work /. slack)))
-      (0., 0.) sorted
-  in
-  best
-
 let shed_online ~now ~cap jobs =
   let arr = Array.of_list jobs in
   let n = Array.length arr in
-  (* deadline order with ties broken by original position — the stable
-     sort each [online_density] round used to apply. Filtering a list
-     commutes with stable-sorting it, so hoisting one sort out of the
-     loop and skipping dropped slots visits the surviving jobs in
-     exactly the order (and summation association) the per-round
-     sort-and-fold did. *)
+  (* deadline order with ties broken by original position — a stable
+     sort. Filtering a list commutes with stable-sorting it, so one sort
+     hoisted out of the loop, skipping dropped slots, visits the
+     surviving jobs in exactly the order (and summation association) a
+     per-round sort-and-fold of the kept set would. *)
   let by_deadline = Array.init n (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -329,8 +308,10 @@ let shed_online ~now ~cap jobs =
       if c <> 0 then c else Int.compare a b)
     by_deadline;
   let dropped = Array.make n false in
-  (* density of the kept set: one allocation-free pass with unboxed
-     accumulators, instead of a fresh sort + filter per dropped job *)
+  (* EDF density of the kept set from [now] — the statistic
+     Rt_online.Admission prices feasibility with: one allocation-free
+     pass with unboxed accumulators, instead of a fresh sort + filter
+     per dropped job *)
   let rec density i work best =
     if i >= n then best
     else begin

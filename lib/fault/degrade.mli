@@ -100,17 +100,15 @@ type residual_job = {
     [Rt_online.Job.t], so [rt_fault] stays independent of the online
     layer (the service converts). *)
 
-val online_density : now:float -> residual_job list -> float
-(** The minimum constant speed meeting every residual commitment from
-    [now] (max over deadlines of cumulative-work / time-to-deadline;
-    infinite once a deadline is at or behind [now]) — the same statistic
-    [Rt_online.Admission] prices feasibility with. *)
-
 val shed_online : now:float -> cap:float -> residual_job list -> int list
 (** Which committed jobs to abandon so the rest stay EDF-feasible at a
     sustained speed of [cap]: drops the cheapest penalty-per-remaining-
-    cycle job (ties by id) until {!online_density} of the kept set is at
-    most [cap] (tolerant comparison, matching the admission test).
+    cycle job (ties by id) until the kept set's EDF density — the minimum
+    constant speed meeting every residual commitment from [now] (max over
+    deadlines of cumulative work / time to deadline; infinite once a
+    deadline is at or behind [now]), the statistic [Rt_online.Admission]
+    prices feasibility with — is at most [cap] (tolerant comparison,
+    matching the admission test).
     Returns the shed ids {e in shed order} — the cheapest-first prefix
     property the service's overload tests pin down. Empty when the set
     already fits. *)

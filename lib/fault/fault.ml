@@ -144,15 +144,6 @@ type rates = {
   derate_factor : float;
 }
 
-let nominal_rates =
-  {
-    overrun_prob = 0.;
-    overrun_factor = 1.5;
-    crash_prob = 0.;
-    derate_prob = 0.;
-    derate_factor = 0.8;
-  }
-
 let gen rng rates ~task_ids ~m ~horizon =
   let hit p = Fc.exact_lt (Rt_prelude.Rng.float rng ~lo:0. ~hi:1.) p in
   let overruns =
@@ -188,9 +179,6 @@ let pp_fault ppf = function
   | Proc_crash { proc; at } ->
       Format.fprintf ppf "crash(proc %d @@ %.3g)" proc at
   | Speed_derate { factor } -> Format.fprintf ppf "derate(x%.3g)" factor
-
-let pp_timed ppf e =
-  Format.fprintf ppf "%a @@ t=%.3g" pp_fault e.fault e.at
 
 let pp ppf sc =
   match sc with

@@ -95,8 +95,6 @@ val by_time : timed list -> timed list
 (** Ascending strike time, stable (simultaneous faults keep their given
     order — they compose exactly as in a {!scenario}). *)
 
-val pp_timed : Format.formatter -> timed -> unit
-
 val pp_fault : Format.formatter -> t -> unit
 (** One fault, the element form of {!pp}. *)
 
@@ -109,10 +107,6 @@ type rates = {
   derate_prob : float;  (** probability of a platform-wide derate *)
   derate_factor : float;  (** factor a generated derate uses *)
 }
-
-val nominal_rates : rates
-(** All probabilities 0 (the fault-free generator); factors 1.5× overrun
-    and 0.8 derate — override the probabilities to switch faults on. *)
 
 val gen :
   Rt_prelude.Rng.t -> rates -> task_ids:int list -> m:int -> horizon:float ->

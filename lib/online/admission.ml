@@ -347,9 +347,6 @@ module Exec = struct
     Array.iteri (fun i alive -> if alive then acc := i :: !acc) t.alive;
     List.rev !acc
 
-  let active_count t =
-    Array.fold_left (fun acc pen -> acc + pen.len) 0 t.pendings
-
   let backlog t =
     Array.fold_left
       (fun acc pen ->

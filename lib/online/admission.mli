@@ -136,9 +136,6 @@ module Exec : sig
   val live : t -> int list
   (** Indices of processors that have not been {!kill}ed, ascending. *)
 
-  val active_count : t -> int
-  (** Admitted jobs still pending, across all processors. *)
-
   val backlog : t -> float
   (** Remaining admitted cycles, across all processors. *)
 

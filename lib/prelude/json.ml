@@ -1,4 +1,4 @@
-module Fc = Rt_prelude.Float_cmp
+module Fc = Float_cmp
 
 type t =
   | Null
@@ -25,11 +25,8 @@ let float_literal f =
       if Fc.exact_eq (float_of_string p16) f then p16
       else Printf.sprintf "%.17g" f
   in
-  if
-    String.exists
-      (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n' (* "nan" guard *))
-      candidate
-  then candidate
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') candidate then
+    candidate
   else candidate ^ "."
 
 let escape_string s =
@@ -43,8 +40,8 @@ let escape_string s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 || Char.code c > 0x7e ->
-          invalid_arg "Json.to_string: non-printable byte in string"
+      | '\000' .. '\031' | '\127' ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
   Buffer.add_char buf '"';
@@ -287,8 +284,5 @@ let to_float = function
   | Int i -> Ok (float_of_int i)
   | _ -> Error "expected number"
 
-let to_bool = function Bool b -> Ok b | _ -> Error "expected bool"
 let to_str = function Str s -> Ok s | _ -> Error "expected string"
 let to_list = function List xs -> Ok xs | _ -> Error "expected list"
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

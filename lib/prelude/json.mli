@@ -1,4 +1,6 @@
-(** Minimal JSON codec for the conformance-testing corpus.
+(** Minimal JSON codec: the one printer and parser behind every JSON file
+    the repo writes or reads — the conformance-testing corpus, the
+    [BENCH_*.json] trajectories and rt-lint's findings and SARIF reports.
 
     The container ships no JSON library, and the corpus needs one hard
     guarantee none of the mainstream printers give cheaply: {e canonical}
@@ -7,10 +9,12 @@
     hand-edited or drifting corpus entries ([test/corpus/*.json] must
     round-trip exactly).
 
-    Scope is deliberately small: ASCII strings (escapes for the JSON
-    control set, [\u00XX] accepted on input for ASCII code points only),
-    63-bit integers kept distinct from floats, finite floats printed with
-    the shortest decimal form that parses back exactly. *)
+    Scope is deliberately small: strings are byte strings (bytes [>= 0x80]
+    pass through raw, so UTF-8 survives unvalidated; control bytes print
+    as the JSON short escapes or [\u00XX]; [\u00XX] is accepted on input
+    for ASCII code points only), 63-bit integers kept distinct from
+    floats, finite floats printed with the shortest decimal form that
+    parses back exactly. *)
 
 type t =
   | Null
@@ -25,8 +29,7 @@ val to_string : t -> string
 (** Canonical multi-line rendering (two-space indent, no trailing
     whitespace, final newline). Deterministic: equal values print equal
     bytes, and printed output re-parses to an equal value.
-    @raise Invalid_argument on a non-finite float or a string containing
-    bytes outside printable ASCII + tab/newline. *)
+    @raise Invalid_argument on a non-finite float. *)
 
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset above. Numbers containing
@@ -35,9 +38,8 @@ val parse : string -> (t, string) result
 
 val equal : t -> t -> bool
 (** Structural equality; floats compare with IEEE equality
-    ({!Rt_prelude.Float_cmp.exact_eq}), object key order matters (the
-    printer is canonical, so order-insensitive equality would mask
-    corpus drift). *)
+    ({!Float_cmp.exact_eq}), object key order matters (the printer is
+    canonical, so order-insensitive equality would mask corpus drift). *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] on missing keys or non-objects. *)
@@ -46,7 +48,5 @@ val to_int : t -> (int, string) result
 val to_float : t -> (float, string) result
 (** Accepts [Int] too (JSON does not distinguish [3] from [3.0] readers). *)
 
-val to_bool : t -> (bool, string) result
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result
-val pp : Format.formatter -> t -> unit

@@ -11,18 +11,12 @@ let lcm_checked a b =
     else Ok (q * b)
   end
 
-let lcm a b =
-  match lcm_checked a b with Ok v -> v | Error e -> invalid_arg e
-
 let lcm_list_checked = function
   | [] -> Error "Math_util.lcm_list: empty list"
   | x :: xs ->
       List.fold_left
         (fun acc y -> Result.bind acc (fun a -> lcm_checked a y))
         (Ok x) xs
-
-let lcm_list l =
-  match lcm_list_checked l with Ok v -> v | Error e -> invalid_arg e
 
 let pow_int b e =
   if e < 0 then invalid_arg "Math_util.pow_int: negative exponent";

@@ -10,21 +10,14 @@
 val gcd : int -> int -> int
 (** Greatest common divisor; [gcd 0 0 = 0], always non-negative. *)
 
-val lcm : int -> int -> int
-(** Least common multiple.
-    @raise Invalid_argument on overflow or non-positive arguments. *)
-
 val lcm_checked : int -> int -> (int, string) result
-(** [lcm] with the failure modes (non-positive arguments, overflow past
-    [max_int]) reported as a typed error instead of an exception — the
-    overflow guard is exact, never a silent wraparound. *)
-
-val lcm_list : int list -> int
-(** LCM of a list of positive integers (the hyper-period of integer periods).
-    @raise Invalid_argument on empty list, non-positive element or overflow. *)
+(** Least common multiple, with the failure modes (non-positive arguments,
+    overflow past [max_int]) reported as a typed error — the overflow
+    guard is exact, never a silent wraparound. *)
 
 val lcm_list_checked : int list -> (int, string) result
-(** [lcm_list] with errors (empty list, non-positive element, overflow on
+(** LCM of a list of positive integers (the hyper-period of integer
+    periods), with errors (empty list, non-positive element, overflow on
     any intermediate fold step) as a typed result. *)
 
 val pow_int : int -> int -> int

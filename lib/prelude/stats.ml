@@ -70,7 +70,3 @@ let geometric_mean xs =
       0. xs
   in
   exp (log_sum /. float_of_int (List.length xs))
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.3g min=%.6g med=%.6g max=%.6g" s.n
-    s.mean s.stddev s.min s.median s.max

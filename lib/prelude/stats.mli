@@ -31,5 +31,3 @@ val summarize : float list -> summary
 val geometric_mean : float list -> float
 (** Geometric mean of strictly positive samples; the customary aggregate for
     ratios-to-baseline. @raise Invalid_argument on non-positive samples. *)
-
-val pp_summary : Format.formatter -> summary -> unit

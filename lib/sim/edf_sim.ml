@@ -36,8 +36,6 @@ type injection = {
 let no_injection =
   { overrun = (fun _ -> 1.); crash_at = None; speed_cap = None }
 
-let feasible_speed tasks = Taskset.total_utilization tasks
-
 let build_jobs ?(overrun = fun _ -> 1.) ~horizon ~speed tasks =
   List.concat_map
     (fun (t : Task.periodic) ->
@@ -225,12 +223,7 @@ let prepare ?horizon ~proc ~speed tasks =
   in
   Ok horizon
 
-let run ?horizon ~proc ~speed tasks =
-  Result.map
-    (fun horizon -> fst (simulate ~horizon ~proc ~speed tasks))
-    (prepare ?horizon ~proc ~speed tasks)
-
-let run_injected ?horizon ~proc ~speed ~inject tasks =
+let run ?horizon ?(inject = no_injection) ~proc ~speed tasks =
   let ( let* ) = Result.bind in
   let* horizon = prepare ?horizon ~proc ~speed tasks in
   let* () =
@@ -260,7 +253,7 @@ let run_injected ?horizon ~proc ~speed ~inject tasks =
         else Error "Edf_sim: crash time must be finite and >= 0"
   in
   match tasks with
-  | [] -> run ~horizon ~proc ~speed tasks
+  | [] -> Ok (fst (simulate ~horizon ~proc ~speed tasks))
   | _ ->
       let jobs =
         build_jobs ~overrun:inject.overrun ~horizon ~speed:eff_speed tasks

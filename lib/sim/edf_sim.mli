@@ -50,36 +50,26 @@ type injection = {
     these by hand or from a {!Rt_fault.Fault.scenario}. *)
 
 val no_injection : injection
-(** The identity injection: [run_injected ~inject:no_injection] behaves
-    exactly like {!run}. *)
+(** The identity injection, {!run}'s default. *)
 
 val run :
-  ?horizon:float -> proc:Rt_power.Processor.t -> speed:float ->
-  Rt_task.Task.periodic list -> (outcome, string) result
+  ?horizon:float -> ?inject:injection -> proc:Rt_power.Processor.t ->
+  speed:float -> Rt_task.Task.periodic list -> (outcome, string) result
 (** Simulate the tasks on one processor at constant [speed]. [horizon]
     defaults to the hyper-period (in ticks, as a float). Errors on an
     infeasible speed for the processor, [speed <= 0] with a non-empty task
     set, duplicate task ids, a non-positive horizon, or hyper-period
     overflow. A task set that merely {e overloads} the processor is not an
-    error — the misses are reported in the outcome. *)
+    error — the misses are reported in the outcome.
 
-val run_injected :
-  ?horizon:float -> proc:Rt_power.Processor.t -> speed:float ->
-  inject:injection -> Rt_task.Task.periodic list ->
-  (outcome, string) result
-(** {!run} under a fault scenario: execution times are inflated by
+    Under a fault scenario [inject], execution times are inflated by
     [inject.overrun], the effective speed is clamped to
-    [inject.speed_cap], and no job executes past [inject.crash_at].
-    The {e commanded} [speed] must still be feasible for the processor
-    (same validation as {!run}); the derated effective speed need not
-    be, since derating models hardware misbehaviour. Additional errors:
-    a non-finite or non-positive overrun factor for some task, a
-    non-finite or negative crash time, or a non-finite or non-positive
-    speed cap. *)
-
-val feasible_speed : Rt_task.Task.periodic list -> float
-(** The minimum constant speed that meets all deadlines under EDF: the
-    total utilization (0. for an empty set). *)
+    [inject.speed_cap], and no job executes past [inject.crash_at]. The
+    {e commanded} [speed] must still be feasible for the processor; the
+    derated effective speed need not be, since derating models hardware
+    misbehaviour. Additional errors: a non-finite or non-positive overrun
+    factor for some task, a non-finite or negative crash time, or a
+    non-finite or non-positive speed cap. *)
 
 val gantt :
   ?horizon:float -> proc:Rt_power.Processor.t -> speed:float ->

@@ -340,11 +340,3 @@ let validate ?eps (proc : Processor.t) ~u plan =
   if Rt_prelude.Float_cmp.approx_eq ?eps (plan_rate proc plan) plan.rate then
     Ok ()
   else Error "reported rate disagrees with segments"
-
-let pp_plan ppf plan =
-  let pp_seg ppf { speed; fraction } =
-    Format.fprintf ppf "%.4g@%.4g" speed fraction
-  in
-  Format.fprintf ppf "{rate=%.6g; [%a]}" plan.rate
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_seg)
-    plan.segments

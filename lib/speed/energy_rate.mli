@@ -89,5 +89,3 @@ val validate :
   ?eps:float -> Rt_power.Processor.t -> u:float -> plan -> (unit, string) result
 (** Checks: feasible speeds, non-negative fractions summing to 1, delivered
     throughput [>= u], and [rate] consistent with the segments. *)
-
-val pp_plan : Format.formatter -> plan -> unit

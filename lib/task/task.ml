@@ -83,9 +83,6 @@ let tie_break cmp_main id_a id_b =
 let compare_frame_cycles_desc (a : frame) (b : frame) =
   tie_break (Int.compare b.cycles a.cycles) a.id b.id
 
-let compare_periodic_util_desc (a : periodic) (b : periodic) =
-  tie_break (Float.compare (utilization b) (utilization a)) a.id b.id
-
 let compare_item_weight_desc (a : item) (b : item) =
   tie_break (Float.compare b.weight a.weight) a.item_id b.item_id
 

@@ -82,7 +82,6 @@ val compare_frame_cycles_desc : frame -> frame -> int
 (** Largest cycles first; ties broken by id (ascending) so sorts are
     deterministic. *)
 
-val compare_periodic_util_desc : periodic -> periodic -> int
 val compare_item_weight_desc : item -> item -> int
 
 val distinct_ids : int list -> bool

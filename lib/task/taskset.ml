@@ -31,13 +31,8 @@ let well_formed_frame ts =
 let well_formed_periodic ts =
   check_ids (List.map (fun (t : Task.periodic) -> t.id) ts)
 
-let frame_by_id ts id = List.find_opt (fun (t : Task.frame) -> t.id = id) ts
-
 let periodic_by_id ts id =
   List.find_opt (fun (t : Task.periodic) -> t.id = id) ts
-
-let item_by_id items id =
-  List.find_opt (fun (i : Task.item) -> i.item_id = id) items
 
 let items_of_frames ~frame_length ts =
   List.map (Task.item_of_frame ~frame_length) ts
@@ -50,11 +45,9 @@ let load_factor ~m ~s_max items =
     invalid_arg "Taskset.load_factor: s_max <= 0";
   total_weight items /. (float_of_int m *. s_max)
 
-let pp_list pp_elt ppf ts =
+let pp_items ppf ts =
   Format.fprintf ppf "[@[<hov>%a@]]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_elt)
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
+       Task.pp_item)
     ts
-
-let pp_frames ppf ts = pp_list Task.pp_frame ppf ts
-let pp_periodics ppf ts = pp_list Task.pp_periodic ppf ts
-let pp_items ppf ts = pp_list Task.pp_item ppf ts

@@ -26,9 +26,7 @@ val well_formed_frame : Task.frame list -> (unit, string) result
 
 val well_formed_periodic : Task.periodic list -> (unit, string) result
 
-val frame_by_id : Task.frame list -> int -> Task.frame option
 val periodic_by_id : Task.periodic list -> int -> Task.periodic option
-val item_by_id : Task.item list -> int -> Task.item option
 
 val items_of_frames : frame_length:float -> Task.frame list -> Task.item list
 val items_of_periodics : Task.periodic list -> Task.item list
@@ -39,6 +37,4 @@ val load_factor :
     every task can be accepted. @raise Invalid_argument if [m <= 0] or
     [s_max <= 0]. *)
 
-val pp_frames : Format.formatter -> Task.frame list -> unit
-val pp_periodics : Format.formatter -> Task.periodic list -> unit
 val pp_items : Format.formatter -> Task.item list -> unit

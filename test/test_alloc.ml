@@ -2,6 +2,7 @@
    and the RS-LEUF / First-Fit processor-count minimizers. *)
 
 open Rt_alloc
+module Taskset = Rt_task.Taskset
 module Fc = Rt_prelude.Float_cmp
 
 let check_float eps = Alcotest.(check (float eps))
@@ -179,42 +180,65 @@ let test_budget_unreachable () =
        (Rs_leuf.pooled_min_processors ~proc:leaky_ideal ~frame:1000.
           ~budget:0.001 items))
 
-let prop_rs_leuf_never_more_processors_than_ff =
-  qtest "RS-LEUF allocates at most as many processors as First-Fit"
+(* A seeded instance: 3..13 items of weight 0.05..0.6, budget [gamma] of
+   the all-at-top-speed energy. *)
+let rs_instance ~seed ~gamma =
+  let rng = Rt_prelude.Rng.create ~seed in
+  let n = Rt_prelude.Rng.int rng ~lo:3 ~hi:14 in
+  let items =
+    items_of
+      (List.init n (fun _ -> Rt_prelude.Rng.float rng ~lo:0.05 ~hi:0.6))
+  in
+  let e_fast =
+    Taskset.total_weight items *. 1000.
+    *. Rt_power.Power_model.energy_per_cycle leaky_ideal.model 1.
+  in
+  (items, gamma *. e_fast)
+
+let rs_and_ff ~seed ~gamma =
+  let items, budget = rs_instance ~seed ~gamma in
+  ( budget,
+    Rs_leuf.rs_leuf ~proc:leaky_ideal ~frame:1000. ~budget items,
+    Rs_leuf.first_fit ~proc:leaky_ideal ~frame:1000. ~budget items )
+
+(* RS-LEUF packs largest-first onto the least-loaded processor, which is
+   not bin-count dominant over First-Fit in input order: processor counts
+   are compared in aggregate below, not per instance. *)
+let prop_rs_leuf_succeeds_within_budget =
+  qtest "RS-LEUF succeeds whenever First-Fit does, within budget"
     QCheck2.Gen.(pair (int_range 1 2000) (float_range 0.3 0.9))
     (fun (seed, gamma) ->
-      let rng = Rt_prelude.Rng.create ~seed in
-      let n = Rt_prelude.Rng.int rng ~lo:3 ~hi:14 in
-      let items =
-        List.mapi
-          (fun id w -> Rt_task.Task.item ~id ~weight:w ())
-          (List.init n (fun _ -> Rt_prelude.Rng.float rng ~lo:0.05 ~hi:0.6))
-      in
-      (* budget between the loosest and a tight-but-feasible level *)
-      let budget =
-        let e_fast =
-          List.fold_left
-            (fun acc (it : Rt_task.Task.item) ->
-              acc
-              +. (it.Rt_task.Task.weight *. 1000.
-                 *. Rt_power.Power_model.energy_per_cycle
-                      (Rt_power.Power_model.make ~p_ind:0.08 ~coeff:1.52
-                         ~alpha:3. ())
-                      1.))
-            0. items
-        in
-        gamma *. e_fast
-      in
-      match
-        ( Rs_leuf.first_fit ~proc:leaky_ideal ~frame:1000. ~budget items,
-          Rs_leuf.rs_leuf ~proc:leaky_ideal ~frame:1000. ~budget items )
-      with
-      | Ok ff, Ok rs ->
-          rs.Rs_leuf.processors <= ff.Rs_leuf.processors
-          && Fc.leq ~eps:1e-6 rs.Rs_leuf.energy budget
-      | Error _, Error _ -> true
-      | Ok _, Error _ -> false (* RS-LEUF must succeed whenever FF does *)
-      | Error _, Ok _ -> true)
+      match rs_and_ff ~seed ~gamma with
+      | budget, Ok rs, _ -> Fc.leq ~eps:1e-6 rs.Rs_leuf.energy budget
+      | _, Error _, ff -> Result.is_error ff)
+
+let test_rs_leuf_more_than_ff () =
+  (* known answer: m* = 5, yet LEUF packing fails at 5 and 6 processors
+     where First-Fit fits 6 bins — RS-LEUF returns 7 at lower energy *)
+  match rs_and_ff ~seed:138 ~gamma:0.42 with
+  | budget, Ok rs, Ok ff ->
+      check_int "RS-LEUF processors" 7 rs.Rs_leuf.processors;
+      check_int "First-Fit processors" 6 ff.Rs_leuf.processors;
+      check_float 0.05 "RS-LEUF energy" 1469.37 rs.Rs_leuf.energy;
+      check_float 0.05 "First-Fit energy" 1996.86 ff.Rs_leuf.energy;
+      check_float 0.05 "budget" 1997.51 budget
+  | _ -> Alcotest.fail "seed 138: both algorithms should succeed"
+
+let test_rs_leuf_fewer_processors_in_total () =
+  let sum_rs = ref 0 and sum_ff = ref 0 in
+  List.iter
+    (fun gamma ->
+      for seed = 1 to 200 do
+        match rs_and_ff ~seed ~gamma with
+        | _, Ok rs, Ok ff ->
+            sum_rs := !sum_rs + rs.Rs_leuf.processors;
+            sum_ff := !sum_ff + ff.Rs_leuf.processors
+        | _ -> ()
+      done)
+    [ 0.4; 0.6; 0.8 ];
+  check_bool "RS-LEUF <= First-Fit in total" true (!sum_rs <= !sum_ff);
+  check_int "sum RS-LEUF" 3311 !sum_rs;
+  check_int "sum First-Fit" 3373 !sum_ff
 
 let test_rs_leuf_respects_budget () =
   let items = items_of [ 0.3; 0.25; 0.2; 0.15; 0.1 ] in
@@ -250,7 +274,12 @@ let () =
         [
           Alcotest.test_case "pooled minimum" `Quick test_pooled_min_processors;
           Alcotest.test_case "budget unreachable" `Quick test_budget_unreachable;
-          prop_rs_leuf_never_more_processors_than_ff;
+          prop_rs_leuf_succeeds_within_budget;
+          Alcotest.test_case "RS-LEUF can use more processors than First-Fit"
+            `Quick test_rs_leuf_more_than_ff;
+          Alcotest.test_case
+            "RS-LEUF allocates at most as many processors as First-Fit, summed"
+            `Quick test_rs_leuf_fewer_processors_in_total;
           Alcotest.test_case "respects budget" `Quick test_rs_leuf_respects_budget;
         ] );
     ]

@@ -1,8 +1,7 @@
-(* Tests for rt_check: the canonical JSON codec, the shared instance
-   generators and shrinker, the differential-oracle registry, the
-   metamorphic laws, the fuzz driver, and corpus replay. *)
+(* Tests for rt_check: the shared instance generators and shrinker, the
+   differential-oracle registry, the metamorphic laws, the fuzz driver,
+   and corpus replay. *)
 
-module Json = Rt_check.Json
 module Instance = Rt_check.Instance
 module Oracle = Rt_check.Oracle
 module Laws = Rt_check.Laws
@@ -22,67 +21,6 @@ let instance_exn ?(proc = Instance.Cubic) ?(m = 1) ?(frame_ticks = 100) items
   match Instance.make ~proc ~m ~frame_ticks items with
   | Ok t -> t
   | Error e -> Alcotest.fail e
-
-(* ------------------------------------------------------------------ *)
-(* Json *)
-
-let sample =
-  Json.Obj
-    [
-      ("null", Json.Null);
-      ("flag", Json.Bool true);
-      ("count", Json.Int (-42));
-      ("x", Json.Float 0.1);
-      ("s", Json.Str "a \"quoted\"\nline\\");
-      ("xs", Json.List [ Json.Int 1; Json.Float 2.5; Json.Str "" ]);
-      ("empty_obj", Json.Obj []);
-      ("empty_list", Json.List []);
-    ]
-
-let test_json_roundtrip () =
-  let s = Json.to_string sample in
-  match Json.parse s with
-  | Error e -> Alcotest.fail e
-  | Ok v ->
-      check_bool "parse inverts print" true (Json.equal v sample);
-      check_string "canonical: print . parse . print = print" s
-        (Json.to_string v)
-
-let test_json_int_float_distinct () =
-  match Json.parse "[1, 1.0, 1e0]" with
-  | Error e -> Alcotest.fail e
-  | Ok v ->
-      check_bool "int stays int, floats stay float" true
-        (Json.equal v (Json.List [ Json.Int 1; Json.Float 1.; Json.Float 1. ]))
-
-let test_json_errors () =
-  let bad s = check_bool s true (Result.is_error (Json.parse s)) in
-  bad "";
-  bad "{";
-  bad "[1,]";
-  bad "{\"a\": 1,}";
-  bad "[1] trailing";
-  bad "nul";
-  bad "\"unterminated";
-  bad "[+1]";
-  check_bool "non-finite float refused" true
-    (match Json.to_string (Json.Float Float.nan) with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let prop_json_float_exact =
-  qtest "float printing is shortest-exact (parse back IEEE-identical)"
-    QCheck2.Gen.(
-      oneof
-        [
-          float_range (-1e6) 1e6;
-          map (fun x -> x *. 1e-9) (float_range 0.1 10.);
-          map (fun x -> x *. 1e12) (float_range 0.1 10.);
-        ])
-    (fun f ->
-      match Json.parse (Json.to_string (Json.Float f)) with
-      | Ok (Json.Float g) -> Fc.exact_eq f g
-      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Instance: serialization *)
@@ -421,15 +359,6 @@ let test_corpus_save_load () =
 let () =
   Alcotest.run "rt_check"
     [
-      ( "json",
-        [
-          Alcotest.test_case "roundtrip + canonical" `Quick
-            test_json_roundtrip;
-          Alcotest.test_case "int/float distinction" `Quick
-            test_json_int_float_distinct;
-          Alcotest.test_case "parse errors" `Quick test_json_errors;
-          prop_json_float_exact;
-        ] );
       ( "instance",
         [
           Alcotest.test_case "json roundtrip" `Quick

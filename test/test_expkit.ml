@@ -25,18 +25,18 @@ let test_seeds_distinct () =
 
 let test_replicate () =
   let s =
-    Rt_expkit.Runner.replicate ~seeds:[ 1; 2; 3 ]
-      ~f:(fun seed -> float_of_int seed)
+    Rt_expkit.Runner.replicate ~seeds:[ 1; 2; 3 ] (fun seed ->
+        float_of_int seed)
   in
   check_float 1e-12 "mean" 2. s.Rt_prelude.Stats.mean;
   (* NaNs are skipped *)
   let s2 =
-    Rt_expkit.Runner.replicate ~seeds:[ 1; 2; 3 ]
-      ~f:(fun seed -> if seed = 2 then Float.nan else float_of_int seed)
+    Rt_expkit.Runner.replicate ~seeds:[ 1; 2; 3 ] (fun seed ->
+        if seed = 2 then Float.nan else float_of_int seed)
   in
   check_int "nan skipped" 2 s2.Rt_prelude.Stats.n;
   match
-    Rt_expkit.Runner.replicate ~seeds:[ 1 ] ~f:(fun _ -> Float.nan)
+    Rt_expkit.Runner.replicate ~seeds:[ 1 ] (fun _ -> Float.nan)
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "all-NaN must raise"
@@ -50,7 +50,7 @@ let test_runner_deterministic () =
     let proc = xscale_enable ~t_sw:0. ~e_sw:0. in
     let seeds = Rt_expkit.Runner.seeds ~base:2024 ~n:12 in
     let summary_for load =
-      Rt_expkit.Runner.replicate ~seeds ~f:(fun seed ->
+      Rt_expkit.Runner.replicate ~seeds (fun seed ->
           let p =
             Rt_expkit.Instances.frame_instance ~proc ~seed ~n:8 ~m:2 ~load ()
           in

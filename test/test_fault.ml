@@ -181,7 +181,7 @@ let test_edf_injection_identity () =
   in
   let inj =
     ok_exn
-      (Rt_sim.Edf_sim.run_injected ~proc:xscale ~speed:0.5
+      (Rt_sim.Edf_sim.run ~proc:xscale ~speed:0.5
          ~inject:Rt_sim.Edf_sim.no_injection periodic_tasks)
   in
   check_int "same misses" 0 (List.length inj.Rt_sim.Edf_sim.misses);
@@ -194,7 +194,7 @@ let test_edf_injection_crash () =
   (* crash at t=0: every job within the horizon misses *)
   let o =
     ok_exn
-      (Rt_sim.Edf_sim.run_injected ~proc:xscale ~speed:0.5
+      (Rt_sim.Edf_sim.run ~proc:xscale ~speed:0.5
          ~inject:{ Rt_sim.Edf_sim.no_injection with crash_at = Some 0. }
          periodic_tasks)
   in
@@ -206,7 +206,7 @@ let test_edf_injection_overrun_feasible () =
   (* utilization 0.35; 1.5x overrun needs 0.525 <= speed 0.6: still meets *)
   let o =
     ok_exn
-      (Rt_sim.Edf_sim.run_injected ~proc:xscale ~speed:0.6
+      (Rt_sim.Edf_sim.run ~proc:xscale ~speed:0.6
          ~inject:{ Rt_sim.Edf_sim.no_injection with overrun = (fun _ -> 1.5) }
          periodic_tasks)
   in
@@ -218,7 +218,7 @@ let test_edf_injection_derate_misses () =
      processor is overloaded and misses appear *)
   let o =
     ok_exn
-      (Rt_sim.Edf_sim.run_injected ~proc:xscale ~speed:0.4
+      (Rt_sim.Edf_sim.run ~proc:xscale ~speed:0.4
          ~inject:{ Rt_sim.Edf_sim.no_injection with speed_cap = Some 0.2 }
          periodic_tasks)
   in

@@ -286,6 +286,55 @@ let test_conc_severity () =
        (Finding.of_location ~severity:Finding.Note ~file:"x" ~rule:"r"
           ~msg:"m" Location.none))
 
+(* ------------------------------------------------------------------ *)
+(* Report: the JSON and SARIF renderings parse back *)
+
+let test_report_renderers () =
+  let module J = Rt_prelude.Json in
+  (* a hot-boxed-float message carries UTF-8 (an em dash) *)
+  let msg =
+    "local function 'f' returns a boxed float; every call allocates \
+     \xe2\x80\x94 flatten it into unboxed float results or accumulators"
+  in
+  let f =
+    {
+      Finding.file = "lib/core/x.ml";
+      line = 3;
+      col = 4;
+      rule = "hot-boxed-float";
+      severity = Finding.Warning;
+      msg;
+    }
+  in
+  let parse fmt =
+    match J.parse (Report.render fmt [ f ]) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let field k j =
+    match J.member k j with
+    | Some v -> v
+    | None -> Alcotest.failf "missing %s" k
+  in
+  let only j =
+    match ok (J.to_list j) with [ x ] -> x | _ -> Alcotest.fail "length"
+  in
+  let str k j = ok (J.to_str (field k j)) in
+  let check_string = Alcotest.(check string) in
+  let json = parse Report.Json in
+  check_int "count" 1 (ok (J.to_int (field "count" json)));
+  let finding = only (field "findings" json) in
+  check_string "message" msg (str "message" finding);
+  check_string "rule" "hot-boxed-float" (str "rule" finding);
+  check_string "severity" "warning" (str "severity" finding);
+  let sarif = parse Report.Sarif in
+  check_string "version" "2.1.0" (str "version" sarif);
+  let result = only (field "results" (only (field "runs" sarif))) in
+  check_string "sarif message" msg (str "text" (field "message" result));
+  check_string "ruleId" "hot-boxed-float" (str "ruleId" result);
+  check_string "level" "warning" (str "level" result)
+
 let () =
   Alcotest.run "rt_lint"
     [
@@ -394,5 +443,10 @@ let () =
             test_hot_good;
           Alcotest.test_case "[@rt.cold] cuts propagation" `Quick
             test_hot_cold_cut;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "json and sarif parse back" `Quick
+            test_report_renderers;
         ] );
     ]

@@ -441,12 +441,12 @@ let test_ws_budget_exhaustion_valid () =
       check_bool "drain mode terminates promptly" true
         (Fc.exact_lt (Rt_prelude.Clock.elapsed ~since:t0) 10.))
 
-let test_runner_replicate_par_identical () =
+let test_runner_replicate_pool_identical () =
   let seeds = Rt_expkit.Runner.seeds ~base:7 ~n:24 in
   let f seed = Float.of_int seed *. 1.25 in
-  let reference = Rt_expkit.Runner.replicate ~seeds ~f in
+  let reference = Rt_expkit.Runner.replicate ~seeds f in
   Pool.with_pool ~domains:3 (fun pool ->
-      let par = Rt_expkit.Runner.replicate_par ~pool:(Some pool) ~seeds ~f in
+      let par = Rt_expkit.Runner.replicate ~pool ~seeds f in
       check_int "n" reference.Rt_prelude.Stats.n par.Rt_prelude.Stats.n;
       List.iter
         (fun (name, a, b) ->
@@ -532,7 +532,7 @@ let () =
           Alcotest.test_case "portfolio, 20 seeds x pool sizes" `Slow
             test_portfolio_deterministic;
           Alcotest.test_case "runner replicate" `Quick
-            test_runner_replicate_par_identical;
+            test_runner_replicate_pool_identical;
           Alcotest.test_case "fault sweep" `Slow
             test_fault_sweep_parallel_identical;
           Alcotest.test_case "fuzz report" `Slow test_fuzz_parallel_identical;

@@ -1,11 +1,13 @@
 (* Tests for rt_prelude: float comparison, integer/numeric utilities,
-   statistics, RNG/UUniFast, and table rendering. *)
+   statistics, RNG/UUniFast, table rendering, and the canonical JSON
+   codec. *)
 
 open Rt_prelude
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -52,15 +54,10 @@ let test_compare_approx () =
 (* ------------------------------------------------------------------ *)
 (* Math_util *)
 
-let test_gcd_lcm () =
+let test_gcd () =
   check_int "gcd" 6 (Math_util.gcd 12 18);
   check_int "gcd zero" 5 (Math_util.gcd 0 5);
-  check_int "gcd negatives" 4 (Math_util.gcd (-8) 12);
-  check_int "lcm" 36 (Math_util.lcm 12 18);
-  check_int "lcm_list" 2000 (Math_util.lcm_list [ 100; 200; 250; 400; 500 ]);
-  Alcotest.check_raises "lcm non-positive"
-    (Invalid_argument "Math_util.lcm: non-positive argument") (fun () ->
-      ignore (Math_util.lcm 0 3))
+  check_int "gcd negatives" 4 (Math_util.gcd (-8) 12)
 
 let test_lcm_checked () =
   check_bool "small ok" true (Math_util.lcm_checked 12 18 = Ok 36);
@@ -259,6 +256,84 @@ let test_float_row () =
   let t = Tablefmt.add_float_row t "row" [ 1.23456; 2. ] in
   check_bool "renders" true (String.length (Tablefmt.render t) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+let sample =
+  Json.Obj
+    [
+      ("null", Json.Null);
+      ("flag", Json.Bool true);
+      ("count", Json.Int (-42));
+      ("x", Json.Float 0.1);
+      ("s", Json.Str "a \"quoted\"\nline\\");
+      ("xs", Json.List [ Json.Int 1; Json.Float 2.5; Json.Str "" ]);
+      ("empty_obj", Json.Obj []);
+      ("empty_list", Json.List []);
+    ]
+
+let test_json_roundtrip () =
+  let s = Json.to_string sample in
+  match Json.parse s with
+  | Error e -> Alcotest.fail e
+  | Ok v ->
+      check_bool "parse inverts print" true (Json.equal v sample);
+      check_string "canonical: print . parse . print = print" s
+        (Json.to_string v)
+
+let test_json_int_float_distinct () =
+  match Json.parse "[1, 1.0, 1e0]" with
+  | Error e -> Alcotest.fail e
+  | Ok v ->
+      check_bool "int stays int, floats stay float" true
+        (Json.equal v (Json.List [ Json.Int 1; Json.Float 1.; Json.Float 1. ]))
+
+let test_json_errors () =
+  let bad s = check_bool s true (Result.is_error (Json.parse s)) in
+  bad "";
+  bad "{";
+  bad "[1,]";
+  bad "{\"a\": 1,}";
+  bad "[1] trailing";
+  bad "nul";
+  bad "\"unterminated";
+  bad "[+1]";
+  check_bool "non-finite float refused" true
+    (match Json.to_string (Json.Float Float.nan) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+let prop_json_float_exact =
+  qtest ~count:100 "float printing is shortest-exact (parse back IEEE-identical)"
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range (-1e6) 1e6;
+          map (fun x -> x *. 1e-9) (float_range 0.1 10.);
+          map (fun x -> x *. 1e12) (float_range 0.1 10.);
+        ])
+    (fun f ->
+      match Json.parse (Json.to_string (Json.Float f)) with
+      | Ok (Json.Float g) -> Float_cmp.exact_eq f g
+      | _ -> false)
+
+(* bytes >= 0x80 pass through raw (UTF-8 such as the lint messages' em
+   dash); control bytes print as short escapes or \u00XX *)
+let test_json_bytes () =
+  let roundtrip s =
+    let printed = Json.to_string (Json.Str s) in
+    (match Json.parse printed with
+    | Ok (Json.Str s') -> check_string "parse inverts print" s s'
+    | Ok _ -> Alcotest.fail "not a string"
+    | Error e -> Alcotest.fail e);
+    printed
+  in
+  check_string "utf-8 raw" "\"caf\xc3\xa9 \xe2\x80\x94 ok\"\n"
+    (roundtrip "caf\xc3\xa9 \xe2\x80\x94 ok");
+  check_string "control bytes escaped"
+    "\"\\u0000\\u0007\\t\\n\\r\\u001b\\u007f\"\n"
+    (roundtrip "\000\007\t\n\r\027\127")
+
 let () =
   Alcotest.run "rt_prelude"
     [
@@ -271,7 +346,7 @@ let () =
         ] );
       ( "math_util",
         [
-          Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm;
+          Alcotest.test_case "gcd" `Quick test_gcd;
           Alcotest.test_case "checked lcm overflow guard" `Quick
             test_lcm_checked;
           Alcotest.test_case "pow_int" `Quick test_pow_int;
@@ -305,5 +380,15 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "csv" `Quick test_table_csv;
           Alcotest.test_case "float rows" `Quick test_float_row;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "roundtrip + canonical" `Quick
+            test_json_roundtrip;
+          Alcotest.test_case "int/float distinction" `Quick
+            test_json_int_float_distinct;
+          Alcotest.test_case "parse errors" `Quick test_json_errors;
+          prop_json_float_exact;
+          Alcotest.test_case "utf-8 and control bytes" `Quick test_json_bytes;
         ] );
     ]

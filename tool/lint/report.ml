@@ -1,8 +1,9 @@
 (* Machine-readable rendering of lint findings.
 
    Three formats: the conventional compiler-style text diagnostics, a
-   compact JSON array, and SARIF 2.1.0 (the minimal subset GitHub code
-   scanning ingests, so CI can annotate PRs with findings). *)
+   JSON findings document, and SARIF 2.1.0 (the minimal subset GitHub
+   code scanning ingests, so CI can annotate PRs with findings). Both
+   JSON forms are built as [Rt_prelude.Json.t] and printed by it. *)
 
 type format = Text | Json | Sarif
 
@@ -12,59 +13,7 @@ let format_of_string = function
   | "sarif" -> Some Sarif
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* A tiny JSON emitter (no external dependency)                         *)
-(* ------------------------------------------------------------------ *)
-
-let escape_json buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-type json =
-  | Str of string
-  | Int of int
-  | List of json list
-  | Obj of (string * json) list
-
-let rec emit buf = function
-  | Str s ->
-      Buffer.add_char buf '"';
-      escape_json buf s;
-      Buffer.add_char buf '"'
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf x)
-        xs;
-      Buffer.add_char buf ']'
-  | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf (Str k);
-          Buffer.add_char buf ':';
-          emit buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-let to_string j =
-  let buf = Buffer.create 4096 in
-  emit buf j;
-  Buffer.contents buf
+module J = Rt_prelude.Json
 
 (* ------------------------------------------------------------------ *)
 (* Renderers                                                            *)
@@ -75,96 +24,97 @@ let render_text findings =
     (List.map (fun f -> Finding.to_string f ^ "\n") findings)
 
 let json_of_finding (f : Finding.t) =
-  Obj
-    [
-      ("file", Str f.file);
-      ("line", Int f.line);
-      ("col", Int f.col);
-      ("rule", Str f.rule);
-      ("severity", Str (Finding.severity_to_string f.severity));
-      ("message", Str f.msg);
-    ]
+  J.(
+    Obj
+      [
+        ("file", Str f.file);
+        ("line", Int f.line);
+        ("col", Int f.col);
+        ("rule", Str f.rule);
+        ("severity", Str (Finding.severity_to_string f.severity));
+        ("message", Str f.msg);
+      ])
 
 let render_json findings =
-  to_string
-    (Obj
-       [
-         ("findings", List (List.map json_of_finding findings));
-         ("count", Int (List.length findings));
-       ])
-  ^ "\n"
+  J.(
+    to_string
+      (Obj
+         [
+           ("findings", List (List.map json_of_finding findings));
+           ("count", Int (List.length findings));
+         ]))
 
 let sarif_result (f : Finding.t) =
-  Obj
-    [
-      ("ruleId", Str f.rule);
-      ("level", Str (Finding.severity_to_string f.severity));
-      ("message", Obj [ ("text", Str f.msg) ]);
-      ( "locations",
-        List
-          [
-            Obj
-              [
-                ( "physicalLocation",
-                  Obj
-                    [
-                      ( "artifactLocation",
-                        Obj
-                          [
-                            ("uri", Str f.file);
-                            ("uriBaseId", Str "SRCROOT");
-                          ] );
-                      ( "region",
-                        Obj
-                          [
-                            ("startLine", Int f.line);
-                            (* SARIF columns are 1-based *)
-                            ("startColumn", Int (f.col + 1));
-                          ] );
-                    ] );
-              ];
-          ] );
-    ]
+  J.(
+    Obj
+      [
+        ("ruleId", Str f.rule);
+        ("level", Str (Finding.severity_to_string f.severity));
+        ("message", Obj [ ("text", Str f.msg) ]);
+        ( "locations",
+          List
+            [
+              Obj
+                [
+                  ( "physicalLocation",
+                    Obj
+                      [
+                        ( "artifactLocation",
+                          Obj
+                            [
+                              ("uri", Str f.file);
+                              ("uriBaseId", Str "SRCROOT");
+                            ] );
+                        ( "region",
+                          Obj
+                            [
+                              ("startLine", Int f.line);
+                              (* SARIF columns are 1-based *)
+                              ("startColumn", Int (f.col + 1));
+                            ] );
+                      ] );
+                ];
+            ] );
+      ])
 
 let render_sarif findings =
   let rules =
     List.sort_uniq compare
       (List.map (fun (f : Finding.t) -> f.Finding.rule) findings)
   in
-  to_string
-    (Obj
-       [
-         ( "$schema",
-           Str
-             "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
-         );
-         ("version", Str "2.1.0");
-         ( "runs",
-           List
-             [
-               Obj
-                 [
-                   ( "tool",
-                     Obj
-                       [
-                         ( "driver",
-                           Obj
-                             [
-                               ("name", Str "rt-lint");
-                               ("informationUri", Str "docs/LINT.md");
-                               ( "rules",
-                                 List
-                                   (List.map
-                                      (fun r ->
-                                        Obj [ ("id", Str r) ])
-                                      rules) );
-                             ] );
-                       ] );
-                   ("results", List (List.map sarif_result findings));
-                 ];
-             ] );
-       ])
-  ^ "\n"
+  J.(
+    to_string
+      (Obj
+         [
+           ( "$schema",
+             Str
+               "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
+           );
+           ("version", Str "2.1.0");
+           ( "runs",
+             List
+               [
+                 Obj
+                   [
+                     ( "tool",
+                       Obj
+                         [
+                           ( "driver",
+                             Obj
+                               [
+                                 ("name", Str "rt-lint");
+                                 ("informationUri", Str "docs/LINT.md");
+                                 ( "rules",
+                                   List
+                                     (List.map
+                                        (fun r -> Obj [ ("id", Str r) ])
+                                        rules) );
+                               ] );
+                         ] );
+                     ("results", List (List.map sarif_result findings));
+                   ];
+               ] );
+         ]))
 
 let render fmt findings =
   match fmt with

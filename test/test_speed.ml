@@ -163,6 +163,30 @@ let prop_plans_validate =
       | None -> false
       | Some plan -> Energy_rate.validate proc ~u plan = Ok ())
 
+let prop_prepare_energy_is_rate_times_horizon =
+  qtest "prepare_energy = prepare rate * horizon, bit for bit"
+    QCheck2.Gen.(
+      triple (int_range 0 3)
+        (frequency
+           [ (1, return 0.); (1, return 1.); (8, float_range 0. 1.) ])
+        (float_range 0. 1e4))
+    (fun (kind, x, horizon) ->
+      let proc =
+        match kind with
+        | 0 -> cubic_disable
+        | 1 -> xscale_enable
+        | 2 -> levels_disable
+        | _ -> levels_enable
+      in
+      (* u spans [0, s_max], both ends included *)
+      let u = x *. Processor.s_max proc in
+      match Energy_rate.prepare proc u with
+      | None -> false
+      | Some plan ->
+          Float.equal
+            (Energy_rate.prepare_energy proc ~horizon u)
+            (plan.Energy_rate.rate *. horizon))
+
 let prop_no_single_speed_beats_plan =
   qtest "no feasible single sustained speed beats the optimal plan"
     QCheck2.Gen.(pair (float_range 0.01 1.) (float_range 0.01 0.4))
@@ -362,6 +386,7 @@ let () =
           prop_rate_convex;
           prop_plans_validate;
           prop_no_single_speed_beats_plan;
+          prop_prepare_energy_is_rate_times_horizon;
         ] );
       ( "sync_global",
         [

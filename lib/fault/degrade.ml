@@ -278,81 +278,3 @@ let pp_report ppf r =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
        Format.pp_print_int)
     r.shed r.extra_penalty r.energy_faulty r.energy_fault_free r.energy_delta
-
-(* ------------------------------------------------------------------ *)
-(* Online re-planning for the streaming service (lib/serve). *)
-
-module Fc = Rt_prelude.Float_cmp
-
-type residual_job = {
-  rj_id : int;
-  rj_remaining : float;
-  rj_deadline : float;
-  rj_penalty : float;
-}
-
-let online_eps = 1e-9
-
-let shed_online ~now ~cap jobs =
-  let arr = Array.of_list jobs in
-  let n = Array.length arr in
-  (* deadline order with ties broken by original position — a stable
-     sort. Filtering a list commutes with stable-sorting it, so one sort
-     hoisted out of the loop, skipping dropped slots, visits the
-     surviving jobs in exactly the order (and summation association) a
-     per-round sort-and-fold of the kept set would. *)
-  let by_deadline = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare arr.(a).rj_deadline arr.(b).rj_deadline in
-      if c <> 0 then c else Int.compare a b)
-    by_deadline;
-  let dropped = Array.make n false in
-  (* EDF density of the kept set from [now] — the statistic
-     Rt_online.Admission prices feasibility with: one allocation-free
-     pass with unboxed accumulators, instead of a fresh sort + filter
-     per dropped job *)
-  let rec density i work best =
-    if i >= n then best
-    else begin
-      let p = by_deadline.(i) in
-      if dropped.(p) then density (i + 1) work best
-      else begin
-        let work = work +. arr.(p).rj_remaining in
-        let slack = arr.(p).rj_deadline -. now in
-        if Fc.exact_le slack online_eps then
-          density (i + 1) work Float.infinity
-        else density (i + 1) work (Float.max best (work /. slack))
-      end
-    end
-  in
-  (* cheapest rejection value per remaining cycle goes first — the online
-     restatement of Shed_density's penalty-per-weight order; ties break
-     on id (then position, matching the stable list sort this replaces)
-     so the shed set is deterministic *)
-  let drop_order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c =
-        Float.compare
-          (arr.(a).rj_penalty /. arr.(a).rj_remaining)
-          (arr.(b).rj_penalty /. arr.(b).rj_remaining)
-      in
-      if c <> 0 then c
-      else begin
-        let c = compare arr.(a).rj_id arr.(b).rj_id in
-        if c <> 0 then c else Int.compare a b
-      end)
-    drop_order;
-  let rec go shed di =
-    if Fc.leq (density 0 0. 0.) cap then List.rev shed
-    else if di >= n then List.rev shed (* kept is empty or cap < 0 *)
-    else begin
-      let id = arr.(drop_order.(di)).rj_id in
-      for k = 0 to n - 1 do
-        if arr.(k).rj_id = id then dropped.(k) <- true
-      done;
-      go (id :: shed) (di + 1)
-    end
-  in
-  go [] 0

@@ -78,37 +78,3 @@ val recover_periodic :
     empty residual platform. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-(** {1 Online re-planning (the streaming service)}
-
-    The batch policies above re-plan a {e frame} instance. The streaming
-    service ([Rt_serve.Serve]) faces the same problem in different
-    clothes when a fault strikes mid-run: the committed (admitted) jobs
-    may no longer be EDF-feasible at the platform's surviving speed, and
-    the only safe moves are to keep a job or to shed it and pay its
-    rejection penalty — silent deadline misses are not an option. This
-    is {!Shed_density} restated online: abandon the cheapest
-    penalty-per-remaining-cycle work until the residual density fits. *)
-
-type residual_job = {
-  rj_id : int;
-  rj_remaining : float;  (** cycles still to execute, > 0 *)
-  rj_deadline : float;  (** absolute *)
-  rj_penalty : float;  (** paid if the job is shed *)
-}
-(** One committed job as the re-planner sees it — deliberately not
-    [Rt_online.Job.t], so [rt_fault] stays independent of the online
-    layer (the service converts). *)
-
-val shed_online : now:float -> cap:float -> residual_job list -> int list
-(** Which committed jobs to abandon so the rest stay EDF-feasible at a
-    sustained speed of [cap]: drops the cheapest penalty-per-remaining-
-    cycle job (ties by id) until the kept set's EDF density — the minimum
-    constant speed meeting every residual commitment from [now] (max over
-    deadlines of cumulative work / time to deadline; infinite once a
-    deadline is at or behind [now]), the statistic [Rt_online.Admission]
-    prices feasibility with — is at most [cap] (tolerant comparison,
-    matching the admission test).
-    Returns the shed ids {e in shed order} — the cheapest-first prefix
-    property the service's overload tests pin down. Empty when the set
-    already fits. *)

@@ -80,8 +80,10 @@ val edf_injection :
     before the replay starts. A {e running} service instead takes faults
     as events: a {!timed} wrapper gives each fault the absolute stream
     time at which it strikes, and [Rt_serve.Serve] applies it to the live
-    executor at that instant (then re-plans the committed work through
-    [Degrade.shed_online]). For {!Proc_crash} the wrapper's [at] is the
+    executor at that instant through [Rt_online.Admission.Exec], which
+    also re-plans the committed work ([Exec.crash] re-homes or sheds a
+    dead processor's jobs, [Exec.replan] sheds from an over-committed
+    one). For {!Proc_crash} the wrapper's [at] is the
     authoritative strike time; the fault's own [at] field is what the
     batch simulators read and is ignored by the service. *)
 

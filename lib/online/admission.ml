@@ -43,22 +43,19 @@ let eps = 1e-9
 (* ------------------------------------------------------------------ *)
 (* One processor's pending set in struct-of-arrays form: parallel arrays
    sorted by (deadline ascending, newest admission first among exact
-   ties) — exactly the order the old [density_pairs] produced by
-   stable-sorting the newest-first cons list this layout replaces, so
-   every density fold visits the same floats in the same order. [seqs]
-   records admission recency so the cold snapshots (residuals, kill,
-   miss logs) can still present jobs newest-first, like the list did. *)
+   ties) — the order a stable deadline sort of a newest-first list of
+   the same jobs gives, so every density fold visits the same floats in
+   the same order. Insertions and removals shift the tail and keep it. *)
 
 type pending = {
   mutable len : int;
   mutable jobs : Job.t array;
   mutable remaining : float array;  (** unboxed EDF work left, per job *)
   mutable deadlines : float array;  (** unboxed cache of [jobs.(i).deadline] *)
-  mutable seqs : int array;  (** admission order; larger = newer *)
 }
 
 let pending_create () =
-  { len = 0; jobs = [||]; remaining = [||]; deadlines = [||]; seqs = [||] }
+  { len = 0; jobs = [||]; remaining = [||]; deadlines = [||] }
 
 (* grow the parallel arrays; [j] only seeds the fresh [Job.t] slots *)
 let pending_grow pen (j : Job.t) =
@@ -69,32 +66,26 @@ let pending_grow pen (j : Job.t) =
   Array.blit pen.remaining 0 remaining 0 pen.len;
   let deadlines = Array.make cap 0. in
   Array.blit pen.deadlines 0 deadlines 0 pen.len;
-  let seqs = Array.make cap 0 in
-  Array.blit pen.seqs 0 seqs 0 pen.len;
   pen.jobs <- jobs;
   pen.remaining <- remaining;
-  pen.deadlines <- deadlines;
-  pen.seqs <- seqs
+  pen.deadlines <- deadlines
 
 (* leftmost slot whose deadline is >= d: inserting there keeps every
-   exact-tie group newest-first, which is where a stable sort of the
-   newest-first cons list would have put a fresh arrival *)
+   exact-tie group newest-first *)
 let rec insert_pos pen d i =
   if i >= pen.len || Float.compare pen.deadlines.(i) d >= 0 then i
   else insert_pos pen d (i + 1)
 
-let pending_insert pen (j : Job.t) ~remaining ~seq =
+let pending_insert pen (j : Job.t) ~remaining =
   if pen.len >= Array.length pen.jobs then pending_grow pen j;
   let pos = insert_pos pen j.Job.deadline 0 in
   let shift = pen.len - pos in
   Array.blit pen.jobs pos pen.jobs (pos + 1) shift;
   Array.blit pen.remaining pos pen.remaining (pos + 1) shift;
   Array.blit pen.deadlines pos pen.deadlines (pos + 1) shift;
-  Array.blit pen.seqs pos pen.seqs (pos + 1) shift;
   pen.jobs.(pos) <- j;
   pen.remaining.(pos) <- remaining;
   pen.deadlines.(pos) <- j.Job.deadline;
-  pen.seqs.(pos) <- seq;
   pen.len <- pen.len + 1
 
 let pending_remove pen pos =
@@ -102,16 +93,11 @@ let pending_remove pen pos =
   Array.blit pen.jobs (pos + 1) pen.jobs pos shift;
   Array.blit pen.remaining (pos + 1) pen.remaining pos shift;
   Array.blit pen.deadlines (pos + 1) pen.deadlines pos shift;
-  Array.blit pen.seqs (pos + 1) pen.seqs pos shift;
   pen.len <- pen.len - 1
 
-(* positions in admission-recency order (newest first) — the order the
-   cons list used to present its items; only the cold snapshot paths
-   need it. [seqs] are distinct, so the comparator is a total order. *)
-let recency_positions pen =
-  let idx = Array.init pen.len (fun i -> i) in
-  Array.sort (fun a b -> Int.compare pen.seqs.(b) pen.seqs.(a)) idx;
-  idx
+(* the pending jobs with their remaining cycles, in slot order *)
+let pending_to_list pen =
+  List.init pen.len (fun i -> (pen.jobs.(i), pen.remaining.(i)))
 
 (* the minimum constant speed meeting every pending commitment from
    [now]: max over deadlines of cumulative-work-due / time-to-deadline.
@@ -130,9 +116,8 @@ let pending_density pen ~now = density_go pen now 0 0. 0.
 
 (* density of the pending set plus one hypothetical job, without
    materializing the trial set: a merge walk that folds the trial in
-   where a stable sort of the consed trial list would have placed it
-   (leftmost among exact deadline ties), so the accumulation order —
-   and thus every float result — matches the old cons-and-sort probe *)
+   leftmost among exact deadline ties — where a stable deadline sort of
+   the trial consed onto the pending list would place it *)
 let rec density_trial_go pen now r_t d_t placed i work best =
   if (not placed) && (i >= pen.len || Float.compare pen.deadlines.(i) d_t >= 0)
   then begin
@@ -158,24 +143,6 @@ let rec density_trial_go pen now r_t d_t placed i work best =
 let pending_density_with pen ~now ~remaining ~deadline =
   density_trial_go pen now remaining deadline false 0 0. 0.
 
-(* the same fold over an explicit pair list — the re-planning probe
-   ([Exec.density_of]) splices caller-supplied hypothetical work in
-   front of the pending set, exactly as the list-based executor did *)
-let density_pairs ~now pairs =
-  let sorted =
-    List.sort (fun (_, da) (_, db) -> Float.compare da db) pairs
-  in
-  (* unboxed accumulators: cumulative work and the running max density *)
-  let rec go work best = function
-    | [] -> best
-    | (remaining, deadline) :: rest ->
-        let work = work +. remaining in
-        let slack = deadline -. now in
-        if Fc.exact_le slack eps then go work Float.infinity rest
-        else go work (Float.max best (work /. slack)) rest
-  in
-  go 0. 0. sorted
-
 let critical (proc : Processor.t) =
   match proc.dormancy with
   | Processor.Dormant_enable _ -> Processor.critical_speed proc
@@ -189,19 +156,17 @@ let idle_power (proc : Processor.t) =
 (* the structured state an incident log wants when an admitted job is
    late: who was pending, how much work was left, and the density the
    executor was trying to sustain (only evaluated on the error path).
-   The backlog sums in admission-recency order, as the cons list did. *)
+   The backlog sums in slot (deadline) order. *)
 let miss_of pen ~now (late : Job.t) =
-  let order = recency_positions pen in
+  let pending = pending_to_list pen in
   {
     job_id = late.Job.id;
     at = now;
     deadline = late.Job.deadline;
     active_ids =
-      List.sort compare
-        (Array.to_list (Array.map (fun p -> pen.jobs.(p).Job.id) order));
+      List.sort compare (List.map (fun ((j : Job.t), _) -> j.Job.id) pending);
     density = pending_density pen ~now;
-    backlog =
-      Array.fold_left (fun acc p -> acc +. pen.remaining.(p)) 0. order;
+    backlog = List.fold_left (fun acc (_, r) -> acc +. r) 0. pending;
   }
 
 (* earliest deadline lives at position 0 of the sorted arrays; scan the
@@ -296,7 +261,6 @@ module Exec = struct
     seen : (int, unit) Hashtbl.t;
     s_crit : float;  (** [critical proc], hoisted out of the hot loops *)
     p_idle : float;  (** [idle_power proc], likewise *)
-    mutable seq : int;  (** admission recency counter for the snapshots *)
     energy : float ref;
     penalty : float ref;
     admitted : int list ref;
@@ -320,7 +284,6 @@ module Exec = struct
           seen = Hashtbl.create 97;
           s_crit = critical proc;
           p_idle = idle_power proc;
-          seq = 0;
           energy = ref 0.;
           penalty = ref 0.;
           admitted = ref [];
@@ -334,35 +297,18 @@ module Exec = struct
   let m t = Array.length t.pendings
   let speed_cap t = t.cap
 
-  let set_speed_cap t cap =
-    if Fc.exact_le cap 0. || not (Float.is_finite cap) then
-      Error (Invalid "Admission.Exec: speed cap must be finite and > 0")
-    else begin
-      t.cap <- cap;
-      Ok ()
-    end
-
   let live t =
     let acc = ref [] in
     Array.iteri (fun i alive -> if alive then acc := i :: !acc) t.alive;
     List.rev !acc
 
-  let backlog t =
-    Array.fold_left
-      (fun acc pen ->
-        Array.fold_left
-          (fun acc p -> acc +. pen.remaining.(p))
-          acc (recency_positions pen))
-      0. t.pendings
-
   (* attach [j] as the newest pending entry on processor [i] *)
   let attach t i (j : Job.t) ~remaining =
-    t.seq <- t.seq + 1;
-    pending_insert t.pendings.(i) j ~remaining ~seq:t.seq
+    pending_insert t.pendings.(i) j ~remaining
 
   (* advance every live processor to [until]; they do not interact.
-     Crashed processors execute nothing and burn nothing; whatever work
-     they still hold stays frozen until the caller re-plans it. *)
+     Crashed processors execute nothing and burn nothing ([crash] has
+     already moved or shed their work). *)
   let advance_to t ~until =
     if Fc.exact_lt until !(t.now) then
       Error (Invalid "Admission.Exec: time went backwards")
@@ -395,6 +341,12 @@ module Exec = struct
   let record_reject t (j : Job.t) =
     t.rejected := j.Job.id :: !(t.rejected);
     t.penalty := !(t.penalty) +. j.Job.penalty
+
+  (* un-admit a job already detached from its processor: it pays its
+     rejection penalty instead of silently missing its deadline *)
+  let unadmit t (j : Job.t) =
+    t.admitted := List.filter (fun id -> id <> j.Job.id) !(t.admitted);
+    record_reject t j
 
   let reject t (j : Job.t) =
     if Hashtbl.mem t.seen j.Job.id then
@@ -508,92 +460,100 @@ module Exec = struct
           end
     end
 
-  let residuals t ~proc =
-    if proc < 0 || proc >= Array.length t.pendings then []
-    else begin
-      let pen = t.pendings.(proc) in
-      Array.to_list
-        (Array.map
-           (fun p -> (pen.jobs.(p), pen.remaining.(p)))
-           (recency_positions pen))
-    end
+  (* ---------------------------------------------------------------- *)
+  (* Faults and re-planning. A fault may leave a live processor's
+     pending set over-committed; [replan] and [crash] decide again, on
+     already admitted jobs, with the same density folds [decide] uses:
+     keep a job, move it, or shed it and pay its penalty. *)
 
-  let density_of t ~proc ~extra =
-    if proc < 0 || proc >= Array.length t.pendings then Float.infinity
-    else begin
-      let pen = t.pendings.(proc) in
-      let pairs =
-        Array.to_list
-          (Array.map
-             (fun p -> (pen.remaining.(p), pen.deadlines.(p)))
-             (recency_positions pen))
-      in
-      density_pairs ~now:!(t.now) (extra @ pairs)
-    end
+  let live_proc t proc =
+    proc >= 0 && proc < Array.length t.pendings && t.alive.(proc)
 
-  let remove_active t ~id =
-    let found = ref None in
-    Array.iter
-      (fun pen ->
-        if Option.is_none !found then begin
-          (* find the entry, then purge every slot with this id — the
-             List.find_opt + List.filter pair this replaces did both *)
-          let rec find i =
-            if i >= pen.len then ()
-            else if pen.jobs.(i).Job.id = id then
-              found := Some (pen.jobs.(i), pen.remaining.(i))
-            else find (i + 1)
-          in
-          find 0;
-          if Option.is_some !found then begin
-            let rec purge i =
-              if i < pen.len then
-                if pen.jobs.(i).Job.id = id then begin
-                  pending_remove pen i;
-                  purge i
-                end
-                else purge (i + 1)
-            in
-            purge 0
-          end
-        end)
-      t.pendings;
-    !found
-
-  let place t ~proc (job, remaining) =
-    if proc < 0 || proc >= Array.length t.pendings then
-      Error (Invalid "Admission.Exec.place: processor out of range")
-    else if not t.alive.(proc) then
-      Error (Invalid "Admission.Exec.place: processor is dead")
+  let derate t ~factor =
+    if not (Fc.exact_gt factor 0. && Fc.exact_le factor 1.) then
+      Error (Invalid "Admission.Exec.derate: factor must be in (0, 1]")
     else begin
-      attach t proc job ~remaining;
+      t.cap <- Float.min t.cap (factor *. Processor.s_max t.proc);
       Ok ()
     end
 
-  (* un-admit a job already detached from its processor: the service pays
-     its rejection penalty instead of silently missing its deadline *)
-  let drop_admitted t (j : Job.t) =
-    t.admitted := List.filter (fun id -> id <> j.Job.id) !(t.admitted);
-    record_reject t j
-
-  let kill t ~proc =
-    if proc < 0 || proc >= Array.length t.pendings then []
+  let crash t ~proc =
+    if not (live_proc t proc) then ([], [])
     else begin
       t.alive.(proc) <- false;
       let pen = t.pendings.(proc) in
       let orphans =
-        Array.to_list
-          (Array.map
-             (fun p -> (pen.jobs.(p), pen.remaining.(p)))
-             (recency_positions pen))
+        List.sort
+          (fun ((a : Job.t), _) ((b : Job.t), _) ->
+            Int.compare a.Job.id b.Job.id)
+          (pending_to_list pen)
       in
       pen.len <- 0;
       (* drop the job references so a dead processor holds nothing *)
       pen.jobs <- [||];
       pen.remaining <- [||];
       pen.deadlines <- [||];
-      pen.seqs <- [||];
-      orphans
+      let now = !(t.now) in
+      let n = Array.length t.pendings in
+      let rehome (moved, shed) ((j : Job.t), remaining) =
+        (* the feasible live processor with the least density after taking
+           the orphan; the first in index order wins a tolerant tie *)
+        let rec best i best_i best_d =
+          if i >= n then best_i
+          else if not t.alive.(i) then best (i + 1) best_i best_d
+          else begin
+            let d =
+              pending_density_with t.pendings.(i) ~now ~remaining
+                ~deadline:j.Job.deadline
+            in
+            if Fc.leq d t.cap && (best_i < 0 || not (Fc.leq best_d d)) then
+              best (i + 1) i d
+            else best (i + 1) best_i best_d
+          end
+        in
+        match best 0 (-1) 0. with
+        | -1 ->
+            unadmit t j;
+            (moved, j.Job.id :: shed)
+        | i ->
+            attach t i j ~remaining;
+            (j.Job.id :: moved, shed)
+      in
+      let moved, shed = List.fold_left rehome ([], []) orphans in
+      (List.rev moved, List.rev shed)
+    end
+
+  let replan t ~proc =
+    if not (live_proc t proc) then []
+    else begin
+      let pen = t.pendings.(proc) in
+      let fits () = Fc.leq (pending_density pen ~now:!(t.now)) t.cap in
+      if fits () then []
+      else begin
+        (* cheapest rejection value per remaining cycle first, ties by
+           id: the online form of [Shed_density]'s penalty-per-weight
+           order *)
+        let victims =
+          List.sort
+            (fun ((a : Job.t), ra) ((b : Job.t), rb) ->
+              let c =
+                Float.compare (a.Job.penalty /. ra) (b.Job.penalty /. rb)
+              in
+              if c <> 0 then c else Int.compare a.Job.id b.Job.id)
+            (pending_to_list pen)
+        in
+        let rec slot id i =
+          if pen.jobs.(i).Job.id = id then i else slot id (i + 1)
+        in
+        let rec shed acc = function
+          | ((j : Job.t), _) :: rest when not (fits ()) ->
+              pending_remove pen (slot j.Job.id 0);
+              unadmit t j;
+              shed (j.Job.id :: acc) rest
+          | _ -> List.rev acc
+        in
+        shed [] victims
+      end
     end
 
   let inflate t ~id ~factor =

@@ -115,12 +115,14 @@ val lower_bound : proc:Rt_power.Processor.t -> Job.t list -> float
     layer (ingress shedding, watchdog tiers, fault re-planning).
 
     Time only moves forward: [advance_to] rejects a target before [now].
-    The fault hooks ([set_speed_cap], [kill], [inflate], [remove_active],
-    [place], [drop_admitted]) deliberately let the caller put the
-    executor into an over-committed state — it is the caller's job to
-    re-plan (shed or re-home) until every live processor's {!density_of}
-    is back under {!speed_cap}, or the next [advance_to] will report the
-    resulting {!miss} instead of hiding it. *)
+    Faults and their re-planning live here too, on the same pending sets
+    and density test as {!decide}: {!derate}, {!crash} and {!inflate}
+    apply a fault, and {!crash} and {!replan} make the accept-or-reject
+    decision again on admitted jobs — keep, move to a live processor, or
+    shed and pay the penalty. {!derate} and {!inflate} can leave a
+    processor over-committed; the caller runs {!replan} on every live
+    processor afterwards, or the next [advance_to] reports the resulting
+    {!miss} instead of hiding it. *)
 module Exec : sig
   type t
 
@@ -134,24 +136,16 @@ module Exec : sig
   (** Processor count, dead or alive. *)
 
   val live : t -> int list
-  (** Indices of processors that have not been {!kill}ed, ascending. *)
-
-  val backlog : t -> float
-  (** Remaining admitted cycles, across all processors. *)
+  (** Indices of processors that have not {!crash}ed, ascending. *)
 
   val speed_cap : t -> float
-  (** Effective top speed: [s_max] until {!set_speed_cap} lowers it. *)
-
-  val set_speed_cap : t -> float -> (unit, error) result
-  (** Derating fault hook: every executor and every admission test is
-      clamped to this cap from now on. The caller re-plans committed
-      work afterwards. Errors on a non-positive or non-finite cap. *)
+  (** Effective top speed: [s_max] until {!derate} lowers it. *)
 
   val advance_to : t -> until:float -> (unit, error) result
   (** Run every live processor's EDF executor forward to [until],
       accumulating energy and makespan. Errors with {!Deadline_miss} if
-      an admitted job completes late (possible only after a fault hook
-      was used without re-planning). *)
+      an admitted job completes late (possible only after {!derate} or
+      {!inflate} without a {!replan}). *)
 
   val decide : t -> policy:policy -> Job.t -> (decision, error) result
     [@@rt.hot "per-arrival step of the streaming admission service"]
@@ -173,42 +167,36 @@ module Exec : sig
       admit-none tier): the job pays its penalty and is never tested.
       Errors on a duplicate id. *)
 
-  val residuals : t -> proc:int -> (Job.t * float) list
-  (** Snapshot of one processor's pending jobs with their remaining
-      cycles ([] out of range). *)
+  val derate : t -> factor:float -> (unit, error) result
+  (** Derating fault: the speed cap becomes
+      [min (speed_cap t) (factor × s_max)], clamping every executor and
+      every admission test from now on. Follow with {!replan} on each
+      live processor. Errors unless [0 < factor <= 1]. *)
 
-  val density_of : t -> proc:int -> extra:(float * float) list -> float
-  (** Density speed of processor [proc]'s pending set plus [extra]
-      hypothetical [(remaining, deadline)] work, at time [now] — the
-      feasibility probe for re-homing and re-planning. *)
-
-  val remove_active : t -> id:int -> (Job.t * float) option
-  (** Detach a pending job (whichever processor holds it), returning it
-      with its remaining cycles. The job stays admitted: follow with
-      {!place} (re-home) or {!drop_admitted} (shed). *)
-
-  val place : t -> proc:int -> Job.t * float -> (unit, error) result
-  (** Attach a detached job to a live processor. The caller checks
-      feasibility via {!density_of}; placing infeasible work will
-      surface as a {!Deadline_miss} on a later [advance_to]. *)
-
-  val drop_admitted : t -> Job.t -> unit
-  (** Shed a previously admitted, now detached job: it leaves the
-      admitted set and pays its rejection penalty — the "never a silent
-      miss" escape hatch fault re-planning uses. *)
-
-  val kill : t -> proc:int -> (Job.t * float) list
-  (** Crash fault hook: mark the processor dead (it executes and burns
-      nothing from now on) and detach its pending jobs, returned for the
-      caller to re-home or shed. [] when out of range. *)
+  val crash : t -> proc:int -> int list * int list
+  (** Crash fault: processor [proc] is dead from now on (it executes and
+      burns nothing) and its pending jobs are re-homed, in id order, each
+      to the live processor (ascending index) whose density with the job
+      is least and within {!speed_cap} — the earlier processor wins a
+      tolerant tie. A job that fits nowhere is shed: it leaves the
+      admitted set and pays its penalty. Returns [(moved, shed)] ids, each
+      ascending; [([], [])] when [proc] is dead or out of range. *)
 
   val inflate : t -> id:int -> factor:float -> bool
-  (** Overrun fault hook: multiply a pending job's remaining cycles.
-      [false] if no pending job has this id. *)
+  (** Overrun fault: multiply a pending job's remaining cycles. Follow
+      with {!replan} on each live processor. [false] if no pending job
+      has this id. *)
+
+  val replan : t -> proc:int -> int list
+  (** Re-plan processor [proc] after a fault: while its density exceeds
+      {!speed_cap} (tolerant comparison, as the admission test), shed the
+      pending job with the cheapest penalty per remaining cycle (ties by
+      id). Each shed job leaves the admitted set and pays its penalty.
+      Returns the shed ids in shed order; [[]] when the processor already
+      fits, is dead or is out of range. *)
 
   val finish : t -> (outcome, error) result
   (** Drain all remaining work past the last deadline and return the
       accumulated outcome. Errors if work is left after every deadline
-      (over-commitment that never got re-planned — e.g. a crashed
-      processor's orphans, or a dead-platform residue). *)
+      (over-commitment that never got re-planned). *)
 end

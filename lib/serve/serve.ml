@@ -4,7 +4,6 @@ module Job = Rt_online.Job
 module Admission = Rt_online.Admission
 module Exec = Rt_online.Admission.Exec
 module Fault = Rt_fault.Fault
-module Degrade = Rt_fault.Degrade
 
 type watchdog = { latency_budget : float; recover_after : int }
 type overload = { window : float; enter_above : float; exit_below : float }
@@ -107,7 +106,6 @@ let validate_config cfg =
 let run ~proc ~config source =
   bind (validate_config config) @@ fun () ->
   bind (Exec.create ~proc ~m:config.m) @@ fun exec ->
-  let s_max0 = Exec.speed_cap exec in
   let faults = ref (Fault.by_time config.faults) in
   let tier = ref Incident.Exact in
   let streak = ref 0 in
@@ -325,79 +323,15 @@ let run ~proc ~config source =
           result
         end
   in
-  let replan_proc ~at p =
-    let cap = Exec.speed_cap exec in
-    let d = Exec.density_of exec ~proc:p ~extra:[] in
-    if Fc.leq d cap then ()
-    else begin
-      let rjs =
-        List.map
-          (fun ((j : Job.t), remaining) ->
-            {
-              Degrade.rj_id = j.id;
-              rj_remaining = remaining;
-              rj_deadline = j.deadline;
-              rj_penalty = j.penalty;
-            })
-          (Exec.residuals exec ~proc:p)
-      in
-      let shed_ids = Degrade.shed_online ~now:(Exec.now exec) ~cap rjs in
-      List.iter
-        (fun id ->
-          match Exec.remove_active exec ~id with
-          | None -> ()
-          | Some (j, _remaining) ->
-              Exec.drop_admitted exec j;
-              incr replan_shed)
-        shed_ids;
-      if shed_ids <> [] then
-        incident (Incident.Replanned { at; shed = shed_ids; moved = [] })
-    end
+  let replanned ~at ~moved shed =
+    replan_shed := !replan_shed + List.length shed;
+    if shed <> [] || moved <> [] then
+      incident (Incident.Replanned { at; shed; moved })
   in
-  let replan_all ~at = List.iter (replan_proc ~at) (Exec.live exec) in
-  let rehome ~at orphans =
-    let orphans =
-      List.sort
-        (fun ((a : Job.t), _) ((b : Job.t), _) -> compare a.id b.id)
-        orphans
-    in
-    let cap = Exec.speed_cap exec in
-    let moved = ref [] and dropped = ref [] in
-    let result =
-      List.fold_left
-        (fun acc ((j : Job.t), remaining) ->
-          bind acc (fun () ->
-              let extra = [ (remaining, j.deadline) ] in
-              let best =
-                List.fold_left
-                  (fun best p ->
-                    let d = Exec.density_of exec ~proc:p ~extra in
-                    if Fc.leq d cap then begin
-                      match best with
-                      | Some (_, bd) when Fc.leq bd d -> best
-                      | _ -> Some (p, d)
-                    end
-                    else best)
-                  None (Exec.live exec)
-              in
-              match best with
-              | Some (p, _) ->
-                  bind (Exec.place exec ~proc:p (j, remaining)) (fun () ->
-                      moved := j.id :: !moved;
-                      Ok ())
-              | None ->
-                  Exec.drop_admitted exec j;
-                  incr replan_shed;
-                  dropped := j.id :: !dropped;
-                  Ok ()))
-        (Ok ()) orphans
-    in
-    bind result (fun () ->
-        if !moved <> [] || !dropped <> [] then
-          incident
-            (Incident.Replanned
-               { at; shed = List.rev !dropped; moved = List.rev !moved });
-        Ok ())
+  let replan_all ~at =
+    List.iter
+      (fun p -> replanned ~at ~moved:[] (Exec.replan exec ~proc:p))
+      (Exec.live exec)
   in
   let apply_fault (e : Fault.timed) =
     bind (Exec.advance_to exec ~until:e.at) (fun () ->
@@ -405,14 +339,13 @@ let run ~proc ~config source =
         incident (Incident.Fault_struck { at; fault = e.fault });
         match e.fault with
         | Fault.Speed_derate { factor } ->
-            let cap' = Float.min (Exec.speed_cap exec) (factor *. s_max0) in
-            bind (Exec.set_speed_cap exec cap') (fun () ->
+            bind (Exec.derate exec ~factor) (fun () ->
                 replan_all ~at;
                 Ok ())
-        | Fault.Proc_crash { proc = p; at = _ } ->
-            if List.mem p (Exec.live exec) then
-              rehome ~at (Exec.kill exec ~proc:p)
-            else Ok ()
+        | Fault.Proc_crash { proc; at = _ } ->
+            let moved, shed = Exec.crash exec ~proc in
+            replanned ~at ~moved shed;
+            Ok ()
         | Fault.Wcec_overrun { task_id; factor } ->
             ignore (Exec.inflate exec ~id:task_id ~factor);
             replan_all ~at;

@@ -22,13 +22,15 @@
       ({!Incident.Overload_on} above [enter_above], [Off] below
       [exit_below]); the report totals the time spent overloaded.
     - {e Fault tolerance}: [faults] strike the running service at their
-      wrapper times. A derate caps the executor speed, a crash kills a
-      processor (orphans are re-homed to the least-loaded feasible
-      survivor or shed), an overrun inflates remaining cycles; after
-      each, any over-committed processor sheds its cheapest
-      penalty-per-remaining-cycle jobs ({!Rt_fault.Degrade.shed_online})
-      until EDF-feasible again — committed work is re-planned, never
-      silently missed.
+      wrapper times through the executor's fault operations: a derate
+      caps the speed ({!Rt_online.Admission.Exec.derate}), a crash kills
+      a processor and re-homes its orphans to the least-dense feasible
+      survivor or sheds them ({!Rt_online.Admission.Exec.crash}), an
+      overrun inflates remaining cycles. After a derate or an overrun,
+      {!Rt_online.Admission.Exec.replan} makes every over-committed
+      processor shed its cheapest penalty-per-remaining-cycle jobs until
+      EDF-feasible again — committed work is re-planned, never silently
+      missed.
 
     With [queue_capacity = None], [decision_rate = None], no watchdog
     and no faults, the engine reduces to exactly the batch simulator's

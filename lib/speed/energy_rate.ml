@@ -33,23 +33,28 @@ let lower_hull points =
   in
   List.fold_left (fun hull p -> pop p hull) [] points |> List.rev
 
+(* The hull of a level domain: idle/sleep at speed 0, then every level at
+   its power. *)
+let level_hull (proc : Processor.t) ~power levels =
+  let levels = Array.to_list levels in
+  lower_hull
+    (* lint: allow-hot-alloc-in-loop "bounded by the processor's static level count and built once per prepared evaluator, not per evaluation" *)
+    ((0., idle_rate proc) :: List.map (fun l -> (l, power l)) levels)
+
+(* The hull suffix starting at the vertex pair bracketing [u]; sharing
+   the suffix keeps the bracket unboxed (no per-call float pair). *)
+let rec bracket u = function
+  | [ (x, _) ] as last ->
+      if Rt_prelude.Float_cmp.approx_eq x u || Rt_prelude.Float_cmp.exact_lt u x
+      then Some last
+      else None
+  | (_ :: ((x2, _) :: _ as rest)) as pair ->
+      if Rt_prelude.Float_cmp.exact_gt u x2 then bracket u rest else Some pair
+  | [] -> None
+
 (* Mix the two hull vertices around [u]; returns segments + rate. *)
 let mix_on_hull hull u =
-  (* the hull suffix starting at the vertex pair bracketing [u]; sharing
-     the suffix keeps the bracket unboxed (no per-call float pair) *)
-  let rec find = function
-    | [ (x, _) ] as last ->
-        if
-          Rt_prelude.Float_cmp.approx_eq x u
-          || Rt_prelude.Float_cmp.exact_lt u x
-        then Some last
-        else None
-    | (_ :: ((x2, _) :: _ as rest)) as bracket ->
-        if Rt_prelude.Float_cmp.exact_gt u x2 then find rest
-        else Some bracket
-    | [] -> None
-  in
-  match find hull with
+  match bracket u hull with
   | None | Some [] -> None
   | Some ((x1, y1) :: rest) ->
       let x2, y2 = match rest with [] -> (x1, y1) | v :: _ -> v in
@@ -88,12 +93,7 @@ let prepare ?power_factor (proc : Processor.t) =
   let eval =
     match proc.domain with
     | Processor.Levels ls ->
-        let levels = Array.to_list ls in
-        let points =
-          (* lint: allow-hot-alloc-in-loop "bounded by the processor's static level count and built once per prepared evaluator, not per evaluation" *)
-          (0., idle_rate proc) :: List.map (fun l -> (l, power l)) levels
-        in
-        let hull = lower_hull points in
+        let hull = level_hull proc ~power ls in
         fun u ->
           Option.map
             (fun (segments, rate) -> { segments; rate })
@@ -170,23 +170,10 @@ let prepare ?power_factor (proc : Processor.t) =
     if Rt_prelude.Float_cmp.gt u top then None else eval u
 
 (* Rate of the optimal mix on the hull — [mix_on_hull] minus the segment
-   list. The rate arithmetic is copied verbatim (same bracket search,
-   same clamp, same interpolation), so the value is bit-identical; only
-   the plan materialization is skipped. *)
+   list. Same bracket, same clamp, same interpolation, so the value is
+   bit-identical; only the plan materialization is skipped. *)
 let rate_on_hull hull u =
-  let rec find = function
-    | [ (x, _) ] as last ->
-        if
-          Rt_prelude.Float_cmp.approx_eq x u
-          || Rt_prelude.Float_cmp.exact_lt u x
-        then Some last
-        else None
-    | (_ :: ((x2, _) :: _ as rest)) as bracket ->
-        if Rt_prelude.Float_cmp.exact_gt u x2 then find rest
-        else Some bracket
-    | [] -> None
-  in
-  match find hull with
+  match bracket u hull with
   | None | Some [] -> None
   | Some ((x1, y1) :: rest) ->
       let x2, y2 = match rest with [] -> (x1, y1) | v :: _ -> v in
@@ -226,12 +213,7 @@ let prepare_energy ?power_factor (proc : Processor.t) ~horizon =
   in
   match proc.domain with
   | Processor.Levels ls ->
-      let levels = Array.to_list ls in
-      let points =
-        (* lint: allow-hot-alloc-in-loop "bounded by the processor's static level count and built once per prepared evaluator, not per evaluation" *)
-        (0., idle_rate proc) :: List.map (fun l -> (l, power l)) levels
-      in
-      let hull = lower_hull points in
+      let hull = level_hull proc ~power ls in
       fun u ->
         if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then invalid_u ()
         else begin

@@ -68,12 +68,6 @@ let item_of_periodic (t : periodic) =
   item ~penalty:t.penalty ~power_factor:t.power_factor ~id:t.id
     ~weight:(utilization t) ()
 
-let pp_frame ppf (t : frame) =
-  Format.fprintf ppf "τ%d(c=%d, ρ=%g)" t.id t.cycles t.penalty
-
-let pp_periodic ppf (t : periodic) =
-  Format.fprintf ppf "τ%d(c=%d, p=%d, ρ=%g)" t.id t.cycles t.period t.penalty
-
 let pp_item ppf (t : item) =
   Format.fprintf ppf "ι%d(w=%g, ρ=%g)" t.item_id t.weight t.item_penalty
 

@@ -74,8 +74,6 @@ val item :
 
 (** {1 Printers and orders} *)
 
-val pp_frame : Format.formatter -> frame -> unit
-val pp_periodic : Format.formatter -> periodic -> unit
 val pp_item : Format.formatter -> item -> unit
 
 val compare_frame_cycles_desc : frame -> frame -> int

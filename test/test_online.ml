@@ -348,6 +348,140 @@ let test_yds_infeasible () =
   let j = job ~id:0 ~arrival:0. ~cycles:100. ~deadline:50. ~penalty:0. in
   check_bool "over s_max" true (Result.is_error (Yds.energy ~proc [ j ]))
 
+(* ------------------------------------------------------------------ *)
+(* Exec fault operations, on hand-built pending sets *)
+
+(* a leakage-free cubic processor: critical speed 0, so [decide] puts
+   each job on the processor whose density with it is least *)
+let cubic = Rt_power.Processor.cubic ()
+
+let exec_with ~m jobs =
+  match Admission.Exec.create ~proc:cubic ~m with
+  | Error e -> Alcotest.failf "create: %s" (Admission.error_to_string e)
+  | Ok e ->
+      List.iter
+        (fun j ->
+          match Admission.Exec.decide e ~policy:Admission.Admit_all j with
+          | Ok Admission.Admitted -> ()
+          | Ok _ -> Alcotest.failf "job %d should be admitted" j.Job.id
+          | Error err ->
+              Alcotest.failf "decide: %s" (Admission.error_to_string err))
+        jobs;
+      e
+
+let finish_exn e =
+  match Admission.Exec.finish e with
+  | Ok o -> o
+  | Error err -> Alcotest.failf "finish: %s" (Admission.error_to_string err)
+
+let check_ids = Alcotest.(check (list int))
+
+let test_exec_replan_sheds_cheapest () =
+  (* density 80/100 = 0.8 on one processor. Jobs 2 and 3 tie on penalty
+     per remaining cycle (0.2); 3 sits first in deadline order, so only
+     the id breaks the tie. Halving the speed sheds 2 (density 0.6, still
+     over 0.5), then 3 (0.4), and stops before job 1 (0.5 per cycle) *)
+  let e =
+    exec_with ~m:1
+      [
+        job ~id:1 ~arrival:0. ~cycles:20. ~deadline:100. ~penalty:10.;
+        job ~id:3 ~arrival:0. ~cycles:20. ~deadline:90. ~penalty:4.;
+        job ~id:2 ~arrival:0. ~cycles:20. ~deadline:100. ~penalty:4.;
+        job ~id:4 ~arrival:0. ~cycles:20. ~deadline:100. ~penalty:40.;
+      ]
+  in
+  check_ids "fits at full speed" [] (Admission.Exec.replan e ~proc:0);
+  (match Admission.Exec.derate e ~factor:0.5 with
+  | Ok () -> ()
+  | Error err -> Alcotest.failf "derate: %s" (Admission.error_to_string err));
+  check_ids "shed order" [ 2; 3 ] (Admission.Exec.replan e ~proc:0);
+  check_ids "fits after the shed" [] (Admission.Exec.replan e ~proc:0);
+  check_ids "out of range" [] (Admission.Exec.replan e ~proc:1);
+  let o = finish_exn e in
+  check_ids "admitted" [ 1; 4 ] o.Admission.admitted;
+  check_ids "rejected" [ 2; 3 ] o.Admission.rejected;
+  check_float 0. "shed penalties paid" 8. o.Admission.penalty;
+  check_int "no forced rejection" 0 o.Admission.forced_rejections;
+  (* the fit test is tolerant, like the admission test: a density of
+     0.5 + 5e-10 under a 0.5 cap fits *)
+  let e =
+    exec_with ~m:1
+      [ job ~id:5 ~arrival:0. ~cycles:50.00000005 ~deadline:100. ~penalty:1. ]
+  in
+  (match Admission.Exec.derate e ~factor:0.5 with
+  | Ok () -> ()
+  | Error err -> Alcotest.failf "derate: %s" (Admission.error_to_string err));
+  check_ids "fits within the tolerance" [] (Admission.Exec.replan e ~proc:0)
+
+let test_exec_crash_rehomes_or_sheds () =
+  (* decide spreads the jobs: 10 -> proc 0 (density 0.5), 11 -> proc 1
+     (0.45), 20 and 21 -> proc 2 (0.95). After proc 2 crashes, orphan 20
+     fits on proc 0 (0.9) and proc 1 (0.85) and goes to the less dense
+     proc 1; orphan 21 then fits nowhere (1.05, 1.4) and is shed *)
+  let e =
+    exec_with ~m:3
+      [
+        job ~id:10 ~arrival:0. ~cycles:50. ~deadline:100. ~penalty:1.;
+        job ~id:11 ~arrival:0. ~cycles:45. ~deadline:100. ~penalty:1.;
+        job ~id:20 ~arrival:0. ~cycles:40. ~deadline:100. ~penalty:1.;
+        job ~id:21 ~arrival:0. ~cycles:55. ~deadline:100. ~penalty:7.;
+      ]
+  in
+  let check_crash name expected proc =
+    Alcotest.(check (pair (list int) (list int)))
+      name expected
+      (Admission.Exec.crash e ~proc)
+  in
+  check_crash "moved 20, shed 21" ([ 20 ], [ 21 ]) 2;
+  check_ids "live" [ 0; 1 ] (Admission.Exec.live e);
+  check_crash "dead processor" ([], []) 2;
+  check_crash "out of range" ([], []) 3;
+  check_crash "negative index" ([], []) (-1);
+  check_ids "dead processor has nothing to replan" []
+    (Admission.Exec.replan e ~proc:2);
+  let o = finish_exn e in
+  check_ids "admitted" [ 10; 11; 20 ] o.Admission.admitted;
+  check_ids "rejected" [ 21 ] o.Admission.rejected;
+  check_float 0. "shed penalty paid" 7. o.Admission.penalty;
+  (* a tie goes to the earlier processor: 1 -> proc 0 and 2 -> proc 1
+     (0.5 each), 3 -> proc 2 (0.3). Orphan 3 fits procs 0 and 1 at
+     exactly 0.8 and lands on proc 0, so crashing proc 1 next orphans
+     only job 2, which no longer fits on proc 0 (1.3) *)
+  let e =
+    exec_with ~m:3
+      [
+        job ~id:1 ~arrival:0. ~cycles:50. ~deadline:100. ~penalty:1.;
+        job ~id:2 ~arrival:0. ~cycles:50. ~deadline:100. ~penalty:1.;
+        job ~id:3 ~arrival:0. ~cycles:30. ~deadline:100. ~penalty:1.;
+      ]
+  in
+  let check_crash name expected proc =
+    Alcotest.(check (pair (list int) (list int)))
+      name expected
+      (Admission.Exec.crash e ~proc)
+  in
+  check_crash "tie: 3 moves to proc 0" ([ 3 ], []) 2;
+  check_crash "proc 1 held only job 2" ([], [ 2 ]) 1
+
+let test_exec_derate_validates () =
+  let e = exec_with ~m:1 [] in
+  List.iter
+    (fun factor ->
+      match Admission.Exec.derate e ~factor with
+      | Error (Admission.Invalid _) -> ()
+      | _ -> Alcotest.failf "derate %h should be rejected" factor)
+    [ 0.; -0.5; Float.nan; 1.5; Float.infinity ];
+  check_float 0. "cap untouched by rejected factors" 1.
+    (Admission.Exec.speed_cap e);
+  let derate factor =
+    match Admission.Exec.derate e ~factor with
+    | Ok () -> Admission.Exec.speed_cap e
+    | Error err -> Alcotest.failf "derate: %s" (Admission.error_to_string err)
+  in
+  check_float 0. "factor 1 keeps s_max" 1. (derate 1.);
+  check_float 0. "factor 0.5 halves it" 0.5 (derate 0.5);
+  check_float 0. "the harshest derate wins" 0.5 (derate 0.8)
+
 let () =
   Alcotest.run "rt_online"
     [
@@ -382,6 +516,15 @@ let () =
           prop_mp_m1_equals_uniprocessor;
           prop_mp_more_processors_admit_more;
           Alcotest.test_case "spreads load" `Quick test_mp_spreads_load;
+        ] );
+      ( "exec faults",
+        [
+          Alcotest.test_case "replan sheds cheapest per cycle" `Quick
+            test_exec_replan_sheds_cheapest;
+          Alcotest.test_case "crash re-homes or sheds" `Quick
+            test_exec_crash_rehomes_or_sheds;
+          Alcotest.test_case "derate validates its factor" `Quick
+            test_exec_derate_validates;
         ] );
       ( "yds",
         [

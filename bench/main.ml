@@ -190,6 +190,14 @@ let qos_scaling_tests =
         (Staged.stage (fun () -> Rt_core.Qos.greedy_degrade platform tasks)))
     qos_scaling_sizes
 
+(* Branch-and-bound at the shape perfbench's sweep workload solves
+   (n=12, m=3, load 1.4), through the same entry point; CI ratchets this
+   row's minor words per run. *)
+let bnb_test =
+  let p = instance ~seed:(100 + 12) ~n:12 ~m:3 ~load:1.4 in
+  Test.make ~name:"branch-and-bound:n=12"
+    (Staged.stage (fun () -> Rt_core.Exact.branch_and_bound_budgeted p))
+
 (* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
    minor_words only advances at a minor collection on OCaml 5.1: a sample
    that allocates less than one minor heap reads 0, so kernels below a few
@@ -215,7 +223,7 @@ let run_timings () =
       [
         Test.make_grouped ~name:"kernels" kernel_tests;
         Test.make_grouped ~name:"scaling(n=10..100000)"
-          (scaling_tests @ qos_scaling_tests);
+          (scaling_tests @ qos_scaling_tests @ [ bnb_test ]);
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) () in

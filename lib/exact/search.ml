@@ -52,7 +52,13 @@ let rec publish cell cost =
    order (buckets 0..used, first unused bucket for symmetry breaking,
    then rejection), which is what makes a frontier split equivalent to
    the sequential search: all leaves of child i precede all leaves of
-   child i+1 in DFS order. *)
+   child i+1 in DFS order.
+
+   A state carries each bucket's energy beside its load, so a child
+   prices only the bucket it changed, and records decisions as one
+   bucket index per item ([-1] = rejected) rather than as lists. Since
+   [bucket_cost] is pure, a carried energy is the very float a fresh
+   evaluation of the load would give. *)
 
 type engine = {
   m : int;
@@ -67,8 +73,8 @@ type state = {
   next : int;
   used : int;
   loads : float array;
-  buckets : Task.item list array;
-  rejected : Task.item list;
+  energies : float array;  (** [bucket_cost loads.(j)] *)
+  assign : int array;  (** bucket of each decided item, [-1] if rejected *)
   penalty : float;
 }
 
@@ -86,94 +92,127 @@ let prepare ~m ~capacity ~bucket_cost items =
   }
 
 let root e =
+  let loads = Array.make e.m 0. in
   {
     next = 0;
     used = 0;
-    loads = Array.make e.m 0.;
-    buckets = Array.make e.m [];
-    rejected = [];
+    loads;
+    energies = Array.map e.bucket_cost loads;
+    assign = Array.make (Array.length e.arr) (-1);
     penalty = 0.;
   }
 
 (* children of an interior node ([st.next] < number of items) *)
 let expand e st =
   let it = e.arr.(st.next) in
+  let child ~used ~penalty j =
+    let loads = Array.copy st.loads in
+    let energies = Array.copy st.energies in
+    let assign = Array.copy st.assign in
+    if j >= 0 then begin
+      loads.(j) <- loads.(j) +. it.weight;
+      energies.(j) <- e.bucket_cost loads.(j)
+    end;
+    assign.(st.next) <- j;
+    { next = st.next + 1; used; loads; energies; assign; penalty }
+  in
   let children = ref [] in
   for j = min (e.m - 1) st.used downto 0 do
-    if Fc.leq (st.loads.(j) +. it.weight) e.capacity then begin
-      let loads = Array.copy st.loads in
-      let buckets = Array.copy st.buckets in
-      loads.(j) <- loads.(j) +. it.weight;
-      buckets.(j) <- it :: buckets.(j);
+    if Fc.leq (st.loads.(j) +. it.weight) e.capacity then
       children :=
-        {
-          next = st.next + 1;
-          used = max st.used (j + 1);
-          loads;
-          buckets;
-          rejected = st.rejected;
-          penalty = st.penalty;
-        }
-        :: !children
-    end
+        child ~used:(max st.used (j + 1)) ~penalty:st.penalty j :: !children
   done;
   !children
-  @ [
-      {
-        st with
-        next = st.next + 1;
-        loads = Array.copy st.loads;
-        buckets = Array.copy st.buckets;
-        rejected = it :: st.rejected;
-        penalty = st.penalty +. it.item_penalty;
-      };
-    ]
+  @ [ child ~used:st.used ~penalty:(st.penalty +. it.item_penalty) (-1) ]
+
+(* The buckets (items in decision order) and the rejected items (latest
+   decision first) of the first [k] items under [assign]. *)
+let decode e assign k =
+  let buckets = Array.make e.m [] in
+  let rejected = ref [] in
+  for i = 0 to k - 1 do
+    let it = e.arr.(i) in
+    let j = assign.(i) in
+    if j < 0 then rejected := it :: !rejected
+    else buckets.(j) <- it :: buckets.(j)
+  done;
+  (Array.map List.rev buckets, !rejected)
+
+(* What a run found: the best leaf's assignment or, when no leaf
+   strictly beat it, the start state's reject-the-rest seed. *)
+type found = Leaf of int array | Seed of state
+
+type run = { cost : float; found : found; nodes : int; stopped : bool }
+
+(* The solution a run found. A leaf lists its buckets in decision order
+   and its rejections latest first; a seed lists its open items first,
+   then its prefix's rejections. *)
+let solution e r =
+  let n = Array.length e.arr in
+  let buckets, rejected =
+    match r.found with
+    | Leaf a -> decode e a n
+    | Seed st ->
+        let buckets, rejected = decode e st.assign st.next in
+        let open_items = Array.sub e.arr st.next (n - st.next) in
+        (buckets, Array.to_list open_items @ rejected)
+  in
+  {
+    partition = Rt_partition.Partition.of_buckets buckets;
+    rejected = rejected @ e.forced;
+    cost = r.cost;
+  }
 
 (* Depth-first exploration from [st] until done or until [stop nodes]
-   holds; returns the best solution, the nodes visited and whether
-   [stop] fired. The domain running this owns the private
-   [loads]/[buckets] copies; the only cross-domain traffic is the
-   optional [shared] incumbent. Backtracking restores each load to the
-   exact float it held before the move (rather than subtracting the
-   weight back out), so the cost of a leaf is a pure function of its
-   assignment — identical whether reached sequentially or from a split
-   subtree. Once stopped, every pending call returns at once, so the
-   node count is that of the stopping node. *)
+   holds; returns the best cost and what achieved it, the nodes visited
+   and whether [stop] fired. The domain running this owns the private
+   [loads]/[energies]/[assign] copies; the only cross-domain traffic is
+   the optional [shared] incumbent. A placement evaluates [bucket_cost]
+   once, on the changed bucket's new load; a rejection evaluates nothing.
+   Backtracking restores each load and energy to the exact float it held
+   before the move (rather than subtracting the weight back out), so the
+   cost of a leaf is a pure function of its assignment — identical
+   whether reached sequentially or from a split subtree. Bounds and leaf
+   costs sum the energies in bucket order, as one evaluation per bucket
+   would. Decisions live in [assign]; lists are built only for the
+   solution finally returned ([solution]). Once stopped, every pending
+   call returns at once, so the node count is that of the stopping
+   node. *)
 let run_from ?shared ~prune ~stop e st =
   let m = e.m in
   let n = Array.length e.arr in
   let loads = Array.copy st.loads in
-  let buckets = Array.copy st.buckets in
-  let rejected = ref st.rejected in
+  let energies = Array.copy st.energies in
+  let assign = Array.copy st.assign in
   let nodes = ref 0 in
   let stopped = ref false in
-  let buckets_cost () =
+  (* [energy] and [foreign_cut] are inlined into [go]: as calls they
+     would box a float per node *)
+  let energy () =
     let acc = ref 0. in
     for j = 0 to m - 1 do
-      acc := !acc +. e.bucket_cost loads.(j)
+      acc := !acc +. energies.(j)
+    done;
+    !acc
+  [@@inline]
+  in
+  (* seed: reject every remaining item (always feasible) *)
+  let remaining_penalty =
+    let acc = ref 0. in
+    for i = st.next to n - 1 do
+      acc := !acc +. e.arr.(i).item_penalty
     done;
     !acc
   in
-  (* seed: reject every remaining item (always feasible) *)
-  let remaining = Array.sub e.arr st.next (n - st.next) in
   let best_cost =
-    ref
-      (buckets_cost ()
-      +. st.penalty
-      +. Array.fold_left
-           (fun acc (it : Task.item) -> acc +. it.item_penalty)
-           0. remaining
-      +. e.forced_penalty)
+    ref (energy () +. st.penalty +. remaining_penalty +. e.forced_penalty)
   in
-  let best =
-    ref
-      ( Array.map List.rev buckets,
-        List.rev_append (List.rev (Array.to_list remaining)) !rejected )
-  in
-  let foreign_cut =
+  let best = ref (Seed st) in
+  let foreign_cut bound =
     match shared with
-    | None -> fun _ -> false
-    | Some cell -> fun bound -> Fc.exact_gt bound (Atomic.get cell)
+    | None -> false
+    | Some cell -> Fc.exact_gt bound (Atomic.get cell)
+  [@@inline]
   in
   let publish_best =
     match shared with None -> fun _ -> () | Some cell -> publish cell
@@ -183,50 +222,49 @@ let run_from ?shared ~prune ~stop e st =
     if not !stopped then begin
       incr nodes;
       if stop !nodes then stopped := true
-      else if i = n then begin
-        let cost = buckets_cost () +. penalty_so_far +. e.forced_penalty in
-        if Fc.exact_lt cost !best_cost then begin
-          best_cost := cost;
-          best := (Array.map List.rev buckets, !rejected);
-          publish_best cost
-        end
-      end
       else begin
-        let bound = buckets_cost () +. penalty_so_far +. e.forced_penalty in
-        if
+        (* a leaf's cost, or an interior node's monotone bound *)
+        let cost = energy () +. penalty_so_far +. e.forced_penalty in
+        if i = n then begin
+          if Fc.exact_lt cost !best_cost then begin
+            best_cost := cost;
+            best := Leaf (Array.copy assign);
+            publish_best cost
+          end
+        end
+        else if
           (not prune)
-          || (Fc.exact_lt bound !best_cost && not (foreign_cut bound))
+          || (Fc.exact_lt cost !best_cost && not (foreign_cut cost))
         then begin
           let it = e.arr.(i) in
           for j = 0 to min (m - 1) used do
             let before = loads.(j) in
-            if Fc.leq (before +. it.weight) e.capacity then begin
-              let bucket = buckets.(j) in
+            (* once stopped, nothing more is priced *)
+            if (not !stopped) && Fc.leq (before +. it.weight) e.capacity
+            then begin
+              let energy_before = energies.(j) in
               loads.(j) <- before +. it.weight;
-              buckets.(j) <- it :: bucket;
+              energies.(j) <- e.bucket_cost loads.(j);
+              assign.(i) <- j;
               go (i + 1) (max used (j + 1)) penalty_so_far;
-              buckets.(j) <- bucket;
+              energies.(j) <- energy_before;
               loads.(j) <- before
             end
           done;
           (* rejection branch *)
-          let rej = !rejected in
-          rejected := it :: rej;
-          go (i + 1) used (penalty_so_far +. it.item_penalty);
-          rejected := rej
+          assign.(i) <- -1;
+          go (i + 1) used (penalty_so_far +. it.item_penalty)
         end
       end
     end
   in
   go st.next st.used st.penalty;
-  let bs, rej = !best in
-  ( {
-      partition = Rt_partition.Partition.of_buckets bs;
-      rejected = rej @ e.forced;
-      cost = !best_cost;
-    },
-    !nodes,
-    !stopped )
+  {
+    cost = !best_cost;
+    found = !best;
+    nodes = !nodes;
+    stopped = !stopped;
+  }
 
 let make_stop ?node_budget ?deadline () =
   let node_stop =
@@ -268,7 +306,7 @@ type subtree = { state : state; path : int list }
 let subtree_bound e t =
   let acc = ref (t.state.penalty +. e.forced_penalty) in
   for j = 0 to e.m - 1 do
-    acc := !acc +. e.bucket_cost t.state.loads.(j)
+    acc := !acc +. t.state.energies.(j)
   done;
   !acc
 
@@ -286,7 +324,7 @@ let grain_of_split_factor sf =
 (* one worker's private tally, allocated inside its own call (fresh per
    domain — nothing here crosses domains) and returned through the pool *)
 type worker_out = {
-  results : (int list * (solution * int * bool)) list;
+  results : (int list * run) list;
   steals : int;
   splits : int;
   pruned : int;
@@ -354,8 +392,8 @@ let run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e =
          pending subtree still yields a valid result, cheaply *)
       let node_budget = if deadline_expired () then Some 0 else node_budget in
       let stop = make_stop ?node_budget ?deadline () in
-      let ((_, _, exhausted) as r) = run_from ~shared ~prune ~stop e t.state in
-      if exhausted then Atomic.set drained true;
+      let r = run_from ~shared ~prune ~stop e t.state in
+      if r.stopped then Atomic.set drained true;
       results := (t.path, r) :: !results;
       ignore (Atomic.fetch_and_add outstanding (-1))
     in
@@ -419,17 +457,18 @@ let run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e =
 
 (* Results arrive DFS-sorted (by subtree path), so keeping only strict
    improvements makes the earliest subtree win ties — the same solution
-   the sequential depth-first search would have returned. *)
+   the sequential depth-first search would have returned. Only that
+   winner's solution is built. *)
 let combine results =
   List.fold_left
-    (fun acc (_, (sol, nodes, exhausted)) ->
+    (fun acc (_, r) ->
       match acc with
-      | None -> Some (sol, nodes, exhausted)
+      | None -> Some (r, r.nodes, r.stopped)
       | Some (best, total, ex) ->
           Some
-            ( (if Fc.exact_lt sol.cost best.cost then sol else best),
-              total + nodes,
-              ex || exhausted ))
+            ( (if Fc.exact_lt r.cost best.cost then r else best),
+              total + r.nodes,
+              ex || r.stopped ))
     None results
 
 let run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e =
@@ -446,7 +485,7 @@ let run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e =
       let sum f = List.fold_left (fun acc o -> acc + f o) 0 outs in
       Ok
         {
-          best;
+          best = solution e best;
           nodes;
           exhausted;
           stats =
@@ -454,7 +493,7 @@ let run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e =
               steals = List.map (fun (o : worker_out) -> o.steals) outs;
               splits = sum (fun o -> o.splits);
               pruned = sum (fun o -> o.pruned);
-              subtrees = List.map (fun (p, (_, k, _)) -> (p, k)) sorted;
+              subtrees = List.map (fun (p, r) -> (p, r.nodes)) sorted;
             };
         }
 
@@ -491,15 +530,19 @@ let solve ?pool ?(split_factor = default_split_factor) ?shared ?node_budget
             run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e
         | None ->
             let stop = make_stop ?node_budget ?deadline () in
-            let best, nodes, exhausted =
-              run_from ?shared ~prune ~stop e (root e)
-            in
+            let r = run_from ?shared ~prune ~stop e (root e) in
             let stats =
               {
                 steals = [];
                 splits = 0;
                 pruned = 0;
-                subtrees = [ ([], nodes) ];
+                subtrees = [ ([], r.nodes) ];
               }
             in
-            Ok { best; nodes; exhausted; stats })
+            Ok
+              {
+                best = solution e r;
+                nodes = r.nodes;
+                exhausted = r.stopped;
+                stats;
+              })

@@ -14,6 +14,13 @@
     committed bucket energies and committed penalties never decrease as
     the remaining items are placed.
 
+    [bucket_cost] must be pure. The search keeps each bucket's energy
+    beside its load and reuses it: [bucket_cost] runs once per bucket at
+    the start, then once per placement, on the changed bucket's new
+    load; a rejection runs it not at all. A placement is priced before
+    its node is visited, so a node that a budget then stops at has been
+    priced too. A sequential run makes at most [m + nodes] calls.
+
     Complexity is exponential — this is the ground-truth oracle for the
     small instances of experiment E1 and for the property tests, not a
     production algorithm. *)

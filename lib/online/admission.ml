@@ -211,13 +211,19 @@ let advance (proc : Processor.t) ~cap ~s_crit ~p_idle pen ~now ~until =
       else begin
         let i = edf_pick pen in
         let jb = pen.jobs.(i) in
-        let finish = !now +. (pen.remaining.(i) /. speed) in
+        let start = !now in
+        let finish = start +. (pen.remaining.(i) /. speed) in
         let t_next = Float.min finish until in
-        let dt = t_next -. !now in
+        let dt = t_next -. start in
         energy := !energy +. (dt *. Power_model.power proc.model speed);
         pen.remaining.(i) <- pen.remaining.(i) -. (dt *. speed);
         now := t_next;
-        if Fc.exact_le pen.remaining.(i) (eps *. Float.max 1. jb.Job.cycles)
+        (* a finish that rounds to [start] leaves work below the time
+           resolution at [start]: the step changed nothing and would
+           repeat forever, so the job completes *)
+        if
+          Fc.exact_le pen.remaining.(i) (eps *. Float.max 1. jb.Job.cycles)
+          || Fc.exact_le finish start
         then begin
           if Fc.exact_gt !now (jb.Job.deadline +. 1e-6) then
             err := Some (Deadline_miss (miss_of pen ~now:!now jb))

@@ -143,9 +143,13 @@ module Exec : sig
 
   val advance_to : t -> until:float -> (unit, error) result
   (** Run every live processor's EDF executor forward to [until],
-      accumulating energy and makespan. Errors with {!Deadline_miss} if
-      an admitted job completes late (possible only after {!derate} or
-      {!inflate} without a {!replan}). *)
+      accumulating energy and makespan. A job whose finish time rounds
+      to the current time completes there: its work left is below the
+      time resolution, as happens once stream times pass 2^24 and one
+      ulp of a time exceeds the executor's 1e-9 completion tolerance.
+      Errors with {!Deadline_miss} if an admitted job completes late
+      (possible only after {!derate} or {!inflate} without a
+      {!replan}). *)
 
   val decide : t -> policy:policy -> Job.t -> (decision, error) result
     [@@rt.hot "per-arrival step of the streaming admission service"]

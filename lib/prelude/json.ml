@@ -16,7 +16,8 @@ let float_literal f =
   if not (Fc.is_finite f) then
     invalid_arg "Json.to_string: non-finite float";
   (* shortest decimal that round-trips to the same IEEE value; always
-     contains '.', 'e' or 'E' so the parser keeps Int/Float apart *)
+     contains '.', 'e' or 'E' so the parser keeps Int/Float apart, and an
+     integral value gets ".0" — JSON wants a digit after the point *)
   let candidate =
     let p15 = Printf.sprintf "%.15g" f in
     if Fc.exact_eq (float_of_string p15) f then p15
@@ -27,7 +28,7 @@ let float_literal f =
   in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') candidate then
     candidate
-  else candidate ^ "."
+  else candidate ^ ".0"
 
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in

@@ -14,7 +14,7 @@
     as the JSON short escapes or [\u00XX]; [\u00XX] is accepted on input
     for ASCII code points only), 63-bit integers kept distinct from
     floats, finite floats printed with the shortest decimal form that
-    parses back exactly. *)
+    parses back exactly (an integral one as [3.0], never [3.]). *)
 
 type t =
   | Null

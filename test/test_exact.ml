@@ -8,8 +8,8 @@ let check_float eps = Alcotest.(check (float eps))
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let items_of specs =
   List.mapi (fun id (w, p) -> Task.item ~penalty:p ~id ~weight:w ()) specs
@@ -228,6 +228,249 @@ let test_enumeration_cap () =
     (solve_ok ~m:1 (items 17)).Rt_exact.Search.exhausted
 
 (* ------------------------------------------------------------------ *)
+(* Incremental pricing against the re-pricing reference *)
+
+(* The sequential search as it was before bucket energies were carried:
+   every node re-prices all m buckets, and the DFS conses bucket and
+   rejection lists as it goes. Same item order, seed, visit order, bound
+   and tie-breaking as [Search.solve] without a pool; the seed's [+. 0.]
+   is the root's committed penalty. *)
+let reference_solve ?node_budget ?(prune = true) ~m ~capacity ~bucket_cost
+    items =
+  let forced, placeable =
+    List.partition (fun (it : Task.item) -> Fc.gt it.weight capacity) items
+  in
+  let forced_penalty = Taskset.total_penalty_items forced in
+  let arr = Array.of_list (List.sort Task.compare_item_weight_desc placeable) in
+  let n = Array.length arr in
+  let loads = Array.make m 0. in
+  let buckets = Array.make m [] in
+  let rejected = ref [] in
+  let nodes = ref 0 in
+  let stopped = ref false in
+  let stop k = match node_budget with Some b -> k > b | None -> false in
+  let buckets_cost () =
+    let acc = ref 0. in
+    for j = 0 to m - 1 do
+      acc := !acc +. bucket_cost loads.(j)
+    done;
+    !acc
+  in
+  let best_cost =
+    ref
+      (buckets_cost () +. 0.
+      +. Array.fold_left
+           (fun acc (it : Task.item) -> acc +. it.item_penalty)
+           0. arr
+      +. forced_penalty)
+  in
+  let best = ref (Array.map List.rev buckets, Array.to_list arr) in
+  let rec go i used penalty_so_far =
+    if not !stopped then begin
+      incr nodes;
+      if stop !nodes then stopped := true
+      else if i = n then begin
+        let cost = buckets_cost () +. penalty_so_far +. forced_penalty in
+        if Fc.exact_lt cost !best_cost then begin
+          best_cost := cost;
+          best := (Array.map List.rev buckets, !rejected)
+        end
+      end
+      else begin
+        let bound = buckets_cost () +. penalty_so_far +. forced_penalty in
+        if (not prune) || Fc.exact_lt bound !best_cost then begin
+          let it = arr.(i) in
+          for j = 0 to min (m - 1) used do
+            let before = loads.(j) in
+            if Fc.leq (before +. it.weight) capacity then begin
+              let bucket = buckets.(j) in
+              loads.(j) <- before +. it.weight;
+              buckets.(j) <- it :: bucket;
+              go (i + 1) (max used (j + 1)) penalty_so_far;
+              buckets.(j) <- bucket;
+              loads.(j) <- before
+            end
+          done;
+          let rej = !rejected in
+          rejected := it :: rej;
+          go (i + 1) used (penalty_so_far +. it.item_penalty);
+          rejected := rej
+        end
+      end
+    end
+  in
+  go 0 0 0.;
+  let bs, rej = !best in
+  (bs, rej @ forced, !best_cost, !nodes, !stopped)
+
+(* partition buckets, rejected list, cost bits, nodes, exhausted *)
+let outcome_bytes (bs, rej, cost, nodes, exhausted) =
+  Marshal.to_string
+    (bs, rej, Int64.bits_of_float cost, nodes, exhausted)
+    [ Marshal.No_sharing ]
+
+let search_outcome (a : Rt_exact.Search.anytime) =
+  let p = a.best.partition in
+  ( Array.init (Rt_partition.Partition.m p) (Rt_partition.Partition.bucket p),
+    a.best.rejected,
+    a.best.cost,
+    a.nodes,
+    a.exhausted )
+
+(* (name, capacity, bucket_cost): the cubic model, and the prepared
+   energy evaluators behind [Problem.bucket_energy] on an ideal and a
+   levels processor *)
+let cost_models =
+  let prepared name proc =
+    ( name,
+      Rt_power.Processor.s_max proc,
+      Rt_speed.Energy_rate.prepare_energy proc ~horizon:1. )
+  in
+  [|
+    ("cubic", 1., cubic_cost);
+    prepared "xscale"
+      (Rt_power.Processor.xscale
+         ~dormancy:
+           (Rt_power.Processor.Dormant_enable { t_sw = 0.; e_sw = 0. }));
+    prepared "levels"
+      (Rt_power.Processor.xscale_levels
+         ~dormancy:Rt_power.Processor.Dormant_disable);
+  |]
+
+type case = {
+  model : int;  (** index into [cost_models] *)
+  m : int;
+  specs : (float * float) list;
+  budget : int option;
+  full : bool;  (** [~prune:false] *)
+}
+
+let gen_case =
+  QCheck2.Gen.(
+    let* model = int_range 0 2 in
+    let* m = int_range 1 4 in
+    let* n = int_range 1 14 in
+    let* specs =
+      list_repeat n (pair (float_range 0.02 0.7) (float_range 0. 1.5))
+    in
+    let* budget =
+      oneof
+        [
+          pure None; pure (Some 0); pure (Some 1); pure (Some 50);
+          map Option.some (int_range 0 3000);
+        ]
+    in
+    let* full = if n <= 10 then bool else pure false in
+    pure { model; m; specs; budget; full })
+
+let print_case c =
+  let name, _, _ = cost_models.(c.model) in
+  Printf.sprintf "%s m %d budget %s prune %b items [%s]" name c.m
+    (match c.budget with Some b -> string_of_int b | None -> "none")
+    (not c.full)
+    (String.concat "; "
+       (List.map (fun (w, p) -> Printf.sprintf "(%h, %h)" w p) c.specs))
+
+let reference_of c =
+  let _, capacity, bucket_cost = cost_models.(c.model) in
+  reference_solve ?node_budget:c.budget ~prune:(not c.full) ~m:c.m ~capacity
+    ~bucket_cost (items_of c.specs)
+
+let solve_case ?pool c =
+  let _, capacity, bucket_cost = cost_models.(c.model) in
+  match
+    Rt_exact.Search.solve ?pool ?node_budget:c.budget ~prune:(not c.full)
+      ~m:c.m ~capacity ~bucket_cost (items_of c.specs)
+  with
+  | Ok a -> a
+  | Error e -> failwith e
+
+let matches_reference c =
+  String.equal
+    (outcome_bytes (search_outcome (solve_case c)))
+    (outcome_bytes (reference_of c))
+
+let prop_matches_reference =
+  qtest ~count:300 "incremental pricing matches the re-pricing reference"
+    ~print:print_case gen_case matches_reference
+
+(* The same property with the cases spread over a shared 2-domain pool,
+   two searches running at once; then each case (budget dropped) through
+   the work-stealing search on that pool. A pooled run's node count
+   depends on the schedule, so it is compared only where it is fixed:
+   full enumeration visits the sequential count, split between run
+   subtrees and spine nodes. A split subtree's reject-the-rest seed
+   lists its prefix rejections after the rest and sums its penalties in
+   two parts, so where such a seed wins the rejected list and the cost
+   bits can differ from the sequential run's (docs/PARALLEL.md): the
+   rejected list is compared as a set and the cost to 1e-12. *)
+let test_matches_reference_on_pool () =
+  let cases =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 23 |]) ~n:300 gen_case
+  in
+  let ids l =
+    List.sort compare (List.map (fun (it : Task.item) -> it.item_id) l)
+  in
+  Rt_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter2
+        (fun c ok ->
+          if not ok then Alcotest.failf "on a pool domain: %s" (print_case c))
+        cases
+        (Rt_parallel.Pool.map ~pool matches_reference cases);
+      List.iter
+        (fun c ->
+          let c = { c with budget = None } in
+          let a = solve_case ~pool c in
+          let bs, rej, cost, nodes, _ = reference_of c in
+          let pbs, prej, pcost, pnodes, pexhausted = search_outcome a in
+          let tag = print_case c in
+          check_bool (tag ^ ": completed") false pexhausted;
+          check_bool (tag ^ ": buckets") true
+            (String.equal
+               (Marshal.to_string bs [ Marshal.No_sharing ])
+               (Marshal.to_string pbs [ Marshal.No_sharing ]));
+          Alcotest.(check (list int)) (tag ^ ": rejected") (ids rej) (ids prej);
+          check_bool (tag ^ ": cost") true (Fc.approx_eq ~eps:1e-12 cost pcost);
+          if c.full then
+            check_int (tag ^ ": nodes") nodes
+              (pnodes + a.stats.Rt_exact.Search.splits))
+        cases)
+
+(* One energy evaluation per placement: m for the root's buckets, then
+   at most one per node visited (a rejection child evaluates nothing) —
+   also when a node budget stops the search. *)
+let test_bucket_cost_calls () =
+  let rng = Rt_prelude.Rng.create ~seed:17 in
+  List.iter
+    (fun (m, n, budget) ->
+      let items =
+        items_of
+          (List.init n (fun _ ->
+               ( Rt_prelude.Rng.float rng ~lo:0.05 ~hi:0.9,
+                 Rt_prelude.Rng.float rng ~lo:0. ~hi:1. )))
+      in
+      let calls = ref 0 in
+      let bucket_cost load =
+        incr calls;
+        cubic_cost load
+      in
+      match
+        Rt_exact.Search.solve ?node_budget:budget ~m ~capacity:1. ~bucket_cost
+          items
+      with
+      | Error e -> Alcotest.fail e
+      | Ok a ->
+          let tag =
+            Printf.sprintf "m %d n %d: %d calls, %d nodes" m n !calls
+              a.Rt_exact.Search.nodes
+          in
+          check_bool tag true (!calls <= m + a.Rt_exact.Search.nodes))
+    [
+      (1, 8, None); (2, 10, None); (3, 12, None); (4, 12, None);
+      (3, 12, Some 0); (3, 12, Some 1); (3, 12, Some 50); (4, 14, Some 777);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Knapsack *)
 
 let linear_cost w = 0.001 *. float_of_int w
@@ -359,6 +602,11 @@ let () =
           prop_bnb_matches_exhaustive;
           prop_search_solution_consistent;
           Alcotest.test_case "node limit" `Quick test_node_limit;
+          prop_matches_reference;
+          Alcotest.test_case "matches the reference on a pool" `Quick
+            test_matches_reference_on_pool;
+          Alcotest.test_case "one bucket_cost call per placement" `Quick
+            test_bucket_cost_calls;
         ] );
       ( "anytime",
         [

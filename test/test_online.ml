@@ -250,6 +250,46 @@ let test_mp_spreads_load () =
   | Error e -> Alcotest.fail (Admission.error_to_string e)
   | Ok o -> check_int "one forced out on one processor" 1 o.Admission.forced_rejections
 
+(* Past 2^24 one ulp of a stream time exceeds the executor's 1e-9
+   completion tolerance: a job whose last sliver of work finishes within
+   that ulp makes a dt = 0 step, which must complete it rather than
+   repeat. Shifted streams must terminate, admit the same jobs and cost
+   the same up to rounding. *)
+let test_mp_time_shift_terminates () =
+  let shift t (j : Job.t) =
+    job ~id:j.Job.id ~arrival:(j.Job.arrival +. t) ~cycles:j.Job.cycles
+      ~deadline:(j.Job.deadline +. t) ~penalty:j.Job.penalty
+  in
+  let run jobs =
+    match
+      Admission.simulate_mp ~proc ~m:2 ~policy:Admission.Profitable jobs
+    with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Admission.error_to_string e)
+  in
+  List.iter
+    (fun seed ->
+      let jobs =
+        Job.stream
+          (Rt_prelude.Rng.create ~seed)
+          ~n:5000 ~rate:0.02 ~s_max:1. ~mean_cycles:25. ~slack_lo:1.5
+          ~slack_hi:8. ~penalty_factor:1.2
+      in
+      let base = run jobs in
+      List.iter
+        (fun t ->
+          let o = run (List.map (shift t) jobs) in
+          let tag = Printf.sprintf "seed %d shifted by %g" seed t in
+          Alcotest.(check (list int))
+            (tag ^ ": admitted ids") base.Admission.admitted
+            o.Admission.admitted;
+          check_bool (tag ^ ": total within 1e-9 relative") true
+            (Fc.exact_le
+               (Float.abs (o.Admission.total -. base.Admission.total))
+               (1e-9 *. Float.abs base.Admission.total)))
+        [ 0x1p24; 0x1p30 ])
+    [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* YDS *)
 
@@ -516,6 +556,8 @@ let () =
           prop_mp_m1_equals_uniprocessor;
           prop_mp_more_processors_admit_more;
           Alcotest.test_case "spreads load" `Quick test_mp_spreads_load;
+          Alcotest.test_case "time shift past 2^24 terminates" `Quick
+            test_mp_time_shift_terminates;
         ] );
       ( "exec faults",
         [

@@ -317,6 +317,20 @@ let prop_json_float_exact =
       | Ok (Json.Float g) -> Float_cmp.exact_eq f g
       | _ -> false)
 
+(* RFC 8259 wants a digit after the decimal point: integral floats
+   print as "0.0", not "0." *)
+let test_json_integral_floats () =
+  List.iter
+    (fun (f, printed) ->
+      let s = Json.to_string (Json.Float f) in
+      check_string (printed ^ " prints") (printed ^ "\n") s;
+      match Json.parse s with
+      | Ok (Json.Float g) ->
+          check_bool (printed ^ " parses back") true (Float_cmp.exact_eq f g)
+      | Ok _ -> Alcotest.fail "not a float"
+      | Error e -> Alcotest.fail e)
+    [ (0., "0.0"); (9638., "9638.0"); (-3., "-3.0") ]
+
 (* bytes >= 0x80 pass through raw (UTF-8 such as the lint messages' em
    dash); control bytes print as short escapes or \u00XX *)
 let test_json_bytes () =
@@ -390,5 +404,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_errors;
           prop_json_float_exact;
           Alcotest.test_case "utf-8 and control bytes" `Quick test_json_bytes;
+          Alcotest.test_case "integral floats keep a digit" `Quick
+            test_json_integral_floats;
         ] );
     ]

@@ -198,6 +198,20 @@ let bnb_test =
   Test.make ~name:"branch-and-bound:n=12"
     (Staged.stage (fun () -> Rt_core.Exact.branch_and_bound_budgeted p))
 
+(* The offline planner's two kernels at the shape perfbench's plan
+   workload runs (n=200, m=8, load 1.5, the dormant xscale processor):
+   local search from the LTF start, and density_reject. CI ratchets
+   both rows' minor words per run. *)
+let plan_tests =
+  let p = instance ~seed:(100 + 200) ~n:200 ~m:8 ~load:1.5 in
+  let start = Rt_core.Greedy.ltf_reject p in
+  [
+    Test.make ~name:"local-search:n=200"
+      (Staged.stage (fun () -> Rt_core.Local_search.improve p start));
+    Test.make ~name:"density-reject:n=200"
+      (Staged.stage (fun () -> Rt_core.Greedy.density_reject p));
+  ]
+
 (* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
    minor_words only advances at a minor collection on OCaml 5.1: a sample
    that allocates less than one minor heap reads 0, so kernels below a few
@@ -223,7 +237,7 @@ let run_timings () =
       [
         Test.make_grouped ~name:"kernels" kernel_tests;
         Test.make_grouped ~name:"scaling(n=10..100000)"
-          (scaling_tests @ qos_scaling_tests @ [ bnb_test ]);
+          (scaling_tests @ qos_scaling_tests @ [ bnb_test ] @ plan_tests);
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) () in

@@ -50,27 +50,6 @@ let pack_positions (p : Problem.t) ~accept (order : int array) =
 
 let positions (s : Problem.soa) = Array.init s.Problem.n (fun i -> i)
 
-(* positional mirror of [Task.compare_item_weight_desc]: weight
-   descending, id ascending on ties — a total order, so [Array.sort]'s
-   instability is unobservable. The branches below are [Float.compare]
-   unfolded for finite arguments (item weights are finite in any
-   well-formed instance). Full-instance runs should use the precomputed
-   [s.order_weight_desc] instead (sorted once per instance — the
-   per-run sort was over half of an ltf run at n=10^3); this entry
-   point remains for subset re-sorts (density repair). *)
-let sort_weight_desc (s : Problem.soa) order =
-  let w = s.Problem.weights in
-  let ids = s.Problem.ids in
-  Array.sort
-    (fun a b ->
-      let wa = w.(a) in
-      let wb = w.(b) in
-      if Fc.exact_lt wb wa then -1
-      else if Fc.exact_lt wa wb then 1
-      else Int.compare ids.(a) ids.(b))
-    order;
-  order
-
 let always _ _ _ = true
 
 let ltf_reject (p : Problem.t) =
@@ -140,73 +119,130 @@ let density_asc (s : Problem.soa) a b =
   in
   if c <> 0 then c else Int.compare s.Problem.ids.(a) s.Problem.ids.(b)
 
-(* pack by LTF; if some item does not fit, drop the cheapest-density item
-   and retry *)
+(* LTF-pack the positions [accepted] marks, visiting [order_weight_desc]
+   (the order the repacks sorted into); records the k-th placement as
+   [placed.(k)] on processor [onto.(k)]. Returns the placement count, or
+   -1 at the first item that fits nowhere, where a repack would have
+   rejected it. *)
+let pack_mask (s : Problem.soa) ~m ~cap accepted loads placed onto =
+  Array.fill loads 0 m 0.;
+  let order = s.Problem.order_weight_desc in
+  let rec go t k =
+    if t >= s.Problem.n then k
+    else
+      let i = order.(t) in
+      if not accepted.(i) then go (t + 1) k
+      else begin
+        let w = s.Problem.weights.(i) in
+        let j = feasible_scan loads m cap w 0 (-1) 0. in
+        if j < 0 then -1
+        else begin
+          loads.(j) <- loads.(j) +. w;
+          placed.(k) <- i;
+          onto.(k) <- j;
+          go (t + 1) (k + 1)
+        end
+      end
+  in
+  go 0 0
+
+(* [Solution.cost]'s total for [count] placements and the [rejected]
+   positions, in its own summation order: each bucket summed newest
+   first (as [Partition.of_buckets] does), a left fold of bucket
+   energies, then a left fold of penalties along the rejected list.
+   [sums] is scratch. *)
+let packed_cost (p : Problem.t) sums placed onto count rejected =
+  let s = Problem.soa p in
+  Array.fill sums 0 p.m 0.;
+  for k = count - 1 downto 0 do
+    let j = onto.(k) in
+    sums.(j) <- sums.(j) +. s.Problem.weights.(placed.(k))
+  done;
+  if Array.exists (fun l -> Fc.gt l (Problem.capacity p)) sums then
+    invalid_arg
+      "Greedy: internal solution invalid: Solution.cost: a processor \
+       exceeds capacity";
+  let energy = Array.fold_left (fun acc l -> acc +. s.Problem.energy l) 0. sums in
+  let penalty =
+    List.fold_left (fun acc i -> acc +. s.Problem.penalties.(i)) 0. rejected
+  in
+  energy +. penalty
+
+(* Start accept-all (minus items over capacity); while the LTF packing
+   fails, drop the cheapest-density item; then, cheapest density first,
+   drop any item whose removal still packs and lowers the total cost,
+   restarting after each drop. Both phases walk one density order, and
+   every pack runs over an accepted mask in the instance's LTF order. *)
 let density_reject (p : Problem.t) =
   let s = Problem.soa p in
   let cap = Problem.capacity p in
-  let pack accepted =
-    pack_positions p ~accept:always
-      (sort_weight_desc s (Array.of_list accepted))
+  let n = s.Problem.n and m = p.m in
+  let by_density = Array.init n (fun i -> i) in
+  Array.sort (density_asc s) by_density;
+  let accepted =
+    Array.map (fun w -> Rt_prelude.Float_cmp.leq w cap) s.Problem.weights
   in
-  let items_of positions = List.map (fun i -> s.Problem.item_arr.(i)) positions in
+  let loads = Array.make m 0. and sums = Array.make m 0. in
+  let placed = Array.make n 0 and onto = Array.make n 0 in
+  let pack () = pack_mask s ~m ~cap accepted loads placed onto in
+  (* the items over capacity, in position order, end the rejected list *)
+  let rec oversize i acc =
+    if i < 0 then acc
+    else oversize (i - 1) (if accepted.(i) then acc else i :: acc)
+  in
   (* phase 1: repair to feasibility (ltf_reject already force-rejects
      overflow; we instead choose *which* item to drop by density) *)
-  let rec repair accepted rejected =
-    let trial = pack accepted in
-    if trial.Solution.rejected = [] then (trial, rejected)
+  let rec next_accepted d =
+    if accepted.(by_density.(d)) then d else next_accepted (d + 1)
+  in
+  let rec repair d dropped =
+    let count = pack () in
+    if count >= 0 then (count, dropped)
     else begin
-      match List.sort (density_asc s) accepted with
-      | [] -> (trial, rejected)
-      | cheapest :: _ ->
-          repair
-            (List.filter (fun i -> i <> cheapest) accepted)
-            (cheapest :: rejected)
+      let d = next_accepted d in
+      let cheapest = by_density.(d) in
+      accepted.(cheapest) <- false;
+      repair (d + 1) (cheapest :: dropped)
     end
   in
-  let fitting, oversize =
-    List.partition
-      (fun i -> Rt_prelude.Float_cmp.leq s.Problem.weights.(i) cap)
-      (Array.to_list (positions s))
-  in
-  let packed, dropped = repair fitting oversize in
-  let base =
-    { packed with Solution.rejected = packed.Solution.rejected @ items_of dropped }
-  in
-  (* phase 2: trimming — reject any further item that still pays off *)
-  let position_of (it : Task.item) =
-    Hashtbl.find s.Problem.index_of it.item_id
-  in
-  let rec trim solution =
-    let current = total_cost p solution in
-    let accepted =
-      List.map position_of
-        (Rt_partition.Partition.all_items solution.Solution.partition)
-    in
-    let try_drop i =
-      let remaining = List.filter (fun x -> x <> i) accepted in
-      let repacked = pack remaining in
-      if repacked.Solution.rejected <> [] then None
+  let count, rejected = repair 0 (oversize (n - 1) []) in
+  (* phase 2: trimming — reject any further item that still pays off;
+     a candidate that no longer packs never does *)
+  let rec trim current rejected d =
+    if d >= n then rejected
+    else begin
+      let i = by_density.(d) in
+      if not accepted.(i) then trim current rejected (d + 1)
       else begin
-        let candidate =
-          {
-            repacked with
-            Solution.rejected =
-              s.Problem.item_arr.(i) :: solution.Solution.rejected;
-          }
+        accepted.(i) <- false;
+        let candidate = i :: rejected in
+        let count = pack () in
+        let c =
+          if count < 0 then Float.infinity
+          else packed_cost p sums placed onto count candidate
         in
-        let c = total_cost p candidate in
         (* strict improvement with a relative margin; exact on purpose *)
         if Fc.exact_lt c (current -. (1e-12 *. Float.max 1. current)) then
-          Some candidate
-        else None
+          trim c candidate 0
+        else begin
+          accepted.(i) <- true;
+          trim current rejected (d + 1)
+        end
       end
-    in
-    match List.find_map try_drop (List.sort (density_asc s) accepted) with
-    | Some better -> trim better
-    | None -> solution
+    end
   in
-  trim base
+  let rejected =
+    trim (packed_cost p sums placed onto count rejected) rejected 0
+  in
+  let count = pack () in
+  let buckets = Array.make m [] in
+  for k = 0 to count - 1 do
+    buckets.(onto.(k)) <- s.Problem.item_arr.(placed.(k)) :: buckets.(onto.(k))
+  done;
+  {
+    Solution.partition = Rt_partition.Partition.of_buckets buckets;
+    rejected = List.map (fun i -> s.Problem.item_arr.(i)) rejected;
+  }
 
 let best_of algorithms (p : Problem.t) =
   match algorithms with

@@ -11,7 +11,13 @@ open Rt_task
    moves, so [renormalize] rebuilds both arrays from scratch every
    [renorm_every] applied moves — in the same newest-first summation order
    as [Partition.of_buckets], keeping the state exactly equal to a
-   from-scratch [Solution.cost] re-evaluation. *)
+   from-scratch [Solution.cost] re-evaluation.
+
+   The rejected items are a stack of positions: [rej.(rlen - 1)] is the
+   head of the rejected list, so a rejection pushes and the list order
+   is the stack read top-down. [stamp.(j)] is the [clock] value of
+   bucket [j]'s latest change; every change takes a fresh value, so a
+   stamp names one state of one bucket. *)
 type state = {
   m : int;
   soa : Problem.soa;
@@ -19,8 +25,15 @@ type state = {
   blen : int array;
   loads : float array;
   energies : float array;
-  mutable rejected : Task.item list;
+  rej : int array;  (* rej.(0 .. rlen-1): rejected positions *)
+  mutable rlen : int;
+  stamp : int array;
+  mutable clock : int;
 }
+
+let touch st j =
+  st.clock <- st.clock + 1;
+  st.stamp.(j) <- st.clock
 
 let push st j pos =
   let len = st.blen.(j) in
@@ -45,28 +58,75 @@ let remove_at st j i =
   Array.blit arr (i + 1) arr i (len - 1 - i);
   st.blen.(j) <- len - 1
 
+(* Write the positions of [items] into [buf] from index [k] on, checking
+   that each id is the problem's and is seen for the first time; returns
+   the index after the last one written. *)
+let rec claim (soa : Problem.soa) seen buf k = function
+  | [] -> Ok k
+  | (it : Task.item) :: rest -> (
+      match Hashtbl.find_opt soa.Problem.index_of it.item_id with
+      | None -> Error (Printf.sprintf "item %d is not in the problem" it.item_id)
+      | Some pos ->
+          if seen.(pos) then
+            Error (Printf.sprintf "item %d appears more than once" it.item_id)
+          else begin
+            seen.(pos) <- true;
+            buf.(k) <- pos;
+            claim soa seen buf (k + 1) rest
+          end)
+
 let state_of_solution (p : Problem.t) (s : Solution.t) =
   let soa = Problem.soa p in
+  let n = soa.Problem.n in
   let m = Rt_partition.Partition.m s.partition in
-  let position_of (it : Task.item) =
-    Hashtbl.find soa.Problem.index_of it.item_id
+  let seen = Array.make n false in
+  let buf = Array.make n 0 in
+  let bidx = Array.make m [||] in
+  (* bucket lists are newest first; store oldest first *)
+  let rec claim_buckets j k =
+    if j >= m then Ok k
+    else
+      match
+        claim soa seen buf k (Rt_partition.Partition.bucket s.partition j)
+      with
+      | Error _ as e -> e
+      | Ok k' ->
+          let b = Array.make (k' - k) 0 in
+          for i = 0 to k' - k - 1 do
+            b.(i) <- buf.(k' - 1 - i)
+          done;
+          bidx.(j) <- b;
+          claim_buckets (j + 1) k'
   in
-  let bidx =
-    Array.init m (fun j ->
-        (* bucket lists are newest first; store oldest first *)
-        Array.of_list
-          (List.rev_map position_of (Rt_partition.Partition.bucket s.partition j)))
-  in
-  let loads = Rt_partition.Partition.loads s.partition in
-  {
-    m;
-    soa;
-    bidx;
-    blen = Array.map Array.length bidx;
-    loads;
-    energies = Array.map soa.Problem.energy loads;
-    rejected = s.rejected;
-  }
+  let ( let* ) = Result.bind in
+  let* placed = claim_buckets 0 0 in
+  let* total = claim soa seen buf placed s.rejected in
+  if total <> n then
+    Error
+      (Printf.sprintf "the solution places or rejects %d of the problem's %d items"
+         total n)
+  else begin
+    (* the rejected list, head first, sits in [buf.(placed ..)]; the
+       stack keeps the head on top *)
+    let rej = Array.make n 0 in
+    for r = 0 to total - placed - 1 do
+      rej.(r) <- buf.(total - 1 - r)
+    done;
+    let loads = Rt_partition.Partition.loads s.partition in
+    Ok
+      {
+        m;
+        soa;
+        bidx;
+        blen = Array.map Array.length bidx;
+        loads;
+        energies = Array.map soa.Problem.energy loads;
+        rej;
+        rlen = total - placed;
+        stamp = Array.init m (fun j -> j + 1);
+        clock = m;
+      }
+  end
 
 (* rebuild one bucket's newest-first list representation; the conses are
    the output, not churn *)
@@ -79,11 +139,21 @@ let rec build_bucket_list st j i acc =
     in
     build_bucket_list st j (i + 1) acc
 
+(* the rejected list, head first: the stack read bottom-up, consing *)
+let rec build_rejected_list st r acc =
+  if r >= st.rlen then acc
+  else
+    let acc =
+      (* lint: allow-hot-alloc-in-loop "one cons per rejected item of the final solution" *)
+      st.soa.Problem.item_arr.(st.rej.(r)) :: acc
+    in
+    build_rejected_list st (r + 1) acc
+
 let solution_of_state st =
   let buckets = Array.init st.m (fun j -> build_bucket_list st j 0 []) in
   {
     Solution.partition = Rt_partition.Partition.of_buckets buckets;
-    rejected = st.rejected;
+    rejected = build_rejected_list st 0 [];
   }
 
 (* newest-first summation, the order [Partition.of_buckets] uses, so a
@@ -96,7 +166,8 @@ let renormalize st =
   for j = 0 to st.m - 1 do
     let l = sum_bucket st j (st.blen.(j) - 1) 0. in
     st.loads.(j) <- l;
-    st.energies.(j) <- st.soa.Problem.energy l
+    st.energies.(j) <- st.soa.Problem.energy l;
+    touch st j
   done
 
 (* one full renormalization per this many applied moves bounds the
@@ -105,12 +176,26 @@ let renorm_every = 4096
 
 type budgeted = { solution : Solution.t; moves : int; exhausted : bool }
 
-(* Move loop on a pre-validated solution; returns the improved solution,
-   the number of moves applied, and whether the step budget stopped the
-   loop while a scan was still finding improving moves. *)
-let improve_state ~max_moves (p : Problem.t) (s : Solution.t) =
+(* Move loop on a validated state; returns the improved solution, the
+   number of moves applied, and whether the step budget stopped the loop
+   while a scan was still finding improving moves.
+
+   Scans are memoised on the bucket stamps. Every move a scan tests is
+   a pure function of the one or two buckets it touches (their items,
+   load and energy) and of constants of the run ([eps], [cap], the SoA).
+   So once a full scan has found nothing in a bucket (reject), from a
+   bucket to another (move, per ordered pair) or between two buckets
+   (swap, per pair), the same scan finds nothing again while neither
+   stamp has moved, and is skipped. [*_clean] hold the [clock] at which
+   that scan last came up empty. A move scan tests only the dirty
+   destinations of each item; the first item with an improving one gets
+   the full best-destination selection over every [k], as before. The
+   accept test is remembered per rejected item ([acc_at]) and
+   E(l_j - w) per placed item ([efrom]). The first improving move in
+   scan order is therefore the one the unmemoised scans choose, with
+   every float computed as they compute it. *)
+let improve_state ~max_moves (p : Problem.t) st =
   let cap = Problem.capacity p in
-  let st = state_of_solution p s in
   let soa = st.soa in
   let energy l = soa.Problem.energy l in
   let weight pos = soa.Problem.weights.(pos) in
@@ -126,86 +211,151 @@ let improve_state ~max_moves (p : Problem.t) (s : Solution.t) =
 
   let apply_remove j i w =
     remove_at st j i;
-    st.loads.(j) <- st.loads.(j) -. w
+    st.loads.(j) <- st.loads.(j) -. w;
+    touch st j
   in
   let apply_add j pos w =
     push st j pos;
-    st.loads.(j) <- st.loads.(j) +. w
+    st.loads.(j) <- st.loads.(j) +. w;
+    touch st j
   in
-  let refresh j = st.energies.(j) <- energy st.loads.(j) in
+  let refresh j =
+    st.energies.(j) <- energy st.loads.(j);
+    touch st j
+  in
+
+  (* [efrom.(pos)] memoises E(l_j - w_pos) for the item at [pos] in
+     bucket [j], valid while [efrom_at.(pos)] is bucket [j]'s stamp; the
+     reject and move scans both price it, and the move scan once per
+     item, not per destination *)
+  let efrom = Array.make soa.Problem.n 0. in
+  let efrom_at = Array.make soa.Problem.n (-1) in
+  let removal_energy j pos =
+    if efrom_at.(pos) <> st.stamp.(j) then begin
+      efrom.(pos) <- energy (st.loads.(j) -. weight pos);
+      efrom_at.(pos) <- st.stamp.(j)
+    end
+  in
+  let reject_clean = Array.make m (-1) in
+  let move_clean = Array.make (m * m) (-1) in
+  let swap_clean = Array.make (m * m) (-1) in
+  (* [acc_at.(pos)] is the clock at which rejected item [pos] last
+     failed the accept test, [acc_best.(pos)] the processor it was
+     tested on (-1: it fit nowhere), [acc_at.(pos) = -1] when unknown.
+     While that processor is unchanged, the least-loaded fit can only
+     move to a processor changed since, and if it has not moved the test
+     fails again. *)
+  let acc_at = Array.make soa.Problem.n (-1) in
+  let acc_best = Array.make soa.Problem.n (-1) in
+
+  let pair_clean memo j k =
+    let v = memo.((j * m) + k) in
+    st.stamp.(j) <= v && st.stamp.(k) <= v
+  in
 
   let try_reject () =
     (* first item (buckets ascending, newest first within) whose
        rejection pays: saved marginal energy beats its penalty *)
-    let rec find_bucket j i =
-      if i < 0 then if j + 1 >= m then None else find_bucket (j + 1) (st.blen.(j + 1) - 1)
+    let rec scan_bucket j i =
+      if i < 0 then -1
       else begin
         let pos = st.bidx.(j).(i) in
+        removal_energy j pos;
         if
           Fc.exact_gt
-            (st.energies.(j)
-            -. energy (st.loads.(j) -. weight pos)
-            -. soa.Problem.penalties.(pos))
+            (st.energies.(j) -. efrom.(pos) -. soa.Problem.penalties.(pos))
             eps
-        then Some (j, i)
-        else find_bucket j (i - 1)
+        then i
+        else scan_bucket j (i - 1)
       end
     in
-    match find_bucket 0 (st.blen.(0) - 1) with
-    | Some (j, i) ->
-        let pos = st.bidx.(j).(i) in
-        apply_remove j i (weight pos);
-        refresh j;
-        st.rejected <- soa.Problem.item_arr.(pos) :: st.rejected;
-        true
-    | None -> false
+    let rec over j =
+      if j >= m then false
+      else if st.stamp.(j) <= reject_clean.(j) then over (j + 1)
+      else begin
+        let i = scan_bucket j (st.blen.(j) - 1) in
+        if i < 0 then begin
+          reject_clean.(j) <- st.clock;
+          over (j + 1)
+        end
+        else begin
+          let pos = st.bidx.(j).(i) in
+          apply_remove j i (weight pos);
+          refresh j;
+          st.rej.(st.rlen) <- pos;
+          st.rlen <- st.rlen + 1;
+          acc_at.(pos) <- -1;
+          true
+        end
+      end
+    in
+    over 0
   in
 
-  let min_load_feasible w =
+  (* the least-loaded processor [w] fits on (earliest index on ties),
+     among [keep] and the processors changed after clock [since]; with
+     [since = -1] and [keep = -1] that is every processor *)
+  let least_loaded_fit ~since ~keep w =
     let rec scan j best_j best_l =
-      if j >= m then if best_j < 0 then None else Some best_j
+      if j >= m then best_j
       else
         let l = st.loads.(j) in
-        if fits l w && (best_j < 0 || not (Fc.exact_le best_l l)) then
-          scan (j + 1) j l
+        if
+          (j = keep || (st.stamp.(j) > since && fits l w))
+          && (best_j < 0 || not (Fc.exact_le best_l l))
+        then scan (j + 1) j l
         else scan (j + 1) best_j best_l
     in
     scan 0 (-1) 0.
   in
 
   let try_accept () =
-    let pick =
-      List.find_map
-        (fun (it : Task.item) ->
-          match min_load_feasible it.weight with
-          | None -> None
-          | Some j ->
-              let marginal =
-                energy (st.loads.(j) +. it.weight) -. st.energies.(j)
-              in
-              if Fc.exact_gt (it.item_penalty -. marginal) eps then
-                Some (it, j)
-              else None)
-        st.rejected
+    (* first rejected item, in list order (the stack top-down), whose
+       penalty beats its marginal energy on the least-loaded processor
+       it fits on; the stack is compacted in place, keeping that order *)
+    let rec scan r =
+      if r < 0 then false
+      else begin
+        let pos = st.rej.(r) in
+        let w = weight pos in
+        let since = acc_at.(pos) and keep = acc_best.(pos) in
+        let memo = since >= 0 && (keep < 0 || st.stamp.(keep) <= since) in
+        let j =
+          if memo then least_loaded_fit ~since ~keep w
+          else least_loaded_fit ~since:(-1) ~keep:(-1) w
+        in
+        if memo && j = keep then begin
+          acc_at.(pos) <- st.clock;
+          scan (r - 1)
+        end
+        else if
+          j >= 0
+          && Fc.exact_gt
+               (soa.Problem.penalties.(pos)
+               -. (energy (st.loads.(j) +. w) -. st.energies.(j)))
+               eps
+        then begin
+          Array.blit st.rej (r + 1) st.rej r (st.rlen - 1 - r);
+          st.rlen <- st.rlen - 1;
+          apply_add j pos w;
+          refresh j;
+          true
+        end
+        else begin
+          acc_best.(pos) <- j;
+          acc_at.(pos) <- st.clock;
+          scan (r - 1)
+        end
+      end
     in
-    match pick with
-    | None -> false
-    | Some (it, j) ->
-        st.rejected <-
-          List.filter
-            (fun (x : Task.item) -> x.item_id <> it.item_id)
-            st.rejected;
-        apply_add j (Hashtbl.find soa.Problem.index_of it.item_id) it.weight;
-        refresh j;
-        true
+    scan (st.rlen - 1)
   in
 
   (* relocation gain of moving the item at position [pos] from processor
-     [j] to [k]; pure in the scan state, so the winning gain can be
-     recomputed bit-for-bit instead of carried in a boxed pair *)
+     [j] to [k], [efrom.(pos)] being fresh; the same association as
+     [E_j + E_k - E(l_j - w) - E(l_k + w)] *)
   let move_gain j pos k =
-    st.energies.(j) +. st.energies.(k)
-    -. energy (st.loads.(j) -. weight pos)
+    st.energies.(j) +. st.energies.(k) -. efrom.(pos)
     -. energy (st.loads.(k) +. weight pos)
   in
 
@@ -220,43 +370,85 @@ let improve_state ~max_moves (p : Problem.t) (s : Solution.t) =
       end
       else best_dest j pos (k + 1) best_k best_gain
     in
+    (* does some destination whose pair with [j] is dirty improve? A
+       clean pair improves for no item of [j], so this is exactly
+       "the best destination improves" *)
+    let rec improves_dirty j pos k =
+      if k >= m then false
+      else if
+        k <> j
+        && (not (pair_clean move_clean j k))
+        && fits st.loads.(k) (weight pos)
+        && Fc.exact_gt (move_gain j pos k) eps
+      then true
+      else improves_dirty j pos (k + 1)
+    in
     let rec scan_items j i =
-      if i < 0 then
-        if j + 1 >= m then None else scan_items (j + 1) (st.blen.(j + 1) - 1)
+      if i < 0 then -1
       else begin
         let pos = st.bidx.(j).(i) in
-        let k = best_dest j pos 0 (-1) 0. in
-        if k >= 0 && Fc.exact_gt (move_gain j pos k) eps then Some (j, i, k)
-        else scan_items j (i - 1)
+        removal_energy j pos;
+        if improves_dirty j pos 0 then i else scan_items j (i - 1)
       end
     in
-    match scan_items 0 (st.blen.(0) - 1) with
-    | Some (j, i, k) ->
-        let pos = st.bidx.(j).(i) in
-        let w = weight pos in
-        apply_remove j i w;
-        apply_add k pos w;
-        refresh j;
-        refresh k;
-        true
-    | None -> false
+    let rec all_clean j k =
+      k >= m || ((k = j || pair_clean move_clean j k) && all_clean j (k + 1))
+    in
+    let rec over j =
+      if j >= m then false
+      else if all_clean j 0 then over (j + 1)
+      else begin
+        let i = scan_items j (st.blen.(j) - 1) in
+        if i < 0 then begin
+          Array.fill move_clean (j * m) m st.clock;
+          over (j + 1)
+        end
+        else begin
+          let pos = st.bidx.(j).(i) in
+          let k = best_dest j pos 0 (-1) 0. in
+          let w = weight pos in
+          apply_remove j i w;
+          apply_add k pos w;
+          refresh j;
+          refresh k;
+          true
+        end
+      end
+    in
+    over 0
   in
 
   let try_swap () =
     (* first improving exchange, scanned in the same order as before the
        SoA pass: j < k ascending, [a] newest-first along bucket j, [b]
        newest-first along bucket k *)
-    let rec over_j j = if j > m - 2 then None else over_k j (j + 1)
+    let rec over_j j = if j > m - 2 then false else over_k j (j + 1)
     and over_k j k =
-      if k > m - 1 then over_j (j + 1) else scan_a j k (st.blen.(j) - 1)
+      if k > m - 1 then over_j (j + 1)
+      else if pair_clean swap_clean j k then over_k j (k + 1)
+      else scan_a j k (st.blen.(j) - 1)
     and scan_a j k ia =
-      if ia < 0 then over_k j (k + 1)
-      else
-        match scan_b j k ia (st.blen.(k) - 1) with
-        | Some _ as found -> found
-        | None -> scan_a j k (ia - 1)
+      if ia < 0 then begin
+        swap_clean.((j * m) + k) <- st.clock;
+        over_k j (k + 1)
+      end
+      else begin
+        let ib = scan_b j k ia (st.blen.(k) - 1) in
+        if ib < 0 then scan_a j k (ia - 1)
+        else begin
+          let pa = st.bidx.(j).(ia) and pb = st.bidx.(k).(ib) in
+          let wa = weight pa and wb = weight pb in
+          apply_remove j ia wa;
+          apply_remove k ib wb;
+          apply_add j pb wb;
+          apply_add k pa wa;
+          refresh j;
+          refresh k;
+          true
+        end
+      end
     and scan_b j k ia ib =
-      if ib < 0 then None
+      if ib < 0 then -1
       else begin
         let wa = weight st.bidx.(j).(ia) and wb = weight st.bidx.(k).(ib) in
         let lj = st.loads.(j) -. wa +. wb in
@@ -267,22 +459,11 @@ let improve_state ~max_moves (p : Problem.t) (s : Solution.t) =
           && Fc.exact_gt
                (st.energies.(j) +. st.energies.(k) -. energy lj -. energy lk)
                eps
-        then Some (j, k, ia, ib)
+        then ib
         else scan_b j k ia (ib - 1)
       end
     in
-    match over_j 0 with
-    | None -> false
-    | Some (j, k, ia, ib) ->
-        let pa = st.bidx.(j).(ia) and pb = st.bidx.(k).(ib) in
-        let wa = weight pa and wb = weight pb in
-        apply_remove j ia wa;
-        apply_remove k ib wb;
-        apply_add j pb wb;
-        apply_add k pa wa;
-        refresh j;
-        refresh k;
-        true
+    over_j 0
   in
 
   let moves = ref 0 in
@@ -300,11 +481,15 @@ let improve_state ~max_moves (p : Problem.t) (s : Solution.t) =
   (solution_of_state st, !moves, !progress)
 
 let improve_budgeted ?(max_moves = 10_000) (p : Problem.t) (s : Solution.t) =
+  let error msg = Error ("Local_search.improve: " ^ msg) in
   match Solution.cost p s with
-  | Error msg -> Error ("Local_search.improve: " ^ msg)
-  | Ok _ ->
-      let solution, moves, exhausted = improve_state ~max_moves p s in
-      Ok { solution; moves; exhausted }
+  | Error msg -> error msg
+  | Ok _ -> (
+      match state_of_solution p s with
+      | Error msg -> error msg
+      | Ok st ->
+          let solution, moves, exhausted = improve_state ~max_moves p st in
+          Ok { solution; moves; exhausted })
 
 let improve ?max_moves (p : Problem.t) (s : Solution.t) =
   match improve_budgeted ?max_moves p s with
@@ -319,7 +504,10 @@ module Drift_test = struct
   let init p s =
     match Solution.cost p s with
     | Error msg -> invalid_arg ("Local_search.Drift_test.init: " ^ msg)
-    | Ok _ -> { p; st = state_of_solution p s; cap = Problem.capacity p }
+    | Ok _ -> (
+        match state_of_solution p s with
+        | Error msg -> invalid_arg ("Local_search.Drift_test.init: " ^ msg)
+        | Ok st -> { p; st; cap = Problem.capacity p })
 
   let random_step rng { st; cap; _ } =
     let m = st.m in
@@ -382,7 +570,7 @@ module Drift_test = struct
     (* same association as [Solution.cost]: left fold over buckets, then
        the penalty sum *)
     let energy_total = Array.fold_left ( +. ) 0. st.energies in
-    energy_total +. Taskset.total_penalty_items st.rejected
+    energy_total +. Taskset.total_penalty_items (build_rejected_list st 0 [])
 
   let solution { st; _ } = solution_of_state st
 end

@@ -14,7 +14,21 @@
     Moves 3–4 do not change the objective's penalty term; they rebalance
     loads, which strictly helps because the rate function is convex — and
     they unlock further accept moves by creating room. Each applied move
-    strictly decreases the total cost, so the search terminates. *)
+    strictly decreases the total cost, so the search terminates.
+
+    {b Memoised scans.} Each processor carries a stamp that every change
+    to it (an applied move, a refreshed energy, a renormalization) sets to
+    a fresh clock value. A scan that comes up empty records the clock: per
+    processor for reject, per ordered pair for move, per pair for swap,
+    per rejected item for accept. A later scan skips every entry whose
+    processors' stamps are not newer, and a move scan tests only the
+    destinations whose pair is not clean. This cannot change the chosen
+    move: a candidate's gain is a pure function of the processors it
+    touches (their items, load and energy) and of the run's constants,
+    so a clean entry would be re-priced from bit-for-bit the same inputs
+    and fail again. The scan order, the first improving move it finds,
+    and every float it computes are those of a scan that re-prices
+    everything. *)
 
 type budgeted = {
   solution : Solution.t;  (** best solution reached within the budget *)
@@ -29,13 +43,16 @@ val improve : ?max_moves:int -> Problem.t -> Solution.t -> Solution.t
   [@@rt.hot "O(moves x m x items) scan dominates the anytime pipeline"]
 (** [max_moves] defaults to 10_000 (a safety valve; typical instances
     converge in far fewer). The input must be feasible ([Solution.cost]
-    must succeed). @raise Invalid_argument otherwise. *)
+    must succeed) and hold each of the problem's items exactly once.
+    @raise Invalid_argument otherwise. *)
 
 val improve_budgeted :
   ?max_moves:int -> Problem.t -> Solution.t -> (budgeted, string) result
   [@@rt.hot "O(moves x m x items) scan dominates the anytime pipeline"]
 (** Anytime variant of {!improve}: an infeasible input is a typed error
-    rather than an exception, and hitting [max_moves] is reported via
+    rather than an exception, and so is a solution whose items are not
+    exactly the problem's (an unknown id, an item placed or rejected
+    twice, a missing item). Hitting [max_moves] is reported via
     [exhausted] instead of being silent. Since every applied move keeps
     the solution feasible and strictly decreases cost, the budget bounds
     work without sacrificing validity. *)
@@ -54,7 +71,8 @@ module Drift_test : sig
   type t
 
   val init : Problem.t -> Solution.t -> t
-  (** @raise Invalid_argument when the solution is infeasible. *)
+  (** @raise Invalid_argument when the solution is infeasible or its
+      items are not exactly the problem's. *)
 
   val random_step : Rt_prelude.Rng.t -> t -> bool
   (** Propose one random move or swap; apply it iff it keeps every load

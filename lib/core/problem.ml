@@ -26,10 +26,10 @@ type t = {
    the item-list walks on the hot paths, [index_of] gives O(1) id lookup,
    and [energy] is the prepared {!Rt_speed.Energy_rate.prepare_energy}
    evaluator — hull and critical speed hoisted out of the per-load call,
-   one flat closure per call, no plan/option boxed (the schedulers only
-   compare the scalar; [prepare_energy] is bit-identical to
-   [optimal]'s rate × horizon, and raises past capacity, which the
-   schedulers pre-check). *)
+   one flat closure with its guard and clamps inlined, no plan/option
+   boxed (the schedulers only compare the scalar; [prepare_energy] is
+   bit-identical to [optimal]'s rate × horizon, and raises past
+   capacity, which the schedulers pre-check). *)
 let build_soa ~proc ~horizon items =
   let item_arr = Array.of_list items in
   let n = Array.length item_arr in

@@ -28,7 +28,12 @@ type soa = {
           it, never permute it *)
   energy : float -> float;
       (** prepared per-load bucket energy — identical results to
-          {!bucket_energy} with the hull / critical-speed setup hoisted *)
+          {!bucket_energy}: {!Rt_speed.Energy_rate.prepare_energy} with
+          the hull / critical-speed setup hoisted. The closure is flat:
+          one guard inlined, the speed clamps as exact selects, no plan
+          or option built and no float boxed for a stdlib clamp, so a
+          call on the dormant ideal processor allocates only its result
+          and the power model's *)
 }
 (** Struct-of-arrays view of an instance: unboxed positional arrays for
     the hot paths (greedy packing, local-search deltas, online admission)

@@ -184,90 +184,95 @@ let rate_on_hull hull u =
         Some (y1 +. (a *. (y2 -. y1)))
       end
 
+(* The argument guard every [prepare_energy] evaluator runs first, in
+   the order [prepare] runs it: reject a non-finite or clearly negative
+   load, clamp the -1e-17 residues that repeated add/remove arithmetic
+   on loads leaves to 0, then raise past capacity. Written once and
+   inlined into each evaluator; the selects below are [Float.max 0. u]
+   and [Float_cmp.gt u top] bit for bit (an exactly-below-[top] load
+   never needs the tolerant test), without the boxing an out-of-line
+   stdlib call costs. *)
+let invalid_u () : float =
+  invalid_arg "Energy_rate.optimal: u must be finite and >= 0"
+
+let overload u top : float =
+  invalid_arg
+    (Printf.sprintf
+       "Energy_rate.prepare_energy: required speed %.6g exceeds s_max %.6g" u
+       top)
+
+let[@inline] checked_load ~top u =
+  if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then invalid_u ()
+  else
+    let u = if Fc.exact_gt u 0. then u else 0. in
+    if Fc.exact_le u top || not (Fc.gt u top) then u else overload u top
+
+(* [Float.max]/[Float.min] and [clamp ~lo:0. ~hi:1.] on the ideal-speed
+   path, as selects. Each returns what the stdlib call returns for the
+   operands it sees there: finite speeds, a guarded load, and a busy
+   fraction [u /. s_run] that is never NaN (u > 0, or s_run > 0). The
+   speeds are already boxed, so [Fc.exact_*] passes them as they are;
+   the fresh quotient would be boxed for each out-of-line call, so
+   [unit_clamp] uses [Float.compare], which takes it unboxed and agrees
+   with [<] and [>] off NaN. *)
+let[@inline] at_least lo x = if Fc.exact_gt lo x then lo else x
+let[@inline] at_most hi x = if Fc.exact_lt hi x then hi else x
+
+let[@inline] unit_clamp x =
+  if Float.compare x 0. < 0 then 0.
+  else if Float.compare x 1. > 0 then 1.
+  else x
+
 (* [prepare] collapsed to the scalar the schedulers actually compare:
    [prepare_energy proc ~horizon u] is exactly
    [(Option.get (prepare proc u)).rate *. horizon] bit for bit — every
    rate below is the same expression as the corresponding [prepare]
    branch — but computed by ONE flat closure per processor kind, with
-   the argument guards inlined (direct calls) and no plan, segment list
-   or option materialized. The marginal-energy inner loops (Greedy,
-   Local_search) evaluate this thousands of times per instance, so the
-   per-call closure depth and boxing are what this variant removes.
-   Raises where [prepare] returns [None] (required speed over s_max):
-   the schedulers pre-check capacity, so that is an internal error. *)
-let prepare_energy ?power_factor (proc : Processor.t) ~horizon =
+   the guard and clamps inlined and no plan, segment list or option
+   materialized. The marginal-energy inner loops (Greedy, Local_search)
+   evaluate this hundreds of thousands of times per instance, so the
+   per-call closure depth and float boxing are what this variant
+   removes. Raises where [prepare] returns [None] (required speed over
+   s_max): the schedulers pre-check capacity, so that is an internal
+   error. *)
+let prepare_energy (proc : Processor.t) ~horizon =
   if Fc.exact_lt horizon 0. then
     invalid_arg "Energy_rate.prepare_energy: negative horizon";
-  let model = factored_model ?power_factor proc.model in
-  let power s = Power_model.power model s in
-  let dynamic s = Power_model.dynamic_power model s in
+  let model = proc.model in
   let top = Processor.s_max proc in
-  let invalid_u () : float =
-    invalid_arg "Energy_rate.optimal: u must be finite and >= 0"
-  in
-  let overload u : float =
-    invalid_arg
-      (Printf.sprintf
-         "Energy_rate.prepare_energy: required speed %.6g exceeds s_max %.6g"
-         u top)
-  in
   match proc.domain with
   | Processor.Levels ls ->
-      let hull = level_hull proc ~power ls in
+      let hull = level_hull proc ~power:(Power_model.power model) ls in
       fun u ->
-        if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then invalid_u ()
-        else begin
-          (* arithmetic on loads (repeated add/remove) leaves -1e-17 residues *)
-          let u = Float.max 0. u in
-          if Rt_prelude.Float_cmp.gt u top then overload u
-          else
-            match rate_on_hull hull u with
-            | Some r -> r *. horizon
-            | None -> overload u
-        end
+        let u = checked_load ~top u in
+        (match rate_on_hull hull u with
+        | Some r -> r *. horizon
+        | None -> overload u top)
   | Processor.Ideal { s_min; s_max } -> (
       match proc.dormancy with
       | Processor.Dormant_disable ->
           fun u ->
-            if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then
-              invalid_u ()
+            let u = checked_load ~top u in
+            if Fc.exact_eq u 0. && Fc.exact_eq s_min 0. then
+              Processor.idle_power proc *. horizon
             else begin
-              let u = Float.max 0. u in
-              if Rt_prelude.Float_cmp.gt u top then overload u
-              else if Fc.exact_eq u 0. && Fc.exact_eq s_min 0. then
-                Processor.idle_power proc *. horizon
-              else begin
-                let s_run = Float.max u s_min in
-                let s_run = Float.min s_run s_max in
-                if Fc.exact_le s_run 0. then
-                  Processor.idle_power proc *. horizon
-                else begin
-                  let busy =
-                    Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
-                  in
-                  (Processor.idle_power proc +. (busy *. dynamic s_run))
-                  *. horizon
-                end
-              end
+              let s_run = at_most s_max (at_least s_min u) in
+              if Fc.exact_le s_run 0. then Processor.idle_power proc *. horizon
+              else
+                let busy = unit_clamp (u /. s_run) in
+                (Processor.idle_power proc
+                +. (busy *. Power_model.dynamic_power model s_run))
+                *. horizon
             end
       | Processor.Dormant_enable _ ->
           let s_crit = Power_model.critical_speed model ~s_max in
           fun u ->
-            if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then
-              invalid_u ()
-            else begin
-              let u = Float.max 0. u in
-              if Rt_prelude.Float_cmp.gt u top then overload u
-              else if Fc.exact_eq u 0. then 0. *. horizon
-              else begin
-                let s_run = Float.max (Float.max u s_min) s_crit in
-                let s_run = Float.min s_run s_max in
-                let busy =
-                  Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
-                in
-                busy *. power s_run *. horizon
-              end
-            end)
+            let u = checked_load ~top u in
+            if Fc.exact_eq u 0. then 0. *. horizon
+            else
+              let s_run = at_most s_max (at_least s_crit (at_least s_min u)) in
+              let busy = unit_clamp (u /. s_run) in
+              busy *. Power_model.power model s_run *. horizon)
 
 let optimal ?power_factor (proc : Processor.t) ~u =
   prepare ?power_factor proc u

@@ -52,18 +52,25 @@ val prepare :
     instance and call it per candidate load (the SoA hot path). *)
 
 val prepare_energy :
-  ?power_factor:float -> Rt_power.Processor.t -> horizon:float ->
-  (float -> float [@rt.dim "joules"])
-  [@@rt.hot "scalar evaluator for the marginal-energy inner loops"]
+  Rt_power.Processor.t -> horizon:float -> (float -> float [@rt.dim "joules"])
+  [@rt.hot "scalar evaluator for the marginal-energy inner loops"]
 (** Like {!prepare} but the evaluator returns only the plan's energy over
     [horizon] — [prepare_energy proc ~horizon u] equals
-    [(Option.get (prepare proc u)).rate *. horizon] bit for bit, computed
-    by one flat closure without materializing segments, plan or option.
-    This is the evaluator behind [Rt_core.Problem.bucket_energy]: the
-    greedy and local-search inner loops only ever need the scalar, and
-    they pre-check capacity, so a required speed above [s_max] (where
+    [(Option.get (prepare proc u)).rate *. horizon] bit for bit. It is the
+    evaluator behind [Rt_core.Problem.bucket_energy]: the greedy and
+    local-search inner loops only ever need the scalar, and they
+    pre-check capacity, so a required speed above [s_max] (where
     {!prepare} returns [None]) raises [Invalid_argument] here.
-    @raise Invalid_argument on negative horizon or invalid [u]. *)
+
+    The evaluator is flat: one closure per processor kind, the argument
+    guard written once and inlined, and the ideal-speed clamps written as
+    exact selects on the operands. It builds no segments, plan or option,
+    and boxes no float for an out-of-line [Float.max]/[Float.min],
+    [Float_cmp.gt] or [Float_cmp.clamp]; on the dormant ideal processor
+    what is left is the power-model call and the boxed result.
+    @raise Invalid_argument on negative horizon, or on a [u] that is not
+    finite, is below [-1e-9], or exceeds [s_max] past the
+    {!Rt_prelude.Float_cmp} tolerance. *)
 
 val rate :
   ?power_factor:float -> Rt_power.Processor.t -> u:float ->

@@ -163,12 +163,34 @@ let prop_plans_validate =
       | None -> false
       | Some plan -> Energy_rate.validate proc ~u plan = Ok ())
 
+(* [prepare] either raises, returns [None] (past capacity) or a plan;
+   [prepare_energy] must raise [Invalid_argument] in the first two cases
+   and return the plan's rate times the horizon, to the bit, in the
+   third. The loads cover [0, s_max] and the guard's edges: the
+   clamped residues (-0., -1e-17, -1e-10), a load just past s_max but
+   inside the tolerance, and the rejected ones (below -1e-9, NaN, the
+   infinities, past the tolerance). *)
 let prop_prepare_energy_is_rate_times_horizon =
-  qtest "prepare_energy = prepare rate * horizon, bit for bit"
+  qtest ~count:600 "prepare_energy = prepare rate * horizon, bit for bit"
     QCheck2.Gen.(
-      triple (int_range 0 3)
+      triple (int_range 0 4)
         (frequency
-           [ (1, return 0.); (1, return 1.); (8, float_range 0. 1.) ])
+           [
+             (1, return (`Scaled 0.));
+             (1, return (`Scaled 1.));
+             (8, map (fun x -> `Scaled x) (float_range 0. 1.));
+             (1, return (`Scaled (1. +. 5e-10)));
+             (1, return (`Scaled (1. +. 3e-9)));
+             (1, return (`Scaled 1.5));
+             ( 2,
+               map
+                 (fun u -> `Raw u)
+                 (oneofl
+                    [
+                      -0.; -1e-17; -1e-10; -1e-9; -1.5e-9; -1.; Float.nan;
+                      Float.infinity; Float.neg_infinity;
+                    ]) );
+           ])
         (float_range 0. 1e4))
     (fun (kind, x, horizon) ->
       let proc =
@@ -176,16 +198,25 @@ let prop_prepare_energy_is_rate_times_horizon =
         | 0 -> cubic_disable
         | 1 -> xscale_enable
         | 2 -> levels_disable
-        | _ -> levels_enable
+        | 3 -> levels_enable
+        | _ -> xscale_disable
       in
-      (* u spans [0, s_max], both ends included *)
-      let u = x *. Processor.s_max proc in
+      let u =
+        match x with
+        | `Scaled f -> f *. Processor.s_max proc
+        | `Raw u -> u
+      in
+      let energy () = Energy_rate.prepare_energy proc ~horizon u in
+      let raises f =
+        match f () with _ -> false | exception Invalid_argument _ -> true
+      in
       match Energy_rate.prepare proc u with
-      | None -> false
+      | exception Invalid_argument _ -> raises energy
+      | None -> raises energy
       | Some plan ->
-          Float.equal
-            (Energy_rate.prepare_energy proc ~horizon u)
-            (plan.Energy_rate.rate *. horizon))
+          Int64.equal
+            (Int64.bits_of_float (energy ()))
+            (Int64.bits_of_float (plan.Energy_rate.rate *. horizon)))
 
 let prop_no_single_speed_beats_plan =
   qtest "no feasible single sustained speed beats the optimal plan"

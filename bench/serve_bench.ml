@@ -1,9 +1,9 @@
 (* Streaming-service benchmark: drives rt_serve end to end and emits
    BENCH_online.json — sustained admission throughput (target: at least
    one million synthetic jobs per minute), decision-latency tails, the
-   shed fraction under forced backpressure, and the empirical
-   competitive ratio against the clairvoyant lower bound and the YDS
-   offline-optimal energy.
+   shed fraction under forced backpressure, the minor-heap allocation
+   per job, and the empirical competitive ratio against the clairvoyant
+   lower bound and the YDS offline-optimal energy.
 
      dune exec bench/serve_bench.exe                  # 200k-job stream
      RT_BENCH_FULL=1 dune exec bench/serve_bench.exe  # 1M-job stream *)
@@ -35,6 +35,10 @@ type row = {
   p99_latency_s : float;
   max_latency_s : float;
   shed_fraction : float;
+  minor_words_per_job : float;
+      (* the Gc.minor_words delta over the run, per job. Gc.minor_words
+         counts the calling domain only: on the sharded row, shards that
+         a pool runs on other domains are not counted *)
   ratio_lower_bound : float;
   ratio_yds : float option;
       (* None when the YDS bound was not computed for this case; the JSON
@@ -53,12 +57,13 @@ let json_of_row r =
         ("p99_latency_s", Float r.p99_latency_s);
         ("max_latency_s", Float r.max_latency_s);
         ("shed_fraction", Float r.shed_fraction);
+        ("minor_words_per_job", Float r.minor_words_per_job);
         ("ratio_lower_bound", Float r.ratio_lower_bound);
         ( "ratio_yds",
           match r.ratio_yds with Some x -> Float x | None -> Null );
       ])
 
-let row_of_report ~case ~n ~wall (r : Rt_serve.Serve.report) =
+let row_of_report ~case ~n ~wall ~words (r : Rt_serve.Serve.report) =
   {
     case;
     jobs = n;
@@ -67,6 +72,7 @@ let row_of_report ~case ~n ~wall (r : Rt_serve.Serve.report) =
     p99_latency_s = r.p99_latency;
     max_latency_s = r.max_latency;
     shed_fraction = float_of_int r.shed /. Float.max 1. (float_of_int r.seen);
+    minor_words_per_job = words /. float_of_int n;
     ratio_lower_bound =
       r.outcome.Rt_online.Admission.total /. Float.max 1e-9 r.lower_bound;
     ratio_yds =
@@ -74,6 +80,14 @@ let row_of_report ~case ~n ~wall (r : Rt_serve.Serve.report) =
         (fun yds -> r.outcome.Rt_online.Admission.energy /. Float.max 1e-9 yds)
         r.yds_energy;
   }
+
+(* run one case; its wall time and minor words cover [f] alone *)
+let measured ~case ~n f =
+  let w0 = Gc.minor_words () in
+  let t0 = Rt_prelude.Clock.now () in
+  let r = run_or_die ~what:case (f ()) in
+  let wall = Rt_prelude.Clock.elapsed ~since:t0 in
+  row_of_report ~case ~n ~wall ~words:(Gc.minor_words () -. w0) r
 
 let () =
   let full = Sys.getenv_opt "RT_BENCH_FULL" <> None in
@@ -83,13 +97,10 @@ let () =
   let config =
     { Rt_serve.Serve.default_config with policy = Rt_online.Admission.Profitable }
   in
-  let t0 = Rt_prelude.Clock.now () in
-  let r1 =
-    run_or_die ~what:"throughput"
-      (Rt_serve.Serve.run ~proc ~config (source ~seed:42 ~n))
+  let row1 =
+    measured ~case:"throughput" ~n (fun () ->
+        Rt_serve.Serve.run ~proc ~config (source ~seed:42 ~n))
   in
-  let wall1 = Rt_prelude.Clock.elapsed ~since:t0 in
-  let row1 = row_of_report ~case:"throughput" ~n ~wall:wall1 r1 in
   (* 2: sharded throughput across a domain pool (RT_JOBS workers) *)
   let shards = 4 in
   let jobs_list =
@@ -105,16 +116,13 @@ let () =
     drain []
   in
   let domains = Rt_parallel.Pool.default_domains () in
-  let t0 = Rt_prelude.Clock.now () in
-  let r2 =
-    run_or_die ~what:"sharded"
-      (if domains > 1 then
-         Rt_parallel.Pool.with_pool ~domains (fun pool ->
-             Rt_serve.Serve.run_sharded ~pool ~shards ~proc ~config jobs_list)
-       else Rt_serve.Serve.run_sharded ~shards ~proc ~config jobs_list)
+  let row2 =
+    measured ~case:"sharded-x4" ~n (fun () ->
+        if domains > 1 then
+          Rt_parallel.Pool.with_pool ~domains (fun pool ->
+              Rt_serve.Serve.run_sharded ~pool ~shards ~proc ~config jobs_list)
+        else Rt_serve.Serve.run_sharded ~shards ~proc ~config jobs_list)
   in
-  let wall2 = Rt_prelude.Clock.elapsed ~since:t0 in
-  let row2 = row_of_report ~case:"sharded-x4" ~n ~wall:wall2 r2 in
   (* 3: forced backpressure — a decision server slower than the arrival
      rate behind a bounded queue, so ingress shedding must engage *)
   let n3 = n / 10 in
@@ -126,23 +134,17 @@ let () =
       overload = Some { Rt_serve.Serve.window = 200.; enter_above = 1.; exit_below = 0.75 };
     }
   in
-  let t0 = Rt_prelude.Clock.now () in
-  let r3 =
-    run_or_die ~what:"backpressure"
-      (Rt_serve.Serve.run ~proc ~config:config3 (source ~seed:44 ~n:n3))
+  let row3 =
+    measured ~case:"backpressure" ~n:n3 (fun () ->
+        Rt_serve.Serve.run ~proc ~config:config3 (source ~seed:44 ~n:n3))
   in
-  let wall3 = Rt_prelude.Clock.elapsed ~since:t0 in
-  let row3 = row_of_report ~case:"backpressure" ~n:n3 ~wall:wall3 r3 in
   (* 4: competitive ratio on a small stream where YDS is affordable *)
   let n4 = 1_000 in
   let config4 = { config with Rt_serve.Serve.yds_bound = true } in
-  let t0 = Rt_prelude.Clock.now () in
-  let r4 =
-    run_or_die ~what:"competitive"
-      (Rt_serve.Serve.run ~proc ~config:config4 (source ~seed:45 ~n:n4))
+  let row4 =
+    measured ~case:"competitive" ~n:n4 (fun () ->
+        Rt_serve.Serve.run ~proc ~config:config4 (source ~seed:45 ~n:n4))
   in
-  let wall4 = Rt_prelude.Clock.elapsed ~since:t0 in
-  let row4 = row_of_report ~case:"competitive" ~n:n4 ~wall:wall4 r4 in
   let rows = [ row1; row2; row3; row4 ] in
   Out_channel.with_open_text out_file (fun oc ->
       output_string oc
@@ -152,9 +154,9 @@ let () =
     (fun r ->
       Printf.printf
         "  %-12s %8d jobs  %7.2fs  %12.0f jobs/min  p99 %.2e s  shed %5.3f  \
-         vs-lb %.3f%s\n"
+         %7.1f words/job  vs-lb %.3f%s\n"
         r.case r.jobs r.wall_s r.jobs_per_min r.p99_latency_s r.shed_fraction
-        r.ratio_lower_bound
+        r.minor_words_per_job r.ratio_lower_bound
         (match r.ratio_yds with
         | Some x -> Printf.sprintf "  vs-yds %.3f" x
         | None -> ""))

@@ -13,16 +13,17 @@ let balanced_energy (p : Problem.t) ~accepted_weight =
 (* Highest-density prefix acceptance: accepting weight W fractionally keeps
    as much penalty as possible, so the rejected penalty is
    total - P(W) with P the concave prefix envelope. *)
-let min_rejected_penalty (p : Problem.t) ~accepted_weight =
-  let sorted =
-    List.sort
-      (fun (a : Task.item) (b : Task.item) ->
-        Float.compare
-          (b.item_penalty /. b.weight)
-          (a.item_penalty /. a.weight))
-      p.items
-  in
-  let total_penalty = Taskset.total_penalty_items p.items in
+let by_density (p : Problem.t) =
+  List.sort
+    (fun (a : Task.item) (b : Task.item) ->
+      Float.compare
+        (b.item_penalty /. b.weight)
+        (a.item_penalty /. a.weight))
+    p.items
+
+(* [min_rejected_penalty] on items already in [by_density] order, with
+   their total penalty given: a caller probing many weights sorts once *)
+let rejected_penalty ~total_penalty sorted ~accepted_weight =
   let rec kept w acc = function
     | [] -> acc
     | (it : Task.item) :: rest ->
@@ -33,6 +34,11 @@ let min_rejected_penalty (p : Problem.t) ~accepted_weight =
   in
   Float.max 0. (total_penalty -. kept accepted_weight 0. sorted)
 
+let min_rejected_penalty (p : Problem.t) ~accepted_weight =
+  rejected_penalty
+    ~total_penalty:(Taskset.total_penalty_items p.items)
+    (by_density p) ~accepted_weight
+
 let lower_bound (p : Problem.t) =
   let total = Taskset.total_weight p.items in
   let w_max =
@@ -41,8 +47,11 @@ let lower_bound (p : Problem.t) =
   if Fc.exact_le w_max 0. then
     Taskset.total_penalty_items p.items +. balanced_energy p ~accepted_weight:0.
   else begin
+    let sorted = by_density p in
+    let total_penalty = Taskset.total_penalty_items p.items in
     let objective w =
-      balanced_energy p ~accepted_weight:w +. min_rejected_penalty p ~accepted_weight:w
+      balanced_energy p ~accepted_weight:w
+      +. rejected_penalty ~total_penalty sorted ~accepted_weight:w
     in
     let _, v =
       Rt_prelude.Math_util.golden_section_min ~f:objective ~lo:0. ~hi:w_max ()

@@ -4,10 +4,10 @@ open Rt_task
 
 type algorithm = Problem.t -> Solution.t
 
-(* least-loaded processor on which weight [w] still fits, or -1; an
-   unboxed recursive scan, hoisted so the packing loop shares one static
-   closure — earliest index wins ties, like the [Array.iteri] fold the
-   original list version replaced *)
+(* least-loaded processor on which weight [w] still fits, or -1; a
+   recursive scan (it boxes [best_l] at each new best), hoisted so the
+   packing loop shares one static closure — earliest index wins ties,
+   like the [Array.iteri] fold the original list version replaced *)
 let rec feasible_scan loads m cap w j best_j best_l =
   if j >= m then best_j
   else

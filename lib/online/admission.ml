@@ -101,8 +101,9 @@ let pending_to_list pen =
 
 (* the minimum constant speed meeting every pending commitment from
    [now]: max over deadlines of cumulative-work-due / time-to-deadline.
-   The arrays are deadline-sorted, so this is one allocation-free pass
-   with unboxed accumulators. *)
+   The arrays are deadline-sorted, so this is one pass. Its accumulators
+   are recursive arguments, which ocamlopt (without flambda) boxes on
+   every step; a [for] loop over local float refs would not allocate. *)
 let rec density_go pen now i work best =
   if i >= pen.len then best
   else begin
@@ -270,6 +271,9 @@ module Exec = struct
     energy : float ref;
     penalty : float ref;
     admitted : int list ref;
+    mutable unadmitted : (int, unit) Hashtbl.t option;
+        (** ids re-planning shed after admission, filtered out of
+            [admitted] once, in [finish]; created at the first shed *)
     rejected : int list ref;
     forced : int ref;
     makespan : float ref;
@@ -293,6 +297,7 @@ module Exec = struct
           energy = ref 0.;
           penalty = ref 0.;
           admitted = ref [];
+          unadmitted = None;
           rejected = ref [];
           forced = ref 0;
           makespan = ref 0.;
@@ -351,7 +356,15 @@ module Exec = struct
   (* un-admit a job already detached from its processor: it pays its
      rejection penalty instead of silently missing its deadline *)
   let unadmit t (j : Job.t) =
-    t.admitted := List.filter (fun id -> id <> j.Job.id) !(t.admitted);
+    let tbl =
+      match t.unadmitted with
+      | Some tbl -> tbl
+      | None ->
+          let tbl = Hashtbl.create 16 in
+          t.unadmitted <- Some tbl;
+          tbl
+    in
+    Hashtbl.replace tbl j.Job.id ();
     record_reject t j
 
   let reject t (j : Job.t) =
@@ -598,7 +611,16 @@ module Exec = struct
               energy = !(t.energy);
               penalty = !(t.penalty);
               total = !(t.energy) +. !(t.penalty);
-              admitted = List.sort compare !(t.admitted);
+              admitted =
+                List.sort compare
+                  (match t.unadmitted with
+                  | None -> !(t.admitted)
+                  | Some tbl ->
+                      (* ids are unique ([seen]), so this drops
+                         exactly the un-admitted jobs *)
+                      List.filter
+                        (fun id -> not (Hashtbl.mem tbl id))
+                        !(t.admitted));
               rejected = List.sort compare !(t.rejected);
               forced_rejections = !(t.forced);
               makespan = !(t.makespan);

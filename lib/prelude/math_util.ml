@@ -48,8 +48,8 @@ let golden_section_min ?(tol = 1e-10) ?(max_iter = 200) ~f ~lo ~hi () =
   if Float_cmp.exact_gt lo hi then
     invalid_arg "Math_util.golden_section_min: lo > hi";
   (* invariant: the minimum lies in [a, b]; xa < xb are the interior probes
-     with cached values fa, fb — carried as unboxed loop arguments rather
-     than a rack of float refs *)
+     with cached values fa, fb — carried as loop arguments, which ocamlopt
+     (without flambda) boxes on every recursive call *)
   let rec go iter a b xa xb fa fb =
     if
       iter < max_iter

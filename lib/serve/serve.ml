@@ -111,43 +111,12 @@ let run ~proc ~config source =
   let streak = ref 0 in
   let incidents = ref [] in
   let incident i = incidents := i :: !incidents in
-  (* ingress queue: a two-stack FIFO so push and pop are amortized O(1) *)
-  let q_front = ref [] and q_back = ref [] and q_len = ref 0 in
-  let q_push j =
-    q_back := j :: !q_back;
-    incr q_len
-  in
-  let q_peek () =
-    (match !q_front with
-    | [] ->
-        q_front := List.rev !q_back;
-        q_back := []
-    | _ -> ());
-    match !q_front with [] -> None | j :: _ -> Some j
-  in
-  let q_pop () =
-    match q_peek () with
-    | None -> None
-    | Some j ->
-        q_front := List.tl !q_front;
-        decr q_len;
-        Some j
-  in
-  let q_to_list () = !q_front @ List.rev !q_back in
-  let q_set js =
-    q_front := js;
-    q_back := [];
-    q_len := List.length js
-  in
-  (* sliding-window offered load *)
-  let win =
-    (Queue.create () : (float * float) Queue.t)
-    [@rt.domain_safe
-      "created here and private to this [run] invocation; run_sharded's \
-       cross-domain tasks each build their own engine state inside the \
-       task, nothing is shared between shards"]
-  in
-  let win_sum = ref 0. in
+  let queue = Ingress.create () in
+  (* the overload window: the jobs that arrived in the last [window]
+     time units, oldest first, and their cycles in a one-slot float
+     array, which updates in place where a float ref these closures
+     capture would box every new sum *)
+  let win = Ingress.create () and win_cycles = [| 0. |] in
   let overloaded = ref false in
   let overload_since = ref 0. in
   let overload_time = ref 0. in
@@ -201,35 +170,39 @@ let run ~proc ~config source =
               Ok (Some j)
         end
   in
-  let capacity_now () =
-    float_of_int (List.length (Exec.live exec)) *. Exec.speed_cap exec
-  in
-  let offered_load_update ~at cycles =
+  (* live processors: all [m] until a crash *)
+  let live_n = ref config.m in
+  let offered_load_update (j : Job.t) =
     match config.overload with
     | None -> ()
     | Some ov ->
-        Queue.push (at, cycles) win;
-        win_sum := !win_sum +. cycles;
+        let at = j.arrival in
+        Ingress.push win j;
+        win_cycles.(0) <- win_cycles.(0) +. j.cycles;
+        (* no float compared here is NaN, so [Float.compare] orders as
+           [<] and [>] do, on unboxed operands *)
         let cutoff = at -. ov.window in
-        let rec expire () =
-          match Queue.peek_opt win with
-          | Some (t, c) when Fc.exact_lt t cutoff ->
-              ignore (Queue.pop win);
-              win_sum := !win_sum -. c;
-              expire ()
-          | _ -> ()
+        while
+          Ingress.length win > 0
+          && Float.compare (Ingress.peek win).arrival cutoff < 0
+        do
+          win_cycles.(0) <- win_cycles.(0) -. (Ingress.pop win).cycles
+        done;
+        let denom =
+          ov.window *. (float_of_int !live_n *. Exec.speed_cap exec)
         in
-        expire ();
-        let denom = ov.window *. capacity_now () in
         let offered =
-          if Fc.exact_gt denom 0. then !win_sum /. denom else Float.infinity
+          if Float.compare denom 0. > 0 then win_cycles.(0) /. denom
+          else Float.infinity
         in
-        if (not !overloaded) && Fc.exact_gt offered ov.enter_above then begin
+        if (not !overloaded) && Float.compare offered ov.enter_above > 0 then
+        begin
           overloaded := true;
           overload_since := at;
           incident (Incident.Overload_on { at; offered })
         end
-        else if !overloaded && Fc.exact_lt offered ov.exit_below then begin
+        else if !overloaded && Float.compare offered ov.exit_below < 0 then
+        begin
           overloaded := false;
           overload_time := !overload_time +. (at -. !overload_since);
           incident (Incident.Overload_off { at; offered })
@@ -282,46 +255,22 @@ let run ~proc ~config source =
         | _ -> ());
         Ok ())
   in
-  let penalty_rate (j : Job.t) = j.penalty /. j.cycles in
   let shed_overflow ~at =
     match config.queue_capacity with
     | None -> Ok ()
     | Some cap ->
-        if !q_len <= cap then Ok ()
-        else begin
-          let all = q_to_list () in
-          let excess = !q_len - cap in
-          let order =
-            List.stable_sort
-              (fun (a : Job.t) (b : Job.t) ->
-                let c = Float.compare (penalty_rate a) (penalty_rate b) in
-                if c <> 0 then c else compare a.id b.id)
-              all
-          in
-          let rec take k = function
-            | [] -> []
-            | j :: tl -> if k = 0 then [] else j :: take (k - 1) tl
-          in
-          let drops = take excess order in
-          let dropped = Hashtbl.create 16 in
-          let result =
-            List.fold_left
-              (fun acc (j : Job.t) ->
-                bind acc (fun () ->
-                    Hashtbl.replace dropped j.id ();
-                    incr shed_count;
-                    incident
-                      (Incident.Shed
-                         { at; job_id = j.id; rate = penalty_rate j });
-                    Exec.reject exec j))
-              (Ok ()) drops
-          in
-          q_set
-            (List.filter
-               (fun (j : Job.t) -> not (Hashtbl.mem dropped j.id))
-               all);
-          result
-        end
+        let rec go () =
+          if Ingress.length queue <= cap then Ok ()
+          else begin
+            let j = Ingress.shed queue in
+            incr shed_count;
+            incident
+              (Incident.Shed
+                 { at; job_id = j.id; rate = j.penalty /. j.cycles });
+            bind (Exec.reject exec j) go
+          end
+        in
+        go ()
   in
   let replanned ~at ~moved shed =
     replan_shed := !replan_shed + List.length shed;
@@ -344,6 +293,7 @@ let run ~proc ~config source =
                 Ok ())
         | Fault.Proc_crash { proc; at = _ } ->
             let moved, shed = Exec.crash exec ~proc in
+            live_n := List.length (Exec.live exec);
             replanned ~at ~moved shed;
             Ok ()
         | Fault.Wcec_overrun { task_id; factor } ->
@@ -355,18 +305,19 @@ let run ~proc ~config source =
     peeked := None;
     incr seen;
     lower := !lower +. Admission.job_bound ~proc j;
-    offered_load_update ~at:j.arrival j.cycles;
+    offered_load_update j;
     match config.decision_rate with
     | None ->
         bind (Exec.advance_to exec ~until:j.arrival) (fun () ->
             decide_tiered j)
     | Some _ ->
-        q_push j;
+        Ingress.push queue j;
         shed_overflow ~at:j.arrival
   in
   let handle_decision () =
-    match (config.decision_rate, q_pop ()) with
-    | Some r, Some j ->
+    match config.decision_rate with
+    | Some r when Ingress.length queue > 0 ->
+        let j = Ingress.pop queue in
         let t_dec = Float.max j.Job.arrival !decision_clock in
         decision_clock := t_dec +. (1. /. r);
         bind (Exec.advance_to exec ~until:t_dec) (fun () -> decide_tiered j)
@@ -374,8 +325,9 @@ let run ~proc ~config source =
         Error (Admission.Invalid "serve: internal: stray decision event")
   in
   let next_decision_time () =
-    match (config.decision_rate, q_peek ()) with
-    | Some _, Some j -> Some (Float.max j.Job.arrival !decision_clock)
+    match config.decision_rate with
+    | Some _ when Ingress.length queue > 0 ->
+        Some (Float.max (Ingress.peek queue).Job.arrival !decision_clock)
     | _ -> None
   in
   (* the event loop: earliest of (pending fault, queued decision, next

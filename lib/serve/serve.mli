@@ -9,8 +9,11 @@
       finite [decision_rate] (decisions per stream-time unit), arrivals
       queue while the decision server is busy; overflow sheds the
       {e undecided} job with the cheapest penalty per cycle (ties by
-      id) — admitted work is never dropped by backpressure, and every
-      shed pays its rejection penalty honestly.
+      id, then the older) — admitted work is never dropped by
+      backpressure, and every shed pays its rejection penalty honestly.
+      The queue is an {!Ingress.t}, a ring buffer holding each job's
+      penalty rate from its push: an overflow costs one scan and one
+      shift of the queue, and allocates nothing.
     - {e Watchdog tiers}: a per-decision wall-clock budget. A blown
       budget degrades the admission tier ({!Incident.tier}) one step —
       exact test, then threshold test, then admit-none — and
@@ -112,7 +115,8 @@ val run :
   (report, Rt_online.Admission.error) result
 (** Serve the stream to exhaustion, then apply any remaining faults and
     drain the executors. Errors on invalid configuration, a broken
-    source, or — defensively — an admitted deadline miss, which the
+    source, a duplicate job id (when the second job is decided or
+    shed), or — defensively — an admitted deadline miss, which the
     re-planning layer exists to make unreachable. *)
 
 val run_sharded :

@@ -782,6 +782,52 @@ let xscale_levels =
 let plan_procs =
   [| ("xscale", xscale_dormant); ("xscale_levels", xscale_levels); ("cubic", cubic) |]
 
+(* [Bounds.lower_bound] as it was before its probes took the items
+   pre-sorted: each golden-section probe re-sorts them through
+   [min_rejected_penalty] *)
+let reference_lower_bound (p : Problem.t) =
+  let total = Taskset.total_weight p.items in
+  let w_max = Float.min total (float_of_int p.m *. Problem.capacity p) in
+  if Fc.exact_le w_max 0. then
+    Taskset.total_penalty_items p.items
+    +. Bounds.balanced_energy p ~accepted_weight:0.
+  else begin
+    let objective w =
+      Bounds.balanced_energy p ~accepted_weight:w
+      +. Bounds.min_rejected_penalty p ~accepted_weight:w
+    in
+    let _, v =
+      Rt_prelude.Math_util.golden_section_min ~f:objective ~lo:0. ~hi:w_max ()
+    in
+    Float.min v (Float.min (objective 0.) (objective w_max))
+  end
+
+let prop_lower_bound_matches_reference =
+  let procs =
+    [|
+      ("xscale", xscale_dormant);
+      ( "xscale always-on",
+        Rt_power.Processor.xscale ~dormancy:Rt_power.Processor.Dormant_disable );
+      ("xscale_levels", xscale_levels);
+      ("cubic", cubic);
+    |]
+  in
+  let shapes = [| (5, 1); (20, 2); (60, 4); (200, 8) |] in
+  qtest ~count:200 "lower bound = the per-probe sort, bit for bit"
+    ~print:(fun (k, shape, load, seed) ->
+      let n, m = shapes.(shape) in
+      Printf.sprintf "%s n %d m %d load %h seed %d" (fst procs.(k)) n m load
+        seed)
+    QCheck2.Gen.(
+      quad (int_range 0 3) (int_range 0 3) (float_range 0.3 2.5)
+        (int_range 1 100_000))
+    (fun (k, shape, load, seed) ->
+      let n, m = shapes.(shape) in
+      let p = random_instance ~proc:(snd procs.(k)) ~seed ~n ~m ~load () in
+      Int64.equal
+        (Int64.bits_of_float (Bounds.lower_bound p))
+        (Int64.bits_of_float (reference_lower_bound p)))
+
 let starts =
   [
     ("ltf", Greedy.ltf_reject);
@@ -1070,6 +1116,7 @@ let () =
           prop_lower_bound_sound;
           Alcotest.test_case "fractional rejection extremes" `Quick
             test_min_rejected_penalty_extremes;
+          prop_lower_bound_matches_reference;
         ] );
       ( "greedy",
         [

@@ -206,6 +206,242 @@ let test_queue_latency_costs_slack () =
     r.Serve.outcome.Admission.forced_rejections;
   check_float 1e-9 "its penalty is paid" 5. r.Serve.outcome.Admission.penalty
 
+(* The engine's former ingress, kept as the reference for [Ingress]: a
+   two-stack FIFO, and an overflow that stable-sorts the whole queue by
+   (penalty per cycle, id) and drops the cheapest [excess] jobs. Verbatim
+   but for the executor and incident calls, and for one line: the old
+   queue was rebuilt without every job whose id was dropped, which also
+   lost, neither decided nor rejected, any queued job sharing a shed
+   job's id. The reference drops the shed entries only, as [Ingress]
+   does (see [test_duplicate_id_is_an_error]). *)
+type reference_ingress = {
+  r_push : Job.t -> unit;
+  r_pop : unit -> Job.t option;
+  r_shed_to : int -> Job.t list;
+  r_to_list : unit -> Job.t list;
+}
+
+let reference_ingress () =
+  let q_front = ref [] and q_back = ref [] and q_len = ref 0 in
+  let q_push j =
+    q_back := j :: !q_back;
+    incr q_len
+  in
+  let q_peek () =
+    (match !q_front with
+    | [] ->
+        q_front := List.rev !q_back;
+        q_back := []
+    | _ -> ());
+    match !q_front with [] -> None | j :: _ -> Some j
+  in
+  let q_pop () =
+    match q_peek () with
+    | None -> None
+    | Some j ->
+        q_front := List.tl !q_front;
+        decr q_len;
+        Some j
+  in
+  let q_to_list () = !q_front @ List.rev !q_back in
+  let q_set js =
+    q_front := js;
+    q_back := [];
+    q_len := List.length js
+  in
+  let penalty_rate (j : Job.t) = j.penalty /. j.cycles in
+  let shed_overflow cap =
+    if !q_len <= cap then []
+    else begin
+      let all = q_to_list () in
+      let excess = !q_len - cap in
+      let order =
+        List.stable_sort
+          (fun (a : Job.t) (b : Job.t) ->
+            let c = Float.compare (penalty_rate a) (penalty_rate b) in
+            if c <> 0 then c else compare a.id b.id)
+          all
+      in
+      let rec take k = function
+        | [] -> []
+        | j :: tl -> if k = 0 then [] else j :: take (k - 1) tl
+      in
+      let drops = take excess order in
+      q_set (List.filter (fun (j : Job.t) -> not (List.memq j drops)) all);
+      drops
+    end
+  in
+  { r_push = q_push; r_pop = q_pop; r_shed_to = shed_overflow;
+    r_to_list = q_to_list }
+
+type ingress_op = Push of int * int | Pop | Shed_to of int
+
+let test_ingress_matches_reference =
+  (* ids from a small range and rates from {0.5, 1, 2} (some at two
+     cycle counts), so equal rates and full (rate, id) ties are common.
+     Every push overflows to the case's capacity, as the engine's
+     arrival does; [Shed_to c] sheds down to [cap - c], several at
+     once. Capacity 100 seldom binds, so the ring grows past its first
+     16 slots while wrapped *)
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map2 (fun id k -> Push (id, k)) (int_range 0 5) (int_range 0 5));
+          (3, pure Pop);
+          (1, map (fun c -> Shed_to c) (int_range 0 8));
+        ])
+  in
+  qtest ~count:500 "Ingress = two-stack queue with stable-sort shed"
+    QCheck2.Gen.(
+      pair
+        (frequency [ (4, int_range 0 8); (1, pure 100) ])
+        (list_size (int_range 0 80) op))
+    (fun (cap, ops) ->
+      let q = Rt_serve.Ingress.create () and r = reference_ingress () in
+      let sheds = ref [] and ref_sheds = ref [] in
+      let pops = ref [] and ref_pops = ref [] in
+      let shed_to c =
+        while Rt_serve.Ingress.length q > c do
+          sheds := Rt_serve.Ingress.shed q :: !sheds
+        done;
+        ref_sheds := List.rev_append (r.r_shed_to c) !ref_sheds
+      in
+      List.iteri
+        (fun i -> function
+          | Push (id, k) ->
+              let rate = [| 0.5; 1.; 2. |].(k mod 3) in
+              let cycles = if k < 3 then 10. else 20. in
+              let j =
+                job ~id ~arrival:(float_of_int i) ~cycles
+                  ~deadline:(float_of_int i +. 100.) ~penalty:(rate *. cycles)
+              in
+              Rt_serve.Ingress.push q j;
+              r.r_push j;
+              shed_to cap
+          | Pop ->
+              if Rt_serve.Ingress.length q > 0 then
+                pops := Rt_serve.Ingress.pop q :: !pops;
+              Option.iter (fun j -> ref_pops := j :: !ref_pops) (r.r_pop ())
+          | Shed_to c -> shed_to (Int.max 0 (cap - c)))
+        ops;
+      let rec drain acc =
+        if Rt_serve.Ingress.length q = 0 then List.rev acc
+        else drain (Rt_serve.Ingress.pop q :: acc)
+      in
+      Marshal.to_string (!sheds, !pops, drain []) []
+      = Marshal.to_string (!ref_sheds, !ref_pops, r.r_to_list ()) [])
+
+(* perfbench's serve-overload shape: m = 4, 5000 jobs, a 256-job queue,
+   decisions at 0.75 of the arrival rate, the 200-unit overload window,
+   and a derate, a crash and an overrun at 30, 50 and 60% of the span *)
+let overload_run ~seed =
+  let m = 4 and n = 5_000 in
+  let rate = 1.4 *. float_of_int m /. 25. in
+  let span = float_of_int n /. rate in
+  let at f = f *. span in
+  let config =
+    {
+      Serve.default_config with
+      policy = Admission.Profitable;
+      m;
+      queue_capacity = Some 256;
+      decision_rate = Some (0.75 *. rate);
+      overload = Some { Serve.window = 200.; enter_above = 1.; exit_below = 0.75 };
+      faults =
+        [
+          { Rt_fault.Fault.at = at 0.3; fault = Speed_derate { factor = 0.8 } };
+          { at = at 0.5; fault = Proc_crash { proc = m - 1; at = at 0.5 } };
+          { at = at 0.6; fault = Wcec_overrun { task_id = 3_000; factor = 1.5 } };
+        ];
+    }
+  in
+  run_exn ~config
+    (Source.synthetic ~seed ~limit:n ~rate ~s_max:1. ~mean_cycles:25.
+       ~slack_lo:1.2 ~slack_hi:4. ~penalty_factor:1.3 ())
+
+let test_overload_shape_is_pinned () =
+  (* perfbench's serve-overload digest covers each chunk's outcome but
+     not its incidents: the shed order is pinned here, as a hash of the
+     shed ids in log order, with the counts and the objective's bits,
+     all recorded from the sort-based ingress this queue replaced *)
+  let labels =
+    [ "shed"; "tier-down"; "tier-up"; "overload-on"; "overload-off"; "fault";
+      "replan" ]
+  in
+  List.iter
+    (fun (seed, shed, replan_shed, counts, total, shed_hash) ->
+      let r = overload_run ~seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check_int (name "shed") shed r.Serve.shed;
+      check_int (name "replan_shed") replan_shed r.Serve.replan_shed;
+      Alcotest.(check (list int))
+        (name "incidents by label") counts
+        (List.map
+           (fun l ->
+             List.length
+               (List.filter (fun i -> Incident.label i = l) r.Serve.incidents))
+           labels);
+      if not (Float.equal total r.Serve.outcome.Admission.total) then
+        Alcotest.failf "%s: expected %h, got %h" (name "total") total
+          r.Serve.outcome.Admission.total;
+      check_int (name "shed order") shed_hash
+        (List.fold_left
+           (fun h id -> ((h * 31) + id) land 0x3FFFFFFF)
+           0
+           (List.filter_map
+              (function Incident.Shed { job_id; _ } -> Some job_id | _ -> None)
+              r.Serve.incidents)))
+    [
+      (1, 1054, 0, [ 1054; 0; 0; 1; 0; 3; 0 ], 0x1.39d38ef2ac822p+17, 931158351);
+      (2, 977, 0, [ 977; 0; 0; 2; 1; 3; 0 ], 0x1.45b0f95c651ecp+17, 1016191817);
+      (3, 910, 0, [ 910; 0; 0; 1; 0; 3; 0 ], 0x1.36168daead0cap+17, 770433325);
+    ]
+
+let test_zero_capacity_sheds_everything () =
+  let jobs = stream ~seed:13 ~n:200 in
+  let config =
+    {
+      Serve.default_config with
+      policy = Admission.Admit_all;
+      queue_capacity = Some 0;
+      decision_rate = Some 1.;
+    }
+  in
+  let r = run_exn ~config (Source.of_list jobs) in
+  check_int "every arrival shed" (List.length jobs) r.Serve.shed;
+  check_int "nothing decided" 0
+    (Array.fold_left ( + ) 0 r.Serve.tier_decisions);
+  check_int "all rejected" (List.length jobs)
+    (List.length r.Serve.outcome.Admission.rejected)
+
+let test_duplicate_id_is_an_error () =
+  (* job 0 is decided at once; the two id-1 jobs then queue behind the
+     slow server, and the second overflows the one-job queue, shedding
+     the cheaper first. The survivor is still undecided: its decision
+     reports the duplicate id rather than the job going unaccounted *)
+  let jobs =
+    [
+      job ~id:0 ~arrival:0. ~cycles:10. ~deadline:10_000. ~penalty:1.;
+      job ~id:1 ~arrival:0.01 ~cycles:10. ~deadline:10_000. ~penalty:1.;
+      job ~id:1 ~arrival:0.02 ~cycles:10. ~deadline:10_000. ~penalty:5.;
+    ]
+  in
+  let config =
+    {
+      Serve.default_config with
+      policy = Admission.Admit_all;
+      queue_capacity = Some 1;
+      decision_rate = Some 0.001;
+    }
+  in
+  match Serve.run ~proc ~config (Source.of_list jobs) with
+  | Error (Admission.Invalid msg) ->
+      check_bool "names the duplicate" true
+        (String.equal msg "Admission.simulate: duplicate job ids")
+  | Error e -> Alcotest.failf "wrong error: %s" (Admission.error_to_string e)
+  | Ok _ -> Alcotest.fail "a duplicate id must not vanish from the books"
+
 (* ------------------------------------------------------------------ *)
 (* Faults in flight: never a silent deadline miss *)
 
@@ -499,6 +735,13 @@ let () =
             test_backpressure_sheds_cheapest_prefix;
           Alcotest.test_case "queue latency costs slack" `Quick
             test_queue_latency_costs_slack;
+          test_ingress_matches_reference;
+          Alcotest.test_case "overload shape is pinned" `Quick
+            test_overload_shape_is_pinned;
+          Alcotest.test_case "capacity 0 sheds every arrival" `Quick
+            test_zero_capacity_sheds_everything;
+          Alcotest.test_case "a duplicate id is an error" `Quick
+            test_duplicate_id_is_an_error;
         ] );
       ( "faults",
         [

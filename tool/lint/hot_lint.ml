@@ -440,8 +440,11 @@ and rules_apply ctx ~loop e comps args =
   (match (comps, pos) with
   | [ "ref" ], a :: _ when Typed_lint.contains_float a.exp_type ->
       report ctx ~severity:Finding.Warning e.exp_loc "hot-boxed-float"
-        "float-bearing ref allocates a fresh box on every update; use an \
-         unboxed accumulator (recursive scan with float arguments) instead"
+        "float-bearing ref boxes every update when a closure captures it \
+         or it escapes; keep it local to one function's loop, where \
+         ocamlopt unboxes it, or hold the value in a float array. A \
+         self-recursive scan is no fix: it boxes its float arguments on \
+         every call"
   | _ -> ());
   if List.mem comps boxing_poly_heads && Typed_lint.is_float e.exp_type then
     report ctx ~severity:Finding.Warning e.exp_loc "hot-boxed-float"

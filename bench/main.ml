@@ -198,6 +198,18 @@ let bnb_test =
   Test.make ~name:"branch-and-bound:n=12"
     (Staged.stage (fun () -> Rt_core.Exact.branch_and_bound_budgeted p))
 
+(* YDS on a 250-job stream at load 1.0, in the job shape of the serve
+   bench (mean cycles 25, slack 1.2-4); CI ratchets this row's minor
+   words per run. *)
+let yds_test =
+  let jobs =
+    let rng = Rt_prelude.Rng.create ~seed:(100 + 250) in
+    Rt_online.Job.stream rng ~n:250 ~rate:(1. /. 25.) ~s_max:1. ~mean_cycles:25.
+      ~slack_lo:1.2 ~slack_hi:4. ~penalty_factor:1.3
+  in
+  Test.make ~name:"yds:n=250"
+    (Staged.stage (fun () -> Rt_online.Yds.blocks jobs))
+
 (* The offline planner's two kernels at the shape perfbench's plan
    workload runs (n=200, m=8, load 1.5, the dormant xscale processor):
    local search from the LTF start, and density_reject. CI ratchets
@@ -237,7 +249,8 @@ let run_timings () =
       [
         Test.make_grouped ~name:"kernels" kernel_tests;
         Test.make_grouped ~name:"scaling(n=10..100000)"
-          (scaling_tests @ qos_scaling_tests @ [ bnb_test ] @ plan_tests);
+          (scaling_tests @ qos_scaling_tests @ [ bnb_test; yds_test ]
+          @ plan_tests);
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) () in

@@ -138,7 +138,9 @@ let () =
     measured ~case:"backpressure" ~n:n3 (fun () ->
         Rt_serve.Serve.run ~proc ~config:config3 (source ~seed:44 ~n:n3))
   in
-  (* 4: competitive ratio on a small stream where YDS is affordable *)
+  (* 4: competitive ratio against YDS, on one processor. Typical
+     streams cost YDS O(n^3) in the admitted count, about 0.15 s for
+     this row; a 10^4-job row needs a faster algorithm *)
   let n4 = 1_000 in
   let config4 = { config with Rt_serve.Serve.yds_bound = true } in
   let row4 =

@@ -8,7 +8,8 @@
 
 val e13_online_admission : ?seeds:int -> unit -> Rt_prelude.Tablefmt.t
 (** Rows: offered load (expected utilization demand). Columns: the three
-    policies' cost ratios plus Admit_all's acceptance rate. Expected:
-    all ratios near 1 at light load; under overload Profitable and the
-    threshold policy beat Admit_all, whose forced rejections pick the
-    wrong victims. *)
+    policies' cost ratios, Admit_all's acceptance rate, and Profitable's
+    energy over the YDS offline-optimal energy of the jobs it admitted.
+    Expected: all ratios near 1 at light load; under overload Profitable
+    and the threshold policy beat Admit_all, whose forced rejections
+    pick the wrong victims. The YDS ratio is at least 1. *)

@@ -130,7 +130,8 @@ let all =
       expectation =
         "ratios grow with load (the clairvoyant bound ignores \
          interference); profitable is consistently best; admit-all's \
-         acceptance rate collapses under overload";
+         acceptance rate collapses under overload; profitable's energy \
+         stays a few percent above YDS on the same admitted jobs";
       run = (fun () -> Exp_online.e13_online_admission ());
       run_quick = (fun () -> Exp_online.e13_online_admission ~seeds:5 ());
     };

@@ -305,7 +305,6 @@ module Exec = struct
         }
 
   let now t = !(t.now)
-  let m t = Array.length t.pendings
   let speed_cap t = t.cap
 
   let live t =

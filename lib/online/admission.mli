@@ -132,9 +132,6 @@ module Exec : sig
   val now : t -> float
   (** Current simulation time (starts at 0). *)
 
-  val m : t -> int
-  (** Processor count, dead or alive. *)
-
   val live : t -> int list
   (** Indices of processors that have not {!crash}ed, ascending. *)
 

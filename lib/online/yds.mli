@@ -21,13 +21,24 @@ type block = {
 }
 
 val blocks : Job.t list -> block list
+[@@rt.hot "once per sweep battery op, yds_bound serve run and E13 seed"]
 (** The critical-interval decomposition, in extraction order (intensities
     non-increasing). Total [work] equals the jobs' total cycles. Empty
-    input gives []. @raise Invalid_argument on duplicate ids. *)
+    input gives []. @raise Invalid_argument on duplicate ids.
 
-val peak_intensity : Job.t list -> float
-(** Intensity of the first block (0. for no jobs) — the minimum top speed
-    any feasible schedule needs. *)
+    Candidate windows are [\[t1, t2\]] over the live arrivals × live
+    deadlines with [t2 > t1], scanned in (t1, t2) order. A window's work
+    is the sum of the contained jobs' cycles in input order, and its
+    intensity that work over [t2 − t1]. The first window is the best so
+    far; a later one replaces it only when the best's intensity is below
+    the window's minus [1e-15], so near-ties go to the earliest window.
+
+    Cost: one sweep per start prices every window in deadline order,
+    O(k²) per block for k live jobs, and the r windows whose bound could
+    beat the best so far are re-priced in input order, O(r·k). The sweep
+    skips no window the rule would take, so the blocks are bit for bit
+    those of pricing every window in input order, which costs O(k³) per
+    block. Over up to n blocks that is O(n³) while r stays O(k). *)
 
 val energy :
   proc:Rt_power.Processor.t -> Job.t list -> (float, string) result

@@ -99,12 +99,22 @@ let validate_config cfg =
           o.exit_below o.enter_above
     | _ -> Ok ()
   in
+  let* () =
+    if cfg.yds_bound && cfg.m <> 1 then
+      err "serve: yds_bound prices one processor, not m = %d" cfg.m
+    else Ok ()
+  in
   match Fault.validate_timed ~m:cfg.m cfg.faults with
   | Error msg -> Error (Admission.Invalid msg)
   | Ok () -> Ok ()
 
 let run ~proc ~config source =
   bind (validate_config config) @@ fun () ->
+  bind
+    (if config.yds_bound && not (Rt_power.Processor.is_ideal proc) then
+       Error (Admission.Invalid "serve: yds_bound needs an ideal processor")
+     else Ok ())
+  @@ fun () ->
   bind (Exec.create ~proc ~m:config.m) @@ fun exec ->
   let faults = ref (Fault.by_time config.faults) in
   let tier = ref Incident.Exact in
@@ -383,7 +393,7 @@ let run ~proc ~config source =
     end
   in
   let yds_energy =
-    if config.yds_bound && Exec.m exec = 1 then begin
+    if config.yds_bound then begin
       let tbl = Hashtbl.create 64 in
       List.iter (fun (j : Job.t) -> Hashtbl.replace tbl j.id j) !admitted_jobs;
       let jobs = List.filter_map (Hashtbl.find_opt tbl) outcome.admitted in

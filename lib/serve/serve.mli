@@ -77,7 +77,11 @@ type config = {
   faults : Rt_fault.Fault.timed list;  (** applied in strike-time order *)
   yds_bound : bool;
       (** also compute the YDS offline-optimal energy of the admitted
-          set (single-processor runs only; O(n³) — keep runs small) *)
+          set. Needs [m = 1] and an ideal [proc]; {!run} rejects anything
+          else as [Invalid]. {!Rt_online.Yds.blocks} decomposes n
+          admitted jobs in O(n³) for typical streams (under 1 s at
+          n = 1000), with the earliest window winning intensity ties
+          within 1e-15. *)
 }
 
 val default_config : config
@@ -106,15 +110,17 @@ type report = {
   lower_bound : float;
       (** {!Rt_online.Admission.job_bound} summed over every job seen *)
   yds_energy : float option;
-      (** offline-optimal energy of the admitted set, when requested
-          and computable (single processor, feasible at [s_max]) *)
+      (** offline-optimal energy of the admitted set when [yds_bound]
+          is set; [None] otherwise, or if the admitted set needs more
+          than [s_max] offline *)
 }
 
 val run :
   proc:Rt_power.Processor.t -> config:config -> Source.t ->
   (report, Rt_online.Admission.error) result
 (** Serve the stream to exhaustion, then apply any remaining faults and
-    drain the executors. Errors on invalid configuration, a broken
+    drain the executors. Errors on invalid configuration (including
+    [yds_bound] with [m <> 1] or a non-ideal [proc]), a broken
     source, a duplicate job id (when the second job is decided or
     shed), or — defensively — an admitted deadline miss, which the
     re-planning layer exists to make unreachable. *)

@@ -300,8 +300,7 @@ let test_yds_single_job () =
       check_float 1e-9 "intensity = laxity speed" 0.5 b.Yds.intensity;
       check_float 1e-9 "length" 80. b.Yds.length;
       check_float 1e-9 "work" 40. b.Yds.work
-  | _ -> Alcotest.fail "one block expected");
-  check_float 1e-9 "peak" 0.5 (Yds.peak_intensity [ j ])
+  | _ -> Alcotest.fail "one block expected")
 
 let test_yds_textbook () =
   (* two nested jobs: the tight inner one defines the critical interval *)
@@ -315,6 +314,169 @@ let test_yds_textbook () =
       check_float 1e-9 "second intensity" 0.25 b2.Yds.intensity;
       check_bool "non-increasing" true (b1.Yds.intensity >= b2.Yds.intensity)
   | bs -> Alcotest.failf "expected 2 blocks, got %d" (List.length bs)
+
+(* The quartic kernel [Yds.blocks] replaced, verbatim but for the
+   qualified block type and the duplicate-id check: every window priced
+   by a fold over the live jobs in input order. [Yds.blocks] must equal
+   it bit for bit. *)
+module Yds_reference = struct
+  type jv = { mutable a : float; mutable d : float; c : float }
+
+  let critical_interval jvs =
+    let starts = List.sort_uniq Float.compare (List.map (fun j -> j.a) jvs) in
+    let ends = List.sort_uniq Float.compare (List.map (fun j -> j.d) jvs) in
+    let best = ref None in
+    List.iter
+      (fun t1 ->
+        List.iter
+          (fun t2 ->
+            if Fc.exact_gt t2 t1 then begin
+              let work =
+                List.fold_left
+                  (fun acc j ->
+                    if Fc.exact_ge j.a t1 && Fc.exact_le j.d t2 then acc +. j.c
+                    else acc)
+                  0. jvs
+              in
+              if Fc.exact_gt work 0. then begin
+                let intensity = work /. (t2 -. t1) in
+                match !best with
+                | Some (bi, _, _, _) when Fc.exact_ge bi (intensity -. 1e-15) -> ()
+                | _ -> best := Some (intensity, t1, t2, work)
+              end
+            end)
+          ends)
+      starts;
+    !best
+
+  let blocks jobs =
+    let jvs =
+      List.map
+        (fun (j : Job.t) -> { a = j.Job.arrival; d = j.Job.deadline; c = j.Job.cycles })
+        jobs
+    in
+    let rec go jvs acc =
+      match critical_interval jvs with
+      | None -> List.rev acc
+      | Some (intensity, t1, t2, work) ->
+          let length = t2 -. t1 in
+          let survivors =
+            List.filter
+              (fun j -> not (Fc.exact_ge j.a t1 && Fc.exact_le j.d t2))
+              jvs
+          in
+          (* excise [t1, t2]: times inside the window collapse onto t1 *)
+          let squeeze t =
+            if Fc.exact_le t t1 then t
+            else if Fc.exact_ge t t2 then t -. length
+            else t1
+          in
+          List.iter
+            (fun j ->
+              j.a <- squeeze j.a;
+              j.d <- squeeze j.d)
+            survivors;
+          go survivors ({ Yds.intensity; length; work } :: acc)
+    in
+    go jvs []
+end
+
+let same_blocks_as_reference jobs =
+  Marshal.to_string (Yds.blocks jobs) []
+  = Marshal.to_string (Yds_reference.blocks jobs) []
+
+(* Job.stream at rates 0.01 .. 1.0 (load 0.25 .. 25 at 25 mean cycles) *)
+let gen_yds_stream =
+  QCheck2.Gen.(
+    map3
+      (fun seed n rate ->
+        let rng = Rt_prelude.Rng.create ~seed in
+        Job.stream rng ~n ~rate ~s_max:1. ~mean_cycles:25. ~slack_lo:1.2
+          ~slack_hi:4. ~penalty_factor:1.)
+      (int_range 1 1_000_000) (int_range 1 80) (float_range 0.01 1.0))
+
+let prop_yds_matches_reference_streams =
+  qtest ~count:300 "YDS blocks equal the reference on job streams"
+    gen_yds_stream same_blocks_as_reference
+
+(* small integer grids: many windows share an intensity exactly, so the
+   tie-break decides the blocks *)
+let gen_yds_grid =
+  QCheck2.Gen.(
+    list_size (int_range 1 14)
+      (triple (int_range 0 10) (int_range 1 10) (int_range 1 6))
+    |> map (fun js ->
+           List.mapi
+             (fun id (a, len, c) ->
+               job ~id ~arrival:(float_of_int a) ~cycles:(float_of_int c)
+                 ~deadline:(float_of_int (a + len)) ~penalty:0.)
+             js))
+
+let prop_yds_matches_reference_grids =
+  qtest ~count:2000 "YDS blocks equal the reference on tied integer grids"
+    gen_yds_grid same_blocks_as_reference
+
+(* the same streams with every time and cycle count scaled by 2^e *)
+let prop_yds_matches_reference_scaled =
+  qtest ~count:200 "YDS blocks equal the reference on streams scaled by 2^e"
+    QCheck2.Gen.(pair gen_yds_stream (oneofl [ -30; -10; 10; 30 ]))
+    (fun (jobs, e) ->
+      let s = Float.ldexp 1. e in
+      same_blocks_as_reference
+        (List.map
+           (fun (j : Job.t) ->
+             job ~id:j.id ~arrival:(j.arrival *. s) ~cycles:(j.cycles *. s)
+               ~deadline:(j.deadline *. s) ~penalty:j.penalty)
+           jobs))
+
+let test_yds_near_tie_input_order () =
+  (* Window [10, 11] holds b, c and d. In input order its work is
+     (1 + c) + d = 1 + 2^-51, but a sweep in deadline order sums
+     (d + c) + 1 = 1 + 2^-52. Window [0, 1] comes first in scan order,
+     at exactly (1 + 2^-52) - 1e-15: only the input-order sum clears it
+     by more than 1e-15, so the later window is the critical one. *)
+  let tiny = Float.ldexp 0.6 (-52) in
+  let x = 1. +. Float.ldexp 1. (-52) -. 1e-15 in
+  let jobs =
+    [
+      job ~id:0 ~arrival:0. ~cycles:x ~deadline:1. ~penalty:0.;
+      job ~id:1 ~arrival:10. ~cycles:1. ~deadline:11. ~penalty:0.;
+      job ~id:2 ~arrival:10. ~cycles:tiny ~deadline:10.75 ~penalty:0.;
+      job ~id:3 ~arrival:10. ~cycles:tiny ~deadline:10.5 ~penalty:0.;
+    ]
+  in
+  check_bool "same as the reference" true (same_blocks_as_reference jobs);
+  match Yds.blocks jobs with
+  | b :: _ ->
+      check_bool "the later window wins" true
+        (b.Yds.intensity = 1. +. Float.ldexp 1. (-51) && b.Yds.length = 1.)
+  | [] -> Alcotest.fail "blocks expected"
+
+let test_yds_nested_closed_form () =
+  (* k nested windows [k-1-i, k+1+i] with 2(k-i) cycles: the innermost
+     runs alone at intensity k; excising it leaves the next innermost
+     with a window of length 2, and so on outwards, so block i has
+     intensity k-i, length 2 and work 2(k-i), all exact in binary *)
+  List.iter
+    (fun k ->
+      let jobs =
+        List.init k (fun i ->
+            job ~id:i
+              ~arrival:(float_of_int (k - 1 - i))
+              ~cycles:(float_of_int (2 * (k - i)))
+              ~deadline:(float_of_int (k + 1 + i))
+              ~penalty:0.)
+      in
+      let expected =
+        List.init k (fun i ->
+            let w = float_of_int (k - i) in
+            { Yds.intensity = w; length = 2.; work = 2. *. w })
+      in
+      check_bool (Printf.sprintf "k=%d nested windows" k) true
+        (Yds.blocks jobs = expected);
+      check_bool (Printf.sprintf "k=%d reversed input" k) true
+        (Yds.blocks (List.rev jobs) = expected))
+    [ 1; 2; 3; 5; 8; 13; 40 ]
 
 let prop_yds_work_conserved =
   qtest "YDS blocks conserve total work, intensities non-increasing"
@@ -350,7 +512,10 @@ let prop_admission_implies_yds_feasible =
       | Error _ -> false
       | Ok o ->
           o.Admission.rejected <> []
-          || Fc.leq ~eps:1e-6 (Yds.peak_intensity jobs) 1.)
+          ||
+          match Yds.blocks jobs with
+          | [] -> true
+          | b :: _ -> Fc.leq ~eps:1e-6 b.Yds.intensity 1.)
 
 let prop_yds_no_worse_than_online =
   qtest ~count:40 "when everything is admitted, YDS energy <= online energy"
@@ -572,6 +737,13 @@ let () =
         [
           Alcotest.test_case "single job" `Quick test_yds_single_job;
           Alcotest.test_case "textbook nested jobs" `Quick test_yds_textbook;
+          Alcotest.test_case "nested windows decompose in closed form" `Quick
+            test_yds_nested_closed_form;
+          Alcotest.test_case "a near-tie goes by the input-order sum" `Quick
+            test_yds_near_tie_input_order;
+          prop_yds_matches_reference_streams;
+          prop_yds_matches_reference_grids;
+          prop_yds_matches_reference_scaled;
           prop_yds_work_conserved;
           prop_admission_implies_yds_feasible;
           prop_yds_no_worse_than_online;

@@ -718,6 +718,33 @@ let test_config_validation () =
       overload = Some { Serve.window = 10.; enter_above = 0.5; exit_below = 0.9 };
     }
 
+let test_yds_bound_needs_one_ideal_processor () =
+  let config = { Serve.default_config with yds_bound = true } in
+  let jobs = stream ~seed:5 ~n:40 in
+  let expect_invalid name ~proc config =
+    match Serve.run ~proc ~config (Source.of_list jobs) with
+    | Error (Admission.Invalid _) -> ()
+    | Ok _ -> Alcotest.failf "%s should be rejected" name
+    | Error e ->
+        Alcotest.failf "%s: wrong error %s" name (Admission.error_to_string e)
+  in
+  (* m = 4 used to keep every admitted job and report no energy *)
+  expect_invalid "m = 4" ~proc { config with m = 4 };
+  (* a discrete-level processor used to report no energy *)
+  expect_invalid "discrete levels"
+    ~proc:
+      (Rt_power.Processor.xscale_levels
+         ~dormancy:Rt_power.Processor.Dormant_disable)
+    config;
+  let r = run_exn ~config (Source.of_list jobs) in
+  let admitted =
+    List.filter (fun (j : Job.t) -> List.mem j.id r.outcome.admitted) jobs
+  in
+  match (r.Serve.yds_energy, Yds.energy ~proc admitted) with
+  | Some e, Ok expected ->
+      check_bool "m = 1 prices the admitted set" true (e = expected)
+  | _ -> Alcotest.fail "m = 1 on an ideal processor must report YDS energy"
+
 let () =
   Alcotest.run "rt_serve"
     [
@@ -767,5 +794,9 @@ let () =
           Alcotest.test_case "shards=1 is run" `Quick test_sharded_one_is_run;
         ] );
       ( "config",
-        [ Alcotest.test_case "validation" `Quick test_config_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_config_validation;
+          Alcotest.test_case "yds_bound needs one ideal processor" `Quick
+            test_yds_bound_needs_one_ideal_processor;
+        ] );
     ]

@@ -338,6 +338,9 @@ type race = {
       (* work-steal rows: both sides ran to completion (neither
          exhausted its budget) — the rows the CI wall-clock and
          cost-equality gates apply to *)
+  budget : float option;
+      (* work-steal rows: the wall-clock budget each side ran under —
+         CI's deadline gate holds both walls to it *)
 }
 
 (* The portfolio race: plain branch-and-bound from its own all-reject
@@ -380,6 +383,7 @@ let portfolio_race ~pool ~reps ~seed ~n ~m ~load =
     speedup = seq_wall /. Float.max 1e-9 par_wall;
     steals = None;
     completed = None;
+    budget = None;
   }
 
 (* The work-stealing race: the same exact search dynamically balanced
@@ -429,6 +433,7 @@ let work_steal_race ~pool ~reps ~budget ~seed ~n ~m ~load =
       Some
         ((not seq.Rt_core.Exact.exhausted)
         && not par.Rt_core.Exact.exhausted);
+    budget = Some budget;
   }
 
 (* The equal-budget race: on instances past the exact frontier (n >= 18)
@@ -475,6 +480,7 @@ let budget_race ~pool ~seed ~n ~m ~load ~budget =
     speedup = seq_wall /. Float.max 1e-9 par_wall;
     steals = None;
     completed = None;
+    budget = None;
   }
 
 let run_races () =
@@ -545,7 +551,8 @@ let json_of_kernel (name, ns, words) =
         ("minor_words_per_run", num words);
       ])
 
-(* steals / completed are absent, not null, on rows that lack them *)
+(* steals / completed / budget_s are absent, not null, on rows that
+   lack them *)
 let json_of_race r =
   let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
   Json.(
@@ -564,7 +571,8 @@ let json_of_race r =
          ("speedup", Float r.speedup);
        ]
       @ opt "steals" (fun s -> Int s) r.steals
-      @ opt "completed" (fun c -> Bool c) r.completed))
+      @ opt "completed" (fun c -> Bool c) r.completed
+      @ opt "budget_s" (fun b -> Float b) r.budget))
 
 let write_json ~kernels ~races ~lint =
   let lints = Option.to_list lint in

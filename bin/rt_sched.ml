@@ -612,16 +612,15 @@ let portfolio proc_name penalty_name seed n m load node_budget time_budget
                 (validation_tag p o.Rt_core.Portfolio.solution);
               Ok ())
 
-let exact proc_name penalty_name seed n m load node_budget time_budget
-    split_factor jobs =
+let exact proc_name penalty_name seed n m load node_budget time_budget jobs =
   match build_instance ~proc_name ~penalty_name ~seed ~n ~m ~load with
   | Error e -> Error e
   | Ok (_, p) ->
       with_jobs jobs (fun pool ->
           let t0 = Rt_prelude.Clock.now () in
           match
-            Rt_core.Exact.branch_and_bound_budgeted ?pool ?split_factor
-              ?node_budget ?time_budget p
+            Rt_core.Exact.branch_and_bound_budgeted ?pool ?node_budget
+              ?time_budget p
           with
           | Error e -> Error (`Msg e)
           | Ok b ->
@@ -636,13 +635,10 @@ let exact proc_name penalty_name seed n m load node_budget time_budget
               | Some pl ->
                   Printf.printf
                     "work-stealing exact search on n=%d m=%d load=%.2f (seed \
-                     %d, %d domains%s)\n\
+                     %d, %d domains)\n\
                     \  wall %.1f ms   nodes %d   splits %d   subtree drops %d   \
                      steals per domain [%s]\n"
                     n m load seed (Rt_parallel.Pool.size pl)
-                    (match split_factor with
-                    | Some sf -> Printf.sprintf ", split factor %d" sf
-                    | None -> "")
                     (1e3 *. wall) b.Rt_core.Exact.nodes
                     st.Rt_exact.Search.splits st.Rt_exact.Search.pruned
                     (String.concat "; "
@@ -988,16 +984,6 @@ let portfolio_cmd =
         (const portfolio $ proc_arg $ penalty_arg $ seed_arg $ n_arg $ m_arg
        $ load_arg $ node_budget_arg $ portfolio_time_budget_arg $ jobs_arg))
 
-let split_factor_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "split-factor" ] ~docv:"FACTOR"
-        ~doc:
-          "Work granulation: larger factors expand the search frontier \
-           into finer stealable subtrees. The result is identical at \
-           every value.")
-
 let exact_time_budget_arg =
   Arg.(
     value
@@ -1005,20 +991,20 @@ let exact_time_budget_arg =
     & info [ "time-budget" ] ~docv:"SECONDS"
         ~doc:
           "Wall-clock budget (monotonic) shared by all domains; on expiry \
-           the pending subtrees drain and the incumbent is returned.")
+           the pending subtrees are dropped unrun and the incumbent is \
+           returned.")
 
 let exact_cmd =
   Cmd.v
     (Cmd.info "exact"
        ~doc:
          "run the exact branch-and-bound, by work stealing with --jobs > 1 \
-          (deterministic: identical solution at any domain count and split \
-          factor)")
+          (deterministic: a completed run returns the same solution at any \
+          domain count)")
     Term.(
       term_result
         (const exact $ proc_arg $ penalty_arg $ seed_arg $ n_arg $ m_arg
-       $ load_arg $ node_budget_arg $ exact_time_budget_arg
-       $ split_factor_arg $ jobs_arg))
+       $ load_arg $ node_budget_arg $ exact_time_budget_arg $ jobs_arg))
 
 let count_arg =
   Arg.(

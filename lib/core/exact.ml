@@ -6,11 +6,10 @@ type budgeted = {
   stats : Rt_exact.Search.stats;
 }
 
-let branch_and_bound_budgeted ?pool ?split_factor ?shared ?node_budget
-    ?time_budget (p : Problem.t) =
+let branch_and_bound_budgeted ?pool ?shared ?node_budget ?time_budget
+    (p : Problem.t) =
   match
-    Rt_exact.Search.solve ?pool ?split_factor ?shared ?node_budget
-      ?time_budget ~m:p.m
+    Rt_exact.Search.solve ?pool ?shared ?node_budget ?time_budget ~m:p.m
       ~capacity:(Problem.capacity p)
       ~bucket_cost:(Problem.bucket_energy p) p.items
   with

@@ -16,13 +16,19 @@ type budgeted = {
 }
 
 val branch_and_bound_budgeted :
-  ?pool:Rt_parallel.Pool.t -> ?split_factor:int ->
-  ?shared:Rt_exact.Search.shared -> ?node_budget:int -> ?time_budget:float ->
-  Problem.t -> (budgeted, string) result
+  ?pool:Rt_parallel.Pool.t -> ?shared:Rt_exact.Search.shared ->
+  ?node_budget:int -> ?time_budget:float -> Problem.t ->
+  (budgeted, string) result
 (** {!Rt_exact.Search.solve} on the problem, with the same options:
     always returns a valid solution — seeded with all-reject, improved
     until the search completes or a budget runs out — with [exhausted]
     flagging an unproven optimum. [shared] connects the search to a
-    cross-domain incumbent (the {!Portfolio} plumbing); [pool] runs it
-    by work stealing. All failure modes, including a cost mismatch
-    against {!Solution.cost}, are typed errors, never exceptions. *)
+    cross-domain incumbent (the {!Portfolio} plumbing). [pool] runs it
+    by work stealing; a completed pooled run returns the sequential
+    run's solution byte for byte (same buckets, same rejected order) at
+    any pool size. Among equal costs both keep the first assignment in
+    depth-first order, and the all-reject seed unless a solution beats
+    it strictly. Past [time_budget] a pooled run drops its pending units
+    unrun and returns its incumbent. All failure modes, including a cost
+    mismatch against {!Solution.cost}, are typed errors, never
+    exceptions. *)

@@ -15,7 +15,7 @@ type stats = {
   steals : int list;
   splits : int;
   pruned : int;
-  subtrees : (int list * int) list;
+  subtrees : int;
 }
 
 type anytime = {
@@ -48,11 +48,10 @@ let rec publish cell cost =
    sorted largest-first, forced rejections (items too heavy for any
    processor) and their penalty. A [state] is a node of the search tree —
    the first [next] items decided, the rest open. [root] is the empty
-   prefix; [expand] enumerates a node's children in depth-first visit
-   order (buckets 0..used, first unused bucket for symmetry breaking,
-   then rejection), which is what makes a frontier split equivalent to
-   the sequential search: all leaves of child i precede all leaves of
-   child i+1 in DFS order.
+   prefix; [expand] enumerates a node's children, which partition its
+   leaves: all leaves of one child precede all leaves of the next in
+   depth-first visit order (buckets 0..used, first unused bucket for
+   symmetry breaking, then rejection).
 
    A state carries each bucket's energy beside its load, so a child
    prices only the bucket it changed, and records decisions as one
@@ -102,7 +101,10 @@ let root e =
     penalty = 0.;
   }
 
-(* children of an interior node ([st.next] < number of items) *)
+(* Children of an interior node ([st.next] < number of items), last in
+   depth-first order first: rejection, then buckets [used] down to 0 —
+   the order an owner pushes them, so that it pops the first child
+   next. *)
 let expand e st =
   let it = e.arr.(st.next) in
   let child ~used ~penalty j =
@@ -117,68 +119,82 @@ let expand e st =
     { next = st.next + 1; used; loads; energies; assign; penalty }
   in
   let children = ref [] in
-  for j = min (e.m - 1) st.used downto 0 do
+  for j = 0 to min (e.m - 1) st.used do
     if Fc.leq (st.loads.(j) +. it.weight) e.capacity then
       children :=
         child ~used:(max st.used (j + 1)) ~penalty:st.penalty j :: !children
   done;
-  !children
-  @ [ child ~used:st.used ~penalty:(st.penalty +. it.item_penalty) (-1) ]
+  child ~used:st.used ~penalty:(st.penalty +. it.item_penalty) (-1)
+  :: !children
 
-(* The buckets (items in decision order) and the rejected items (latest
-   decision first) of the first [k] items under [assign]. *)
-let decode e assign k =
-  let buckets = Array.make e.m [] in
-  let rejected = ref [] in
-  for i = 0 to k - 1 do
-    let it = e.arr.(i) in
-    let j = assign.(i) in
-    if j < 0 then rejected := it :: !rejected
-    else buckets.(j) <- it :: buckets.(j)
+(* A node's monotone lower bound — a leaf's cost — summed as [run_from]
+   sums it: energies in bucket order, then the committed penalties. *)
+let bound e energies penalty =
+  let acc = ref 0. in
+  for j = 0 to e.m - 1 do
+    acc := !acc +. energies.(j)
   done;
-  (Array.map List.rev buckets, !rejected)
+  !acc +. penalty +. e.forced_penalty
 
-(* What a run found: the best leaf's assignment or, when no leaf
-   strictly beat it, the start state's reject-the-rest seed. *)
-type found = Leaf of int array | Seed of state
+(* The cost of rejecting every open item of [st] (always feasible),
+   summed as [run_from] sums that leaf: penalties one by one onto the
+   prefix's. *)
+let seed_cost e st =
+  let penalty = ref st.penalty in
+  for i = st.next to Array.length e.arr - 1 do
+    penalty := !penalty +. e.arr.(i).item_penalty
+  done;
+  bound e st.energies !penalty
 
-type run = { cost : float; found : found; nodes : int; stopped : bool }
-
-(* The solution a run found. A leaf lists its buckets in decision order
-   and its rejections latest first; a seed lists its open items first,
-   then its prefix's rejections. *)
-let solution e r =
-  let n = Array.length e.arr in
-  let buckets, rejected =
-    match r.found with
-    | Leaf a -> decode e a n
-    | Seed st ->
-        let buckets, rejected = decode e st.assign st.next in
-        let open_items = Array.sub e.arr st.next (n - st.next) in
-        (buckets, Array.to_list open_items @ rejected)
+(* The solution a search returns: its best leaf if that strictly beats
+   the root's reject-everything seed, else the seed. A leaf lists its
+   buckets in decision order and its rejections latest first; the seed
+   lists every item in decision order. *)
+let answer e ~seed best =
+  let buckets = Array.make e.m [] in
+  let cost, rejected =
+    match best with
+    | Some (cost, assign) when Fc.exact_lt cost seed ->
+        let rejected = ref [] in
+        Array.iteri
+          (fun i j ->
+            let it = e.arr.(i) in
+            if j < 0 then rejected := it :: !rejected
+            else buckets.(j) <- it :: buckets.(j))
+          assign;
+        (cost, !rejected)
+    | _ -> (seed, Array.to_list e.arr)
   in
   {
-    partition = Rt_partition.Partition.of_buckets buckets;
+    partition = Rt_partition.Partition.of_buckets (Array.map List.rev buckets);
     rejected = rejected @ e.forced;
-    cost = r.cost;
+    cost;
   }
 
+type run = {
+  leaf : (float * int array) option;
+      (* the first cheapest leaf in DFS order, if it beat [incumbent] *)
+  nodes : int;
+  stopped : bool;
+}
+
 (* Depth-first exploration from [st] until done or until [stop nodes]
-   holds; returns the best cost and what achieved it, the nodes visited
-   and whether [stop] fired. The domain running this owns the private
-   [loads]/[energies]/[assign] copies; the only cross-domain traffic is
-   the optional [shared] incumbent. A placement evaluates [bucket_cost]
+   holds; returns the first leaf in DFS order of the least cost strictly
+   below [incumbent], the nodes visited and whether [stop] fired. The
+   domain running this owns the private [loads]/[energies]/[assign]
+   copies; the only cross-domain traffic is the optional [shared]
+   incumbent, which cuts strictly. A placement evaluates [bucket_cost]
    once, on the changed bucket's new load; a rejection evaluates nothing.
    Backtracking restores each load and energy to the exact float it held
    before the move (rather than subtracting the weight back out), so the
    cost of a leaf is a pure function of its assignment — identical
-   whether reached sequentially or from a split subtree. Bounds and leaf
+   whether reached sequentially or from a pooled unit. Bounds and leaf
    costs sum the energies in bucket order, as one evaluation per bucket
    would. Decisions live in [assign]; lists are built only for the
-   solution finally returned ([solution]). Once stopped, every pending
+   solution finally returned ([answer]). Once stopped, every pending
    call returns at once, so the node count is that of the stopping
    node. *)
-let run_from ?shared ~prune ~stop e st =
+let run_from ?shared ~prune ~stop ~incumbent e st =
   let m = e.m in
   let n = Array.length e.arr in
   let loads = Array.copy st.loads in
@@ -196,18 +212,8 @@ let run_from ?shared ~prune ~stop e st =
     !acc
   [@@inline]
   in
-  (* seed: reject every remaining item (always feasible) *)
-  let remaining_penalty =
-    let acc = ref 0. in
-    for i = st.next to n - 1 do
-      acc := !acc +. e.arr.(i).item_penalty
-    done;
-    !acc
-  in
-  let best_cost =
-    ref (energy () +. st.penalty +. remaining_penalty +. e.forced_penalty)
-  in
-  let best = ref (Seed st) in
+  let best_cost = ref incumbent in
+  let best = ref None in
   let foreign_cut bound =
     match shared with
     | None -> false
@@ -217,7 +223,6 @@ let run_from ?shared ~prune ~stop e st =
   let publish_best =
     match shared with None -> fun _ -> () | Some cell -> publish cell
   in
-  publish_best !best_cost;
   let rec go i used penalty_so_far =
     if not !stopped then begin
       incr nodes;
@@ -228,7 +233,7 @@ let run_from ?shared ~prune ~stop e st =
         if i = n then begin
           if Fc.exact_lt cost !best_cost then begin
             best_cost := cost;
-            best := Leaf (Array.copy assign);
+            best := Some (Array.copy assign);
             publish_best cost
           end
         end
@@ -260,8 +265,7 @@ let run_from ?shared ~prune ~stop e st =
   in
   go st.next st.used st.penalty;
   {
-    cost = !best_cost;
-    found = !best;
+    leaf = Option.map (fun a -> (!best_cost, a)) !best;
     nodes = !nodes;
     stopped = !stopped;
   }
@@ -288,80 +292,86 @@ let deadline_of_budget b =
   else Clock.now () +. b
 
 (* ---------------------------------------------------------------- *)
-(* Work-stealing search over subtrees.
+(* Work-stealing search over units.
 
-   A subtree is a search-tree node labelled with its DFS path — the
-   child indices from the root — so subtrees produced on demand, at any
-   depth and in any order, are still totally ordered by depth-first
-   position (paths compared lexicographically, a prefix first): all
-   leaves of a path-lesser subtree precede all leaves of a path-greater
-   one. Combining completed results by (cost, then path, keeping strict
-   improvements) therefore yields the sequential search's solution for
-   any carving of the tree and any execution order. *)
+   A unit is a search-tree node. One with more than [grain] open items
+   is expanded into its children, which thieves can take; the rest are
+   run whole by [run_from] with no incumbent of their own. A unit's
+   reject-the-rest seed is only published to the shared bound, which
+   cuts strictly, so the unit still reaches every leaf that could tie
+   the optimum, and returns the first cheapest of its leaves in DFS
+   order. Workers fold those leaves by [better], a total order, so the
+   fold yields the first cheapest leaf of the whole tree for any carving
+   and any schedule; [answer] then applies the sequential rule to it. *)
 
-type subtree = { state : state; path : int list }
+let grain = 4
 
-(* the monotone lower bound of the subtree's prefix: every leaf below
-   costs at least this *)
-let subtree_bound e t =
-  let acc = ref (t.state.penalty +. e.forced_penalty) in
-  for j = 0 to e.m - 1 do
-    acc := !acc +. t.state.energies.(j)
-  done;
-  !acc
+(* [a] precedes [b] in depth-first order: at the first differing decision
+   the lower bucket comes first and a rejection ([-1]) last, as
+   [run_from] visits them *)
+let dfs_before a b =
+  let rec go i =
+    i < Array.length a
+    &&
+    let x = a.(i) and y = b.(i) in
+    if x = y then go (i + 1) else x >= 0 && (y < 0 || x < y)
+  in
+  go 0
 
-let default_split_factor = 4
-
-(* The split factor maps to a *grain*: a popped subtree with more than
-   [grain] undecided items is expanded (its children pushed on the
-   owner's deque, stealable); at or below it, the subtree is run whole.
-   Larger factors granulate finer. The floor of 3 keeps run units at
-   least a few hundred raw nodes, so deque traffic never dominates. *)
-let grain_of_split_factor sf =
-  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-  max 3 (6 - log2 sf)
+(* the better of two leaves: lower cost, then first in DFS order *)
+let better x y =
+  match (x, y) with
+  | None, z | z, None -> z
+  | Some (c, a), Some (c', b) ->
+      if Fc.exact_lt c c' || (Fc.exact_eq c c' && dfs_before a b) then x
+      else y
 
 (* one worker's private tally, allocated inside its own call (fresh per
    domain — nothing here crosses domains) and returned through the pool *)
 type worker_out = {
-  results : (int list * run) list;
+  found : (float * int array) option;  (** best leaf of its units *)
+  visited : int;
+  units : int;
   steals : int;
   splits : int;
   pruned : int;
 }
 
 (* [workers + 1] deques: one per worker plus an ownerless seed deque
-   holding the root subtree, so every worker's first unit of work — the
+   holding the root, so every worker's first unit of work — the
    root-taker's included — arrives by stealing; bootstrapping is not a
    special case. Each worker pops its own deque LIFO (depth-first), and
    when empty sweeps the other deques' shallow ends. Workers coordinate
    through four atomics:
 
-   - [outstanding]: subtrees in deques plus in flight. An expansion
-     converts one outstanding subtree into k (incremented *before* the
+   - [outstanding]: units in deques plus in flight. An expansion
+     converts one outstanding unit into k (incremented *before* the
      children are pushed, so a thief finishing a child early can never
      drive the count to zero while the parent still holds work);
-     completing or pruning a subtree decrements. Zero means done.
+     running, pruning or dropping a unit decrements. Zero means done.
    - [shared], the incumbent, which makes pruning cooperative without
-     threatening determinism: both the in-search cut and the
-     whole-subtree drop below fire only on *strictly* worse bounds.
-   - [drained], set on the first budget-exhausted subtree run: the
-     engine stops expanding — without this, a tiny [node_budget] on a
-     big instance would keep carving frontier (expansion visits no
-     nodes, so per-subtree budgets alone cannot bound the spine).
+     threatening determinism: both the in-search cut and the whole-unit
+     drop below fire only on *strictly* worse bounds.
+   - [exhausted], set when a budget stops a unit or the deadline drops
+     one: the engine stops expanding — without this, a tiny
+     [node_budget] on a big instance would keep carving frontier
+     (expansion visits no nodes, so per-unit budgets alone cannot bound
+     the spine).
    - [quit], set by every worker leaving its loop: normally (when
-     [outstanding] is already zero) or because its subtree run raised,
-     so the others stop hunting instead of spinning on a count that
-     will never reach zero; the pool then re-raises the exception and
-     stays usable.
+     [outstanding] is already zero) or because its unit raised, so the
+     others stop hunting instead of spinning on a count that will never
+     reach zero; the pool then re-raises the exception and stays usable.
+
+   The clock is read once per popped unit; past the deadline the unit
+   is dropped unrun, so the deques drain at the cost of a pop each.
 
    Idle workers spin with [Domain.cpu_relax] between sweeps rather than
-   parking on a condition variable: run units are bounded by the grain
-   (a few hundred nodes, microseconds), so hunger gaps are short, and
-   spinning keeps every deque operation a single self-contained
-   [Mutex.protect] section — no cross-deque lock nesting for the
-   lock-order analysis to reason about. *)
-let run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e =
+   parking on a condition variable: units are bounded by the grain (tens
+   of nodes, microseconds), so hunger gaps are short, and spinning keeps
+   every deque operation a single self-contained [Mutex.protect]
+   section — no cross-deque lock nesting for the lock-order analysis to
+   reason about. *)
+let run_pool pool ~prune ~shared ?node_budget ?deadline e =
   let workers = Pool.size pool in
   let slots = workers + 1 in
   let deques =
@@ -373,64 +383,62 @@ let run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e =
   in
   let outstanding = Atomic.make 1 in
   let quit = Atomic.make false in
-  let drained = Atomic.make false in
-  Deque.push deques.(slots - 1) { state = root e; path = [] };
+  let exhausted = Atomic.make false in
+  let start = root e in
+  let seed = seed_cost e start in
+  Deque.push deques.(slots - 1) start;
   let worker w =
-    let results = ref [] in
+    let stop = make_stop ?node_budget ?deadline () in
+    let found = ref None in
+    let visited = ref 0 in
+    let units = ref 0 in
     let steals = ref 0 in
     let splits = ref 0 in
     let pruned = ref 0 in
-    let deadline_expired () =
-      match deadline with
-      | None -> false
-      | Some d -> Fc.exact_gt (Clock.now ()) d
-    in
-    let finish t =
-      (* an expired deadline turns the run into a drain: a zero node
-         budget stops at the first node, returning the subtree's
-         reject-the-rest seed incumbent with [exhausted = true] — every
-         pending subtree still yields a valid result, cheaply *)
-      let node_budget = if deadline_expired () then Some 0 else node_budget in
-      let stop = make_stop ?node_budget ?deadline () in
-      let r = run_from ~shared ~prune ~stop e t.state in
-      if r.stopped then Atomic.set drained true;
-      results := (t.path, r) :: !results;
-      ignore (Atomic.fetch_and_add outstanding (-1))
-    in
-    let process t =
-      if prune && Fc.exact_gt (subtree_bound e t) (Atomic.get shared) then begin
-        (* strictly worse than a published feasible cost: no leaf below
-           can match the returned optimum, so dropping the subtree whole
-           preserves determinism (the subtree holding the optimum has
-           bound <= optimum <= shared and is never dropped) *)
-        incr pruned;
-        ignore (Atomic.fetch_and_add outstanding (-1))
+    let settle () = ignore (Atomic.fetch_and_add outstanding (-1)) in
+    let process st =
+      if
+        match deadline with
+        | None -> false
+        | Some d -> Fc.exact_gt (Clock.now ()) d
+      then begin
+        Atomic.set exhausted true;
+        settle ()
       end
       else if
-        Array.length e.arr - t.state.next > grain
-        && (not (Atomic.get drained))
-        && not (deadline_expired ())
+        prune
+        && Fc.exact_gt (bound e st.energies st.penalty) (Atomic.get shared)
       then begin
-        (* more than [grain] >= 3 open items: an interior node *)
-        let children =
-          List.mapi
-            (fun i state -> { state; path = t.path @ [ i ] })
-            (expand e t.state)
-        in
+        (* strictly worse than a published feasible cost: no leaf below
+           can match the returned optimum, so dropping the unit whole
+           preserves determinism (the unit holding the optimum has
+           bound <= optimum <= shared and is never dropped) *)
+        incr pruned;
+        settle ()
+      end
+      else if
+        Array.length e.arr - st.next > grain && not (Atomic.get exhausted)
+      then begin
+        let children = expand e st in
         incr splits;
         ignore (Atomic.fetch_and_add outstanding (List.length children - 1));
-        (* reversed, so the owner pops the first child next: the local
-           order stays depth-first, and the deque's shallow end holds the
-           latest (largest) unexplored siblings *)
-        List.iter (Deque.push deques.(w)) (List.rev children)
+        List.iter (Deque.push deques.(w)) children
       end
-      else finish t
+      else begin
+        publish shared (seed_cost e st);
+        let r = run_from ~shared ~prune ~stop ~incumbent:infinity e st in
+        if r.stopped then Atomic.set exhausted true;
+        found := better !found r.leaf;
+        visited := !visited + r.nodes;
+        incr units;
+        settle ()
+      end
     in
     let rec loop () =
       if not (Atomic.get quit) then
         match Deque.pop deques.(w) with
-        | Some t ->
-            process t;
+        | Some st ->
+            process st;
             loop ()
         | None -> hunt 0
     and hunt k =
@@ -444,71 +452,46 @@ let run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e =
         else
           let victim = (w + 1 + k) mod slots in
           match Deque.steal deques.(victim) with
-          | Some t ->
+          | Some st ->
               incr steals;
-              process t;
+              process st;
               loop ()
           | None -> hunt (k + 1)
     in
     Fun.protect ~finally:(fun () -> Atomic.set quit true) loop;
-    { results = !results; steals = !steals; splits = !splits; pruned = !pruned }
+    {
+      found = !found;
+      visited = !visited;
+      units = !units;
+      steals = !steals;
+      splits = !splits;
+      pruned = !pruned;
+    }
   in
-  Pool.map ~pool worker (List.init workers Fun.id)
-
-(* Results arrive DFS-sorted (by subtree path), so keeping only strict
-   improvements makes the earliest subtree win ties — the same solution
-   the sequential depth-first search would have returned. Only that
-   winner's solution is built. *)
-let combine results =
-  List.fold_left
-    (fun acc (_, r) ->
-      match acc with
-      | None -> Some (r, r.nodes, r.stopped)
-      | Some (best, total, ex) ->
-          Some
-            ( (if Fc.exact_lt r.cost best.cost then r else best),
-              total + r.nodes,
-              ex || r.stopped ))
-    None results
-
-let run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e =
-  let grain = grain_of_split_factor split_factor in
-  let outs = run_ws pool ~grain ~prune ~shared ?node_budget ?deadline e in
-  let sorted =
-    List.sort
-      (fun (p, _) (q, _) -> List.compare Int.compare p q)
-      (List.concat_map (fun o -> o.results) outs)
-  in
-  match combine sorted with
-  | None -> Error "Search: every subtree was pruned before running"
-  | Some (best, nodes, exhausted) ->
-      let sum f = List.fold_left (fun acc o -> acc + f o) 0 outs in
-      Ok
-        {
-          best = solution e best;
-          nodes;
-          exhausted;
-          stats =
-            {
-              steals = List.map (fun (o : worker_out) -> o.steals) outs;
-              splits = sum (fun o -> o.splits);
-              pruned = sum (fun o -> o.pruned);
-              subtrees = List.map (fun (p, r) -> (p, r.nodes)) sorted;
-            };
-        }
+  let outs = Pool.map ~pool worker (List.init workers Fun.id) in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outs in
+  {
+    best =
+      answer e ~seed (List.fold_left (fun b o -> better b o.found) None outs);
+    nodes = sum (fun o -> o.visited);
+    exhausted = Atomic.get exhausted;
+    stats =
+      {
+        steals = List.map (fun o -> o.steals) outs;
+        splits = sum (fun o -> o.splits);
+        pruned = sum (fun o -> o.pruned);
+        subtrees = sum (fun o -> o.units);
+      };
+  }
 
 (* ---------------------------------------------------------------- *)
 
 let node_limit = 50_000_000
 
-let solve ?pool ?(split_factor = default_split_factor) ?shared ?node_budget
-    ?time_budget ?(prune = true) ~m ~capacity ~bucket_cost items =
+let solve ?pool ?shared ?node_budget ?time_budget ?(prune = true) ~m ~capacity
+    ~bucket_cost items =
   if m < 1 then Error "Search: m < 1"
   else if Fc.exact_le capacity 0. then Error "Search: capacity <= 0"
-  else if split_factor < 1 then
-    Error
-      (Printf.sprintf "Search: split factor must be at least 1 (got %d)"
-         split_factor)
   else
     match node_budget with
     | Some b when b < 0 ->
@@ -527,22 +510,17 @@ let solve ?pool ?(split_factor = default_split_factor) ?shared ?node_budget
         match pool with
         | Some pool ->
             let shared = Option.value shared ~default:(Atomic.make infinity) in
-            run_pool pool ~split_factor ~prune ~shared ?node_budget ?deadline e
+            Ok (run_pool pool ~prune ~shared ?node_budget ?deadline e)
         | None ->
+            let start = root e in
+            let seed = seed_cost e start in
+            Option.iter (fun cell -> publish cell seed) shared;
             let stop = make_stop ?node_budget ?deadline () in
-            let r = run_from ?shared ~prune ~stop e (root e) in
-            let stats =
-              {
-                steals = [];
-                splits = 0;
-                pruned = 0;
-                subtrees = [ ([], r.nodes) ];
-              }
-            in
+            let r = run_from ?shared ~prune ~stop ~incumbent:seed e start in
             Ok
               {
-                best = solution e r;
+                best = answer e ~seed r.leaf;
                 nodes = r.nodes;
                 exhausted = r.stopped;
-                stats;
+                stats = { steals = []; splits = 0; pruned = 0; subtrees = 1 };
               })

@@ -34,15 +34,13 @@ type solution = {
 type stats = {
   steals : int list;
       (** successful steals per pool worker; [[]] without a pool *)
-  splits : int;  (** subtrees expanded instead of run (spine nodes) *)
-  pruned : int;
-      (** pending subtrees dropped whole against the shared bound *)
-  subtrees : (int list * int) list;
-      (** (DFS path, nodes visited) for every subtree actually run, in
-          depth-first order — [[([], nodes)]] without a pool. The paths
-          are pairwise prefix-free and cover the tree exactly: on a
-          prune-free run, the nodes here plus [splits] equal the
-          sequential visit count. *)
+  splits : int;  (** search-tree nodes expanded instead of run *)
+  pruned : int;  (** pending units dropped whole against the shared bound *)
+  subtrees : int;
+      (** units run — [1], the root, without a pool. Expanded nodes and
+          run units cover the tree exactly: on a prune-free run that
+          completes, [nodes] plus [splits] equal the sequential visit
+          count. *)
 }
 (** Scheduling telemetry of a {!solve} run. *)
 
@@ -84,37 +82,43 @@ val node_limit : int
     runaway instances, treating an [exhausted] result as an error. *)
 
 val solve :
-  ?pool:Rt_parallel.Pool.t -> ?split_factor:int -> ?shared:shared ->
-  ?node_budget:int -> ?time_budget:float -> ?prune:bool -> m:int ->
-  capacity:float -> bucket_cost:(float -> float) -> Rt_task.Task.item list ->
+  ?pool:Rt_parallel.Pool.t -> ?shared:shared -> ?node_budget:int ->
+  ?time_budget:float -> ?prune:bool -> m:int -> capacity:float ->
+  bucket_cost:(float -> float) -> Rt_task.Task.item list ->
   (anytime, string) result
 (** Exact search until done or until a budget runs out; running out is
     not a failure — the incumbent comes back with [exhausted = true].
 
+    The answer is the first leaf in depth-first order (buckets
+    [0..m-1], then rejection, for each item largest first) of the least
+    cost, if that cost is strictly below the all-reject seed's; else the
+    seed, which rejects every item in that order.
+
     Without [pool], one depth-first search runs on the calling domain.
-    With [pool] (of any size), the tree is carved into subtrees on
-    demand and balanced across the workers by work stealing: each
-    worker pops its own deque depth-first and expands any subtree with
-    more than a grain of undecided items into stealable children; a
-    [split_factor] (default 4, mapped to a grain of
-    [max 3 (6 - log2 split_factor)] items) granulates finer as it
-    grows. All workers prune against one shared incumbent. A completed
-    pooled run is byte-identical to the sequential one at any pool
-    size, split factor and steal schedule; only [nodes] and [stats]
-    depend on scheduling (see docs/PARALLEL.md).
+    With [pool] (of any size), the tree is carved into units on demand
+    and balanced across the workers by work stealing: each worker pops
+    its own deque depth-first and expands any node with more than 4
+    undecided items into stealable children; smaller units run whole,
+    with no incumbent of their own. Each unit's reject-the-rest seed is
+    published to one shared incumbent that all workers prune against
+    strictly, and each worker folds its units' best leaves by (cost,
+    then depth-first position). A completed pooled run is therefore
+    byte-identical to the sequential one at any pool size and steal
+    schedule; only [nodes] and [stats] depend on scheduling (see
+    docs/PARALLEL.md).
 
-    [node_budget] bounds each run subtree — the whole search without a
-    pool; with one, the first exhausted subtree stops further expansion,
+    [node_budget] bounds each run unit — the whole search without a
+    pool; with one, the first exhausted unit stops further expansion,
     so the total stays bounded. [time_budget] is one monotonic
-    wall-clock deadline ({!Rt_prelude.Clock}, polled every 1024 nodes);
-    once it passes, pending subtrees return their reject-the-rest seeds.
-    [shared] connects the search to a cross-domain incumbent: it prunes
-    against the published bound and publishes its own improvements.
-    [prune] (default [true]) exists for the tests: [~prune:false]
-    disables the bound, making the search a full enumeration and node
-    accounting exact.
+    wall-clock deadline ({!Rt_prelude.Clock}): a search polls it every
+    1024 nodes, and a pooled run also between units, dropping every
+    unit popped after it unrun. [shared] connects the search to a
+    cross-domain incumbent: it prunes against the published bound and
+    publishes its own improvements. [prune] (default [true]) exists for
+    the tests: [~prune:false] disables the bound, making the search a
+    full enumeration and node accounting exact.
 
-    Errors on [m < 1], [capacity <= 0], [split_factor < 1],
-    [node_budget < 0], and on a full enumeration ([~prune:false]) of
-    more than 16 items with neither budget given. An exception raised
-    by [bucket_cost] propagates, and leaves [pool] usable. *)
+    Errors on [m < 1], [capacity <= 0], [node_budget < 0], and on a full
+    enumeration ([~prune:false]) of more than 16 items with neither
+    budget given. An exception raised by [bucket_cost] propagates, and
+    leaves [pool] usable. *)

@@ -15,11 +15,6 @@ let iter xs f =
     f (!chosen, !rest)
   done
 
-let fold xs ~init ~f =
-  let acc = ref init in
-  iter xs (fun parts -> acc := f !acc parts);
-  !acc
-
 let count xs =
   guard xs;
   1 lsl List.length xs

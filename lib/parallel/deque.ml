@@ -52,5 +52,3 @@ let steal t =
         t.len <- t.len - 1;
         x
       end)
-
-let length t = Mutex.protect t.lock (fun () -> t.len)

@@ -9,7 +9,7 @@
 
     The implementation is a growable ring buffer under one mutex per
     deque, not a lock-free Chase–Lev deque: entries are whole subtrees
-    (hundreds of search nodes each), so the lock is uncontended at this
+    (tens of search nodes each), so the lock is uncontended at this
     grain, and a mutex keeps the no-lost / no-duplicated-entry invariant
     structural — every operation is a single [Mutex.protect] section,
     checked by the rt-lint concurrency pass (docs/CONCURRENCY_LINT.md).
@@ -32,7 +32,3 @@ val pop : 'a t -> 'a option
 val steal : 'a t -> 'a option
 (** Thief: remove from the oldest end — the shallowest, largest pending
     subtree. Safe from any domain. *)
-
-val length : 'a t -> int
-(** Current number of entries (a racy snapshot for heuristics: by the
-    time the caller acts on it, thieves may have changed it). *)

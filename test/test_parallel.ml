@@ -198,25 +198,29 @@ let test_expired_budget_returns_seed () =
       check_bool "seed validates" true
         (Result.is_ok (Rt_core.Solution.validate p b.Rt_core.Exact.solution))
 
-let solve ?pool ?split_factor ?time_budget ?node_budget p =
+let solve ?pool ?time_budget ?node_budget p =
   match
-    Rt_core.Exact.branch_and_bound_budgeted ?pool ?split_factor ?time_budget
-      ?node_budget p
+    Rt_core.Exact.branch_and_bound_budgeted ?pool ?time_budget ?node_budget p
   with
   | Ok b -> b
   | Error e -> Alcotest.failf "exact search: %s" e
 
-(* the raw search on a problem's items, without pruning *)
-let enumerate ?pool ?split_factor p =
+(* the raw search on a problem's items *)
+let search ?pool ?prune p =
   match
-    Rt_exact.Search.solve ?pool ?split_factor ~prune:false
-      ~m:p.Rt_core.Problem.m
+    Rt_exact.Search.solve ?pool ?prune ~m:p.Rt_core.Problem.m
       ~capacity:(Rt_core.Problem.capacity p)
       ~bucket_cost:(Rt_core.Problem.bucket_energy p)
       p.Rt_core.Problem.items
   with
   | Ok a -> a
-  | Error e -> Alcotest.failf "enumeration: %s" e
+  | Error e -> Alcotest.failf "search: %s" e
+
+let enumerate ?pool p = search ?pool ~prune:false p
+
+(* the whole answer — buckets, rejected list, cost bits — as bytes *)
+let best_bytes (a : Rt_exact.Search.anytime) =
+  Marshal.to_string a.Rt_exact.Search.best [ Marshal.No_sharing ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot immunity (regression for the dead double-copy at the
@@ -258,8 +262,8 @@ let test_sequential_node_counts () =
       check_int (tag ^ ": nodes") nodes b.Rt_core.Exact.nodes;
       check_int (tag ^ ": no splits") 0
         b.Rt_core.Exact.stats.Rt_exact.Search.splits;
-      check_bool (tag ^ ": one subtree, the root") true
-        (b.Rt_core.Exact.stats.Rt_exact.Search.subtrees = [ ([], nodes) ]))
+      check_int (tag ^ ": one unit, the root") 1
+        b.Rt_core.Exact.stats.Rt_exact.Search.subtrees)
     [ (100, 10, 1.6, 776); (101, 10, 1.6, 981); (102, 10, 1.6, 827);
       (5, 12, 1.4, 20743) ]
 
@@ -301,8 +305,8 @@ let test_portfolio_deterministic () =
 (* 20 seeded instances spanning n = 10..16 and m in {2, 3}. The n >= 14
    instances run heavily overloaded (load 2.4): forced rejections keep
    the trees small enough that the full battery — 20 instances x 4 pool
-   sizes x 3 split factors — completes in tens of seconds on one core,
-   while still exercising deep, irregular search trees. *)
+   sizes — completes in seconds on one core, while still exercising
+   deep, irregular search trees. *)
 let battery_instances =
   List.init 20 (fun i ->
       let n = 10 + (i mod 7) in
@@ -312,118 +316,64 @@ let battery_instances =
       (seed, n, m, instance ~seed ~n ~m ~load))
 
 (* The tentpole contract: a completed work-stealing run is byte-identical
-   to the sequential branch-and-bound at every pool size, split factor
-   and steal schedule. Pool sizes 1/2/4/8 and split factors 1/4/16 cover
-   no-parallelism, thief-heavy (8 workers on few cores), and the whole
-   coarse-to-fine granulation range. *)
+   to the sequential branch-and-bound — buckets, rejected list and cost
+   bits — at every pool size and steal schedule. Pool sizes 1/2/4/8
+   cover no parallelism up to thief-heavy (8 workers on few cores). *)
 let test_ws_determinism_battery () =
-  let cost p s =
-    match Rt_core.Solution.cost p s with
-    | Ok c -> c.Rt_core.Solution.total
-    | Error e -> Alcotest.failf "cost: %s" e
-  in
   let references =
     List.map
-      (fun (seed, n, m, p) -> (seed, n, m, p, (solve p).Rt_core.Exact.solution))
+      (fun (seed, n, m, p) -> (seed, n, m, p, best_bytes (search p)))
       battery_instances
   in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
           List.iter
-            (fun split_factor ->
-              List.iter
-                (fun (seed, n, m, p, reference) ->
-                  let b = solve ~pool ~split_factor p in
-                  let tag =
-                    Printf.sprintf "seed %d n %d m %d domains %d split %d"
-                      seed n m domains split_factor
-                  in
-                  check_bool (tag ^ ": completed") false
-                    b.Rt_core.Exact.exhausted;
-                  check_bool (tag ^ ": cost bit-identical") true
-                    (Fc.exact_eq (cost p reference)
-                       (cost p b.Rt_core.Exact.solution));
-                  Alcotest.(check (list (pair int int)))
-                    tag (fingerprint reference)
-                    (fingerprint b.Rt_core.Exact.solution))
-                references)
-            [ 1; 4; 16 ]))
+            (fun (seed, n, m, p, reference) ->
+              let a = search ~pool p in
+              let tag =
+                Printf.sprintf "seed %d n %d m %d domains %d" seed n m domains
+              in
+              check_bool (tag ^ ": completed") false a.Rt_exact.Search.exhausted;
+              check_bool (tag ^ ": best byte-identical") true
+                (String.equal reference (best_bytes a)))
+            references))
     [ 1; 2; 4; 8 ]
 
-(* No subtree lost, none duplicated. With pruning disabled the parallel
-   run must visit the whole tree: every expansion replaces one counted
-   node by its children, so the subtree node counts plus the split count
-   equal the sequential exhaustive visit count exactly — any lost
-   subtree undercounts, any duplicated one overcounts. The per-subtree
-   paths double-check structurally: strictly ascending in DFS order
-   (each subtree ran exactly once) and pairwise prefix-free (no subtree
-   ran both whole and split). Without a pool the root is the one
-   subtree. *)
+(* No unit lost, none run twice. With pruning disabled the parallel run
+   must visit the whole tree: every expansion replaces one counted node
+   by its children, so the nodes the run units visit plus the split
+   count equal the sequential exhaustive visit count exactly — any lost
+   unit undercounts, any duplicated one overcounts. Without a pool the
+   root is the one unit. *)
 let test_ws_subtree_accounting () =
-  let is_prefix p q =
-    (* sorted lexicographically, a prefix immediately precedes its first
-       extension — checking adjacent pairs covers every pair *)
-    let rec go p q =
-      match (p, q) with
-      | [], _ -> true
-      | _, [] -> false
-      | (x : int) :: p', y :: q' -> x = y && go p' q'
-    in
-    go p q
-  in
   List.iter
     (fun (n, m, seed) ->
       let p = instance ~seed ~n ~m ~load:1.6 in
       let seq = enumerate p in
       check_bool "exhaustive completed" false seq.Rt_exact.Search.exhausted;
-      let seq_nodes = seq.Rt_exact.Search.nodes in
-      check_bool "no pool: the root is the one subtree" true
-        (seq.Rt_exact.Search.stats.Rt_exact.Search.subtrees
-        = [ ([], seq_nodes) ]);
+      check_int "no pool: the root is the one unit" 1
+        seq.Rt_exact.Search.stats.Rt_exact.Search.subtrees;
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun pool ->
-              List.iter
-                (fun split_factor ->
-                  let a = enumerate ~pool ~split_factor p in
-                  let st = a.Rt_exact.Search.stats in
-                  let tag =
-                    Printf.sprintf "n %d m %d domains %d split %d" n m domains
-                      split_factor
-                  in
-                  let subtree_nodes =
-                    List.fold_left
-                      (fun acc (_, k) -> acc + k)
-                      0 st.Rt_exact.Search.subtrees
-                  in
-                  check_int
-                    (tag ^ ": subtree nodes + splits = exhaustive nodes")
-                    seq_nodes
-                    (subtree_nodes + st.Rt_exact.Search.splits);
-                  check_int (tag ^ ": combined node count") subtree_nodes
-                    a.Rt_exact.Search.nodes;
-                  let rec pairs = function
-                    | (p1, _) :: ((p2, _) :: _ as rest) ->
-                        check_bool
-                          (tag ^ ": paths strictly ascending (DFS)")
-                          true
-                          (List.compare Int.compare p1 p2 < 0);
-                        check_bool (tag ^ ": paths prefix-free") false
-                          (is_prefix p1 p2);
-                        pairs rest
-                    | _ -> ()
-                  in
-                  pairs st.Rt_exact.Search.subtrees)
-                [ 1; 4; 16 ]))
+              let a = enumerate ~pool p in
+              let tag = Printf.sprintf "n %d m %d domains %d" n m domains in
+              check_int
+                (tag ^ ": unit nodes + splits = exhaustive nodes")
+                seq.Rt_exact.Search.nodes
+                (a.Rt_exact.Search.nodes
+                + a.Rt_exact.Search.stats.Rt_exact.Search.splits);
+              check_bool (tag ^ ": best byte-identical") true
+                (String.equal (best_bytes seq) (best_bytes a))))
         [ 2; 4 ])
     [ (10, 3, 40); (11, 2, 57); (12, 2, 74) ]
 
 (* Budget exhaustion on the parallel path: validity without
-   reproducibility. An expired deadline drains every pending subtree at
-   its reject-the-rest seed, so even a zero budget — and a tiny
-   per-subtree node budget on an instance far too big to finish — must
-   come back exhausted, feasible, and fast. *)
+   reproducibility. Past the deadline every pending unit is dropped
+   unrun and the all-reject seed stays the fallback, so even a zero
+   budget — and a tiny per-unit node budget on an instance far too big
+   to finish — must come back exhausted, feasible, and fast. *)
 let test_ws_budget_exhaustion_valid () =
   let p = instance ~seed:21 ~n:18 ~m:4 ~load:1.5 in
   let check_exhausted_valid tag b =
@@ -434,7 +384,7 @@ let test_ws_budget_exhaustion_valid () =
   Pool.with_pool ~domains:4 (fun pool ->
       check_exhausted_valid "zero budget" (solve ~pool ~time_budget:0. p);
       check_exhausted_valid "50ms budget" (solve ~pool ~time_budget:0.05 p);
-      (* drain mode: the first exhausted subtree stops further expansion,
+      (* drain mode: the first exhausted unit stops further expansion,
          so the dynamic frontier cannot outrun a small node budget *)
       let t0 = Rt_prelude.Clock.now () in
       check_exhausted_valid "node budget 200" (solve ~pool ~node_budget:200 p);

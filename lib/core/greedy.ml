@@ -4,19 +4,24 @@ open Rt_task
 
 type algorithm = Problem.t -> Solution.t
 
-(* least-loaded processor on which weight [w] still fits, or -1; a
-   recursive scan (it boxes [best_l] at each new best), hoisted so the
-   packing loop shares one static closure — earliest index wins ties,
-   like the [Array.iteri] fold the original list version replaced *)
-let rec feasible_scan loads m cap w j best_j best_l =
-  if j >= m then best_j
-  else
+(* least-loaded processor on which weight [w] still fits, or -1; earliest
+   index wins ties. Every LTF-shaped pack runs it once per item,
+   [density_reject]'s repacks included, so it is a loop over an int best
+   index that boxes nothing per step: finite loads compare with
+   [Float.compare], and a load exactly within [cap] is admitted before the
+   boxed [Float_cmp.leq] fallback, which for finite operands gives the
+   same answer. *)
+let feasible_scan loads m cap w =
+  let best = ref (-1) in
+  for j = 0 to m - 1 do
     let l = loads.(j) in
+    let a = l +. w in
     if
-      Rt_prelude.Float_cmp.leq (l +. w) cap
-      && (best_j < 0 || not (Fc.exact_le best_l l))
-    then feasible_scan loads m cap w (j + 1) j l
-    else feasible_scan loads m cap w (j + 1) best_j best_l
+      (Float.compare a cap <= 0 || Rt_prelude.Float_cmp.leq a cap)
+      && (!best < 0 || Float.compare loads.(!best) l > 0)
+    then best := j
+  done;
+  !best
 
 (* The packing core on the SoA view: items are *positions* into
    [Problem.soa], loads live in a scratch array updated in place, and the
@@ -33,7 +38,7 @@ let pack_positions (p : Problem.t) ~accept (order : int array) =
   Array.iter
     (fun i ->
       let w = s.Problem.weights.(i) in
-      let j = feasible_scan loads m cap w 0 (-1) 0. in
+      let j = feasible_scan loads m cap w in
       if j >= 0 && accept loads j i then begin
         (* lint: allow-hot-alloc-in-loop "the bucket lists are the output partition, not churn" *)
         buckets.(j) <- s.Problem.item_arr.(i) :: buckets.(j);
@@ -134,7 +139,7 @@ let pack_mask (s : Problem.soa) ~m ~cap accepted loads placed onto =
       if not accepted.(i) then go (t + 1) k
       else begin
         let w = s.Problem.weights.(i) in
-        let j = feasible_scan loads m cap w 0 (-1) 0. in
+        let j = feasible_scan loads m cap w in
         if j < 0 then -1
         else begin
           loads.(j) <- loads.(j) +. w;

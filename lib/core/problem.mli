@@ -33,7 +33,10 @@ type soa = {
           one guard inlined, the speed clamps as exact selects, no plan
           or option built and no float boxed for a stdlib clamp, so a
           call on the dormant ideal processor allocates only its result
-          and the power model's *)
+          and the power model's. It is convex and non-decreasing on
+          [\[0, capacity\]], within a few ulps of its value at capacity
+          (the contract {!Rt_speed.Energy_rate.prepare_energy} states);
+          local search's gap test relies on it *)
 }
 (** Struct-of-arrays view of an instance: unboxed positional arrays for
     the hot paths (greedy packing, local-search deltas, online admission)

@@ -8,7 +8,11 @@ let make ?(p_ind = 0.) ?(linear = 0.) ~coeff ~alpha () =
   check "p_ind must be finite and >= 0"
     (Fc.is_finite p_ind && Fc.exact_ge p_ind 0.);
   check "coeff must be finite and > 0" (Fc.is_finite coeff && Fc.exact_gt coeff 0.);
-  check "alpha must be finite and > 1" (Fc.is_finite alpha && Fc.exact_gt alpha 1.);
+  (* the upper limit keeps the slope bound alpha * P(s_max) / s_max that
+     local search's gap test relies on within a rounding budget: see
+     [Rt_core.Local_search] *)
+  check "alpha must be finite, > 1 and <= 64"
+    (Fc.is_finite alpha && Fc.exact_gt alpha 1. && Fc.exact_le alpha 64.);
   check "linear must be finite and >= 0"
     (Fc.is_finite linear && Fc.exact_ge linear 0.);
   { p_ind; coeff; alpha; linear }

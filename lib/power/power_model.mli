@@ -18,14 +18,19 @@
 type t = private {
   p_ind : float;  [@rt.dim "watts"] (** speed-independent power (leakage); >= 0 *)
   coeff : float;  (** coefficient of the [s^alpha] term; > 0 *)
-  alpha : float;  [@rt.dim "1"] (** exponent of the dynamic term; > 1 *)
+  alpha : float;  [@rt.dim "1"] (** exponent of the dynamic term; in (1, 64] *)
   linear : float;  [@rt.dim "joules/cycles"] (** short-circuit term, proportional to speed; >= 0 *)
 }
 
 val make : ?p_ind:float -> ?linear:float -> coeff:float -> alpha:float -> unit -> t
 (** Build a model; [p_ind] and [linear] default to [0.].
     @raise Invalid_argument when a parameter is out of the documented range
-    (including non-finite values). *)
+    (including non-finite values). The paper's models have [alpha] in
+    [\[2, 3\]]; the cap at 64 keeps every buildable model inside the
+    rounding bound of local search's gap test ([Rt_core.Local_search]
+    skips a move that widens the gap between two loads, exact while the
+    energy slope is at most [alpha] times the energy at [s_max] over
+    [s_max]). *)
 
 val power : t -> float -> float [@rt.dim "watts"]
 (** [power m s] is [P(s)] for [s >= 0]. @raise Invalid_argument on

@@ -30,7 +30,13 @@ let validate_domain = function
           if Fc.exact_le s 0. || not (Float.is_finite s) then
             invalid_arg "Processor.make: levels must be positive and finite";
           if i > 0 && Fc.exact_ge levels.(i - 1) s then
-            invalid_arg "Processor.make: levels must be strictly increasing")
+            invalid_arg "Processor.make: levels must be strictly increasing";
+          (* the level hull prices two vertices within the tolerance as
+             one, which would put a step into the convex energy curve *)
+          if i > 0 && Fc.approx_eq levels.(i - 1) s then
+            invalid_arg
+              "Processor.make: adjacent levels must differ by more than the \
+               Float_cmp tolerance")
         levels
 
 let validate_dormancy = function

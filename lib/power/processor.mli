@@ -12,7 +12,8 @@ type speed_domain =
   | Ideal of { s_min : float; [@rt.dim "speed"] s_max : float [@rt.dim "speed"] }
       (** continuous spectrum [\[s_min, s_max\]], [0 <= s_min <= s_max] *)
   | Levels of float array
-      (** finite speeds, strictly increasing, all [> 0] *)
+      (** finite speeds, strictly increasing, all [> 0], adjacent ones
+          further apart than {!Rt_prelude.Float_cmp.approx_eq} tolerates *)
 
 type dormancy =
   | Dormant_disable
@@ -29,8 +30,12 @@ type t = private {
 
 val make :
   model:Power_model.t -> domain:speed_domain -> dormancy:dormancy -> t
-(** @raise Invalid_argument on malformed domains (unsorted/non-positive
-    levels, inverted or negative ideal bounds, negative overheads). *)
+(** @raise Invalid_argument on malformed domains (unsorted, non-positive
+    or [Float_cmp]-equal adjacent levels, inverted or negative ideal
+    bounds, negative overheads). Together with [alpha <= 64] in
+    {!Power_model.make}, this keeps the bucket energy of every buildable
+    processor convex and non-decreasing up to [s_max], within rounding:
+    the contract [Rt_speed.Energy_rate.prepare_energy] states. *)
 
 val s_max : t -> float [@rt.dim "speed"]
 (** Fastest available speed. *)

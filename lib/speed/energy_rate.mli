@@ -68,6 +68,21 @@ val prepare_energy :
     and boxes no float for an out-of-line [Float.max]/[Float.min],
     [Float_cmp.gt] or [Float_cmp.clamp]; on the dormant ideal processor
     what is left is the power-model call and the boxed result.
+
+    {b Shape.} For every processor {!Rt_power.Processor.make} accepts,
+    the evaluator is non-decreasing and convex on [\[0, s_max\]] up to
+    rounding: for [a <= b <= c <= d] with [a + d = b + c] there,
+    [E(b) <= E(c)] and [E(a) + E(d) >= E(b) + E(c)], each within
+    [32 * 2^-53 * E(s_max)] (test_speed checks this bound; the worst seen
+    in 3 million draws was about 5.3). In exact arithmetic each kind is
+    convex: a dormant-enable ideal domain is the chord from the origin up
+    to [max s_min s_crit], then [P]; a dormant-disable one the chord from
+    [(0, p_ind)] up to [s_min], then [P]; a level domain the lower convex
+    hull of the idle point and its levels. The levels' spacing rule and
+    [alpha <= 64] keep the rounding inside the bound. Past [s_max],
+    inside the tolerance the guard admits, the energy is flat: it stays
+    at [E(s_max)], which is not convex. Local search's gap test
+    ([Rt_core.Local_search]) relies on this shape.
     @raise Invalid_argument on negative horizon, or on a [u] that is not
     finite, is below [-1e-9], or exceeds [s_max] past the
     {!Rt_prelude.Float_cmp} tolerance. *)

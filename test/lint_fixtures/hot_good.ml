@@ -1,6 +1,10 @@
-(* must-pass: a hot kernel in allocation-free style — unboxed float
-   accumulator, flat float-array access, tail recursion *)
+(* must-pass: a hot kernel in allocation-free style — a for loop over an
+   int index, flat float-array access, the sum kept in a float-array
+   cell (a self-recursive scan would box its float accumulator) *)
 
-let rec sum_sq (xs : float array) i acc =
-  if i >= Array.length xs then acc
-  else sum_sq xs (i + 1) (acc +. (xs.(i) *. xs.(i)))
+let sum_sq (xs : float array) (acc : float array) =
+  acc.(0) <- 0.;
+  for i = 0 to Array.length xs - 1 do
+    acc.(0) <- acc.(0) +. (xs.(i) *. xs.(i))
+  done;
+  acc.(0)

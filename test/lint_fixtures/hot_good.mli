@@ -1,2 +1,2 @@
-val sum_sq : float array -> int -> float -> float
+val sum_sq : float array -> float array -> float
 [@@rt.hot "fixture: annotated kernel"]

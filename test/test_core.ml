@@ -33,22 +33,23 @@ let optimal_cost p =
   | Ok b -> b.Exact.cost
   | Error e -> Alcotest.failf "exact: %s" e
 
-(* random rejection instances around a given load factor *)
-let random_instance ?(proc = cubic) ?(penalty_factor = 1.5) ~seed ~n ~m ~load
-    () =
+(* random rejection instances around a given load factor; the frame
+   length is the horizon *)
+let random_instance ?(proc = cubic) ?(penalty_factor = 1.5) ?(horizon = 1000.)
+    ~seed ~n ~m ~load () =
   let rng = Rt_prelude.Rng.create ~seed in
   let tasks =
     Gen.frame_tasks_with_load rng ~n ~m
       ~s_max:(Rt_power.Processor.s_max proc)
-      ~frame_length:1000. ~load
+      ~frame_length:horizon ~load
   in
   let items =
-    Taskset.items_of_frames ~frame_length:1000. tasks
+    Taskset.items_of_frames ~frame_length:horizon tasks
     |> Penalty.assign
          (Penalty.Proportional { factor = penalty_factor; jitter = 0.3 })
-         rng ~proc ~horizon:1000.
+         rng ~proc ~horizon
   in
-  problem_exn ~proc ~m ~horizon:1000. items
+  problem_exn ~proc ~m ~horizon items
 
 (* ------------------------------------------------------------------ *)
 (* Problem / Solution *)
@@ -856,14 +857,40 @@ let matches_references ?max_moves p =
                     p s))))
        starts
 
+(* weights on a grid of capacity eighths, so loads meet each other and
+   the capacity exactly: the boundaries of the gap test *)
+let grid_instance ~proc ~penalty_factor ~seed ~n ~m =
+  let rng = Rt_prelude.Rng.create ~seed in
+  let cap = Rt_power.Processor.s_max proc in
+  let items =
+    List.init n (fun id ->
+        Task.item ~id
+          ~weight:(float_of_int (Rt_prelude.Rng.int rng ~lo:1 ~hi:8) *. cap /. 8.)
+          ())
+    |> Penalty.assign
+         (Penalty.Proportional { factor = penalty_factor; jitter = 0.3 })
+         rng ~proc ~horizon:1000.
+  in
+  problem_exn ~proc ~m ~horizon:1000. items
+
+let shapes = [| "frame 1000"; "capacity-eighths grid"; "frame 1e6" |]
+
 let prop_planner_matches_references =
-  qtest ~count:200 "density_reject and local search match the references"
-    ~print:(fun ((proc, n, m, load), (factor, seed, budget)) ->
-      Printf.sprintf "%s n %d m %d load %h penalty factor %h seed %d budget %s"
-        (fst plan_procs.(proc)) n m load factor seed
+  qtest ~count:400 "density_reject and local search match the references"
+    ~print:(fun ((proc, (alpha, p_ind, sleeps), shape), (n, m, load),
+                 (factor, seed, budget)) ->
+      Printf.sprintf
+        "%s (p_ind %h, sleeps %b) %s n %d m %d load %h penalty factor %h \
+         seed %d budget %s"
+        (fst (Gap_procs.all ~alpha ~p_ind ~sleeps).(proc))
+        p_ind sleeps shapes.(shape) n m load factor seed
         (match budget with Some b -> string_of_int b | None -> "default"))
     QCheck2.Gen.(
-      let* proc = int_range 0 2 in
+      let* proc = int_range 0 (Gap_procs.count - 1) in
+      let* alpha = float_range 2. 3. in
+      let* p_ind = float_range 0. 0.2 in
+      let* sleeps = bool in
+      let* shape = int_range 0 2 in
       let* n = int_range 1 60 in
       let* m = int_range 1 8 in
       let* load = float_range 0.5 2.5 in
@@ -871,13 +898,150 @@ let prop_planner_matches_references =
       let* factor = oneofl [ 0.3; 0.6; 1.; 1.5 ] in
       let* seed = int_range 1 100_000 in
       let* budget = oneofl [ Some 0; Some 1; Some 7; None ] in
-      pure ((proc, n, m, load), (factor, seed, budget)))
-    (fun ((proc, n, m, load), (penalty_factor, seed, max_moves)) ->
+      pure
+        ( (proc, (alpha, p_ind, sleeps), shape),
+          (n, m, load),
+          (factor, seed, budget) ))
+    (fun ((proc, (alpha, p_ind, sleeps), shape), (n, m, load),
+          (penalty_factor, seed, max_moves)) ->
+      let proc = snd (Gap_procs.all ~alpha ~p_ind ~sleeps).(proc) in
       let p =
-        random_instance ~proc:(snd plan_procs.(proc)) ~penalty_factor ~seed ~n
-          ~m ~load ()
+        match shape with
+        | 0 -> random_instance ~proc ~penalty_factor ~seed ~n ~m ~load ()
+        | 1 -> grid_instance ~proc ~penalty_factor ~seed ~n ~m
+        | _ ->
+            random_instance ~proc ~penalty_factor ~horizon:1e6 ~seed ~n ~m
+              ~load ()
       in
       matches_references ?max_moves p)
+
+(* A move or swap whose heavier new load lands inside [Float_cmp.leq]'s
+   slack past capacity spreads its pair, yet can pay: bucket energy is
+   flat past capacity, not convex. The gap test must price it. On the
+   xscale levels (linear between 0.8 and 1.0) at horizon 1e6, a bucket
+   pushed 9e-10 past capacity saves slope * 9e-10 * 1e6 = 3.3e-3 against
+   eps = 1.6e-3. Penalties are too high for any reject. *)
+let test_gap_test_prices_past_capacity () =
+  let d = 9e-10 in
+  List.iter
+    (fun (name, weights, buckets) ->
+      let items = items_of (List.map (fun w -> (w, 1e9)) weights) in
+      let p = problem_exn ~proc:xscale_levels ~m:2 ~horizon:1e6 items in
+      let s =
+        {
+          Solution.partition =
+            Rt_partition.Partition.of_buckets
+              (Array.map (List.map (List.nth items)) buckets);
+          rejected = [];
+        }
+      in
+      let ours = Local_search.improve_budgeted p s in
+      check_bool (name ^ ": matches the reference") true
+        (String.equal (search_bytes ours)
+           (search_bytes
+              (Result.map
+                 (fun (solution, moves, exhausted) ->
+                   { Local_search.solution; moves; exhausted })
+                 (reference_improve ~max_moves:10_000 p s))));
+      match ours with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok b ->
+          check_int (name ^ ": one move") 1 b.Local_search.moves;
+          check_bool (name ^ ": a bucket ends past capacity") true
+            (Array.exists
+               (fun l -> l > Problem.capacity p)
+               (Rt_partition.Partition.loads b.solution.Solution.partition)))
+    [
+      (* move the 0.1 from 0.95 onto 0.9 + d: 1 + d >= 0.95 *)
+      ("move", [ 0.85; 0.1; 0.9 +. d ], [| [ 1; 0 ]; [ 2 ] |]);
+      (* swap 0.15 on 1.0 for 0.05 on 0.9 + d: 0.9 and 1 + d *)
+      ("swap", [ 0.85; 0.15; 0.85 +. d; 0.05 ], [| [ 1; 0 ]; [ 3; 2 ] |]);
+    ]
+
+(* A naive local-optimality checker. From loads summed afresh from the
+   partition, it prices every reject, every accept onto every processor
+   the item fits, every move and every swap with [Problem.bucket_energy],
+   and returns the largest gain. Local search stops when none beats its [eps]; the
+   checker allows 1e-12 of the total on top, for the ulps its loads may
+   differ from the search's incrementally kept ones. *)
+let local_gain_bound p (s : Solution.t) =
+  let e = Problem.bucket_energy p in
+  let cap = Problem.capacity p in
+  1e-9 *. Float.max 1. (e cap +. 1.)
+  +. (1e-12 *. Float.max 1. (cost_exn p s).Solution.total)
+
+let best_local_gain p (s : Solution.t) =
+  let e = Problem.bucket_energy p in
+  let fits l = Fc.leq l (Problem.capacity p) in
+  let part = s.Solution.partition in
+  let m = Rt_partition.Partition.m part in
+  let loads = Rt_partition.Partition.loads part in
+  let buckets = Array.init m (Rt_partition.Partition.bucket part) in
+  let best = ref Float.neg_infinity in
+  let see g = best := Float.max !best g in
+  Array.iteri
+    (fun j bucket ->
+      List.iter
+        (fun (a : Task.item) ->
+          let lj = loads.(j) in
+          see (e lj -. e (lj -. a.weight) -. a.item_penalty);
+          for k = 0 to m - 1 do
+            let lk = loads.(k) in
+            if k <> j && fits (lk +. a.weight) then
+              see (e lj +. e lk -. e (lj -. a.weight) -. e (lk +. a.weight));
+            if k > j then
+              List.iter
+                (fun (b : Task.item) ->
+                  let lj' = lj -. a.weight +. b.weight
+                  and lk' = lk -. b.weight +. a.weight in
+                  if fits lj' && fits lk' then
+                    see (e lj +. e lk -. e lj' -. e lk'))
+                buckets.(k)
+          done)
+        bucket)
+    buckets;
+  List.iter
+    (fun (r : Task.item) ->
+      Array.iter
+        (fun l ->
+          if fits (l +. r.weight) then
+            see (r.item_penalty -. (e (l +. r.weight) -. e l)))
+        loads)
+    s.Solution.rejected;
+  !best
+
+let prop_polished_plans_are_local_optima =
+  qtest ~count:150 "polished plans have no improving reject, accept, move or swap"
+    ~print:(fun (proc, n, m, load, seed) ->
+      Printf.sprintf "%s n %d m %d load %h seed %d" (fst plan_procs.(proc)) n m
+        load seed)
+    QCheck2.Gen.(
+      let* proc = int_range 0 2 in
+      let* n = int_range 10 60 in
+      let* m = int_range 1 8 in
+      let* load = float_range 0.3 2.5 in
+      let* seed = int_range 1 100_000 in
+      pure (proc, n, m, load, seed))
+    (fun (proc, n, m, load, seed) ->
+      let p = random_instance ~proc:(snd plan_procs.(proc)) ~seed ~n ~m ~load () in
+      List.for_all
+        (fun (_, start) ->
+          match Local_search.improve_budgeted p (start p) with
+          | Error e -> Alcotest.failf "improve: %s" e
+          | Ok b ->
+              (not b.Local_search.exhausted)
+              && best_local_gain p b.solution <= local_gain_bound p b.solution)
+        Greedy.named)
+
+(* the checker is not vacuous: an unpolished LTF plan fails it *)
+let test_local_gain_checker_bites () =
+  let p = random_instance ~seed:42 ~n:12 ~m:3 ~load:1.8 () in
+  let s = Greedy.ltf_reject p in
+  check_bool "ltf-reject plan improvable" true
+    (best_local_gain p s > local_gain_bound p s);
+  check_bool "its polish is not" true
+    (let s' = Local_search.improve p s in
+     best_local_gain p s' <= local_gain_bound p s')
 
 (* the shape perfbench's plan workload solves: n = 200 on m = 8 at load
    1.5 on the dormant xscale processor, the first instances of its seed 1 *)
@@ -1137,6 +1301,11 @@ let () =
           Alcotest.test_case "local search rejects foreign items" `Quick
             test_local_search_foreign_items;
           prop_planner_matches_references;
+          Alcotest.test_case "gap test prices loads past capacity" `Quick
+            test_gap_test_prices_past_capacity;
+          prop_polished_plans_are_local_optima;
+          Alcotest.test_case "local-optimality checker bites" `Quick
+            test_local_gain_checker_bites;
           Alcotest.test_case "plan shape matches the references" `Quick
             test_plan_shape_matches_references;
           Alcotest.test_case "long search matches the reference" `Quick

@@ -263,6 +263,18 @@ let test_hot_budget_no_poll () =
   check_bool "missing poll is an error" true
     (severity_of "budget-no-poll" "hot_budget_no_poll.ml" = Finding.Error)
 
+let test_hot_float_recursion () =
+  (* the self-recursive scan with a float parameter is noted at its
+     binding; the for-loop form of the same scan is clean *)
+  Alcotest.(check (list int))
+    "float recursion noted at its binding" [ 4 ]
+    (locations "hot-float-recursion" "hot_float_recursion.ml");
+  match findings_of "hot_float_recursion.ml" with
+  | [ f ] ->
+      check_bool "advisory severity" true (f.Lint_core.severity = Finding.Note);
+      check_bool "notes do not gate" false (Finding.gates f)
+  | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
+
 let test_hot_good () = clean "hot_good.ml" ()
 let test_hot_cold_cut () = clean "hot_cold_cut.ml" ()
 
@@ -439,6 +451,8 @@ let () =
             test_hot_list_traversal;
           Alcotest.test_case "budgeted loop without a poll" `Quick
             test_hot_budget_no_poll;
+          Alcotest.test_case "float recursion is advisory" `Quick
+            test_hot_float_recursion;
           Alcotest.test_case "allocation-free kernel clean" `Quick
             test_hot_good;
           Alcotest.test_case "[@rt.cold] cuts propagation" `Quick

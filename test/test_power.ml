@@ -36,7 +36,17 @@ let test_make_validation () =
   expect_invalid "alpha <= 1" (fun () ->
       Power_model.make ~coeff:1. ~alpha:1. ());
   expect_invalid "nan coeff" (fun () ->
-      Power_model.make ~coeff:Float.nan ~alpha:3. ())
+      Power_model.make ~coeff:Float.nan ~alpha:3. ());
+  (* local search's gap test budgets a slope of alpha * P(s_max) / s_max;
+     the cap keeps every buildable model inside that budget *)
+  (match Power_model.make ~coeff:1. ~alpha:64.5 () with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "alpha > 64 error" "Power_model.make: alpha must be finite, > 1 and <= 64"
+        msg
+  | _ -> Alcotest.fail "alpha 64.5 should be rejected");
+  check_float 0. "alpha 64 accepted" 64.
+    (Power_model.make ~coeff:1. ~alpha:64. ()).Power_model.alpha
 
 let test_energy () =
   check_float 1e-12 "time energy" 0.25
@@ -123,6 +133,16 @@ let test_domain_validation () =
       Processor.make ~model:cubic
         ~domain:(Processor.Levels [| 0.; 0.5 |])
         ~dormancy:Processor.Dormant_disable);
+  (* two levels the hull would price as one vertex: a step in the curve *)
+  expect_invalid "levels within the tolerance" (fun () ->
+      Processor.make ~model:cubic
+        ~domain:(Processor.Levels [| 0.9; 1. -. 5e-10; 1. |])
+        ~dormancy:Processor.Dormant_disable);
+  (* levels 1e-7 apart are accepted *)
+  ignore
+    (Processor.make ~model:cubic
+       ~domain:(Processor.Levels [| 0.5; 0.5 +. 1e-7; 1. |])
+       ~dormancy:Processor.Dormant_disable);
   expect_invalid "negative switch overhead" (fun () ->
       Processor.make ~model:cubic
         ~domain:(Processor.Ideal { s_min = 0.; s_max = 1. })

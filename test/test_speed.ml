@@ -218,6 +218,61 @@ let prop_prepare_energy_is_rate_times_horizon =
             (Int64.bits_of_float (energy ()))
             (Int64.bits_of_float (plan.Energy_rate.rate *. horizon)))
 
+(* the speeds where a curve changes form: its levels, or [s_min] and the
+   critical speed *)
+let kinks (proc : Processor.t) =
+  match proc.Processor.domain with
+  | Processor.Levels ls -> ls
+  | Processor.Ideal { s_min; _ } -> [| s_min; Processor.critical_speed proc |]
+
+(* Rounding allowance of the convexity property, in units of
+   2^-53 * E(s_max): four evaluations of a few ulps each and three
+   subtractions, the evaluation-error term of the gap test's bound. Three
+   million draws of this generator saw at most 5.3 (on the level
+   processors). *)
+let convexity_ulps = 32.
+
+(* Local search skips a move or swap that spreads two loads apart
+   without passing s_max, because [prepare_energy] is non-decreasing and
+   convex on [0, s_max]. On a grid of 2^40 steps, where sums are exact:
+   for a <= b <= c <= d with a + d = b + c, E(b) <= E(c) and
+   E(a) + E(d) >= E(b) + E(c), each within [convexity_ulps] of E(s_max).
+   Half the draws put [b] or [c] within 2^-30 of a kink. *)
+let prop_prepare_energy_convex =
+  let grid = 1 lsl 40 in
+  qtest ~count:2000 "prepare_energy is non-decreasing and convex on [0, s_max]"
+    QCheck2.Gen.(
+      let* k = int_range 0 (Gap_procs.count - 1) in
+      let* alpha = float_range 2. 3. in
+      let* p_ind = float_range 0. 0.2 in
+      let* sleeps = bool in
+      let* horizon = oneofl [ 1.; 1000.; 1e6 ] in
+      let* b = int_range 0 grid in
+      let* c = int_range 0 grid in
+      let* snap = int_range 0 3 in
+      let* kink = int_range 0 4 in
+      let* jitter = int_range (-1024) 1024 in
+      let* spread = float_range 0. 1. in
+      pure ((k, alpha, p_ind, sleeps, horizon), (b, c, snap, kink, jitter, spread)))
+    (fun ((k, alpha, p_ind, sleeps, horizon), (b, c, snap, kink, jitter, spread))
+       ->
+      let proc = snd (Gap_procs.all ~alpha ~p_ind ~sleeps).(k) in
+      let top = Processor.s_max proc in
+      let step = top /. float_of_int grid in
+      let ks = kinks proc in
+      let near =
+        let v = ks.(kink mod Array.length ks) in
+        max 0 (min grid (int_of_float (v /. step) + jitter))
+      in
+      let b = if snap = 1 then near else b
+      and c = if snap = 2 then near else c in
+      let b, c = (min b c, max b c) in
+      let t = int_of_float (spread *. float_of_int (min b (grid - c))) in
+      let a = b - t and d = c + t in
+      let e i = Energy_rate.prepare_energy proc ~horizon (float_of_int i *. step) in
+      let tol = convexity_ulps *. epsilon_float /. 2. *. e grid in
+      e b <= e c +. tol && e a +. e d >= e b +. e c -. tol)
+
 let prop_no_single_speed_beats_plan =
   qtest "no feasible single sustained speed beats the optimal plan"
     QCheck2.Gen.(pair (float_range 0.01 1.) (float_range 0.01 0.4))
@@ -418,6 +473,7 @@ let () =
           prop_plans_validate;
           prop_no_single_speed_beats_plan;
           prop_prepare_energy_is_rate_times_horizon;
+          prop_prepare_energy_convex;
         ] );
       ( "sync_global",
         [

@@ -384,6 +384,45 @@ let boxing_poly_heads =
     [ "Option"; "get" ]; [ "Option"; "value" ];
   ]
 
+(* --- float recursion -------------------------------------------------- *)
+
+(* the float-typed parameters along a curried [fun a b c -> ...] spine,
+   labelled ones included; a [function] with several cases counts each
+   case's pattern once *)
+let rec float_params (e : expression) =
+  match e.exp_desc with
+  | Texp_function { cases; _ } ->
+      List.concat_map
+        (fun c ->
+          let here =
+            if Typed_lint.is_float c.c_lhs.pat_type then
+              match c.c_lhs.pat_desc with
+              | Tpat_var (_, name) -> [ name.txt ]
+              | _ -> [ "_" ]
+            else []
+          in
+          here @ float_params c.c_rhs)
+        cases
+  | _ -> []
+
+(* a self-recursive function on a hot path that takes a float: without
+   flambda, ocamlopt passes it boxed, so every fresh value allocates at
+   each call *)
+let report_float_recursion ctx (loc : Location.t) name (fn : expression) =
+  match float_params fn with
+  | [] -> ()
+  | params ->
+      report ctx ~severity:Finding.Note loc "hot-float-recursion"
+        (Printf.sprintf
+           "self-recursive '%s' takes float parameter%s %s on a hot path; \
+            without flambda each call boxes a fresh float argument, so a \
+            scan written this way allocates per step. A for/while loop over \
+            an int index, with exact comparisons via Float.compare, boxes \
+            nothing"
+           name
+           (if List.length params > 1 then "s" else "")
+           (String.concat ", " params))
+
 (* --- the walker ---------------------------------------------------- *)
 
 (* [loop] is lexical: are we inside a region that executes once per
@@ -572,7 +611,10 @@ and walk_bindings ctx ~loop rf (vbs : value_binding list) =
           let self =
             if group <> [] && has_ident_of group fn then group else []
           in
-          if self <> [] then walk_rec_fn ctx ~self ~outer:loop fn
+          if self <> [] then begin
+            report_float_recursion ctx vb.vb_loc name.txt fn;
+            walk_rec_fn ctx ~self ~outer:loop fn
+          end
           else rules ctx ~loop:false fn
       | _ -> rules ctx ~loop vb.vb_expr)
     vbs
@@ -790,7 +832,10 @@ let check ~hot ~file ~modname (str : structure) =
               d.d_group
           | _ -> []
         in
-        if self <> [] then walk_rec_fn ctx ~self ~outer:false fn
+        if self <> [] then begin
+          report_float_recursion ctx d.d_vb.vb_loc (snd d.d_key) fn;
+          walk_rec_fn ctx ~self ~outer:false fn
+        end
         else rules ctx ~loop:false fn
       end)
     defs;

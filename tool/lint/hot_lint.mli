@@ -7,8 +7,8 @@
     is declared, not guessed: [[@rt.hot]] on an [.mli] value (or an [.ml]
     let binding) seeds a call-graph propagation that marks every
     transitively-called function in the linted set as hot, [[@rt.cold]]
-    cuts the propagation.  Four rules fire — the first three inside hot
-    code only:
+    cuts the propagation.  Five rules fire — all but [budget-no-poll]
+    inside hot code only:
 
     [hot-boxed-float] (warning) — a float-bearing [ref] (one box
     allocated per update), a local helper function returning a float
@@ -26,6 +26,11 @@
 
     [hot-list-traversal] (note) — a [List.*] traversal in hot code,
     advisory markers for the SoA refactor; notes never fail the gate.
+
+    [hot-float-recursion] (note) — a self-recursive function in hot code
+    whose curried parameters include a float: without flambda every call
+    boxes a fresh float argument, so the scan allocates per step where a
+    [for]/[while] loop would not.  Advisory, like [hot-list-traversal].
 
     [budget-no-poll] (error) — a [*_budgeted] entry point that promises
     wall-clock-bounded anytime behaviour but whose transitive body never

@@ -151,33 +151,13 @@ let pack_mask (s : Problem.soa) ~m ~cap accepted loads placed onto =
   in
   go 0 0
 
-(* [Solution.cost]'s total for [count] placements and the [rejected]
-   positions, in its own summation order: each bucket summed newest
-   first (as [Partition.of_buckets] does), a left fold of bucket
-   energies, then a left fold of penalties along the rejected list.
-   [sums] is scratch. *)
-let packed_cost (p : Problem.t) sums placed onto count rejected =
-  let s = Problem.soa p in
-  Array.fill sums 0 p.m 0.;
-  for k = count - 1 downto 0 do
-    let j = onto.(k) in
-    sums.(j) <- sums.(j) +. s.Problem.weights.(placed.(k))
-  done;
-  if Array.exists (fun l -> Fc.gt l (Problem.capacity p)) sums then
-    invalid_arg
-      "Greedy: internal solution invalid: Solution.cost: a processor \
-       exceeds capacity";
-  let energy = Array.fold_left (fun acc l -> acc +. s.Problem.energy l) 0. sums in
-  let penalty =
-    List.fold_left (fun acc i -> acc +. s.Problem.penalties.(i)) 0. rejected
-  in
-  energy +. penalty
-
 (* Start accept-all (minus items over capacity); while the LTF packing
    fails, drop the cheapest-density item; then, cheapest density first,
    drop any item whose removal still packs and lowers the total cost,
    restarting after each drop. Both phases walk one density order, and
-   every pack runs over an accepted mask in the instance's LTF order. *)
+   every pack runs over an accepted mask in the instance's LTF order.
+   The rejected positions are a stack with the list head on top, as in
+   [Local_search]: a drop pushes, a trial that does not pay pops. *)
 let density_reject (p : Problem.t) =
   let s = Problem.soa p in
   let cap = Problem.capacity p in
@@ -189,64 +169,99 @@ let density_reject (p : Problem.t) =
   in
   let loads = Array.make m 0. and sums = Array.make m 0. in
   let placed = Array.make n 0 and onto = Array.make n 0 in
-  let pack () = pack_mask s ~m ~cap accepted loads placed onto in
-  (* the items over capacity, in position order, end the rejected list *)
-  let rec oversize i acc =
-    if i < 0 then acc
-    else oversize (i - 1) (if accepted.(i) then acc else i :: acc)
+  let rej = Array.make n 0 and rlen = ref 0 in
+  let push i =
+    rej.(!rlen) <- i;
+    incr rlen
   in
+  let pack () = pack_mask s ~m ~cap accepted loads placed onto in
+  (* [Solution.cost]'s total for the first [count] placements and the
+     rejected stack, in its own summation order: each bucket summed
+     newest first (as [Partition.of_buckets] does), a left fold of bucket
+     energies, then a left fold of penalties along the rejected list,
+     which is the stack read top-down. The folds run in the cells of
+     [acc], so nothing is boxed per step. *)
+  let acc = Array.make 2 0. in
+  let packed_cost count =
+    Array.fill sums 0 m 0.;
+    for k = count - 1 downto 0 do
+      let j = onto.(k) in
+      sums.(j) <- sums.(j) +. s.Problem.weights.(placed.(k))
+    done;
+    for j = 0 to m - 1 do
+      (* [Float_cmp.gt] past the exact test, as [feasible_scan] does *)
+      if Float.compare sums.(j) cap > 0 && Fc.gt sums.(j) cap then
+        invalid_arg
+          "Greedy: internal solution invalid: Solution.cost: a processor \
+           exceeds capacity"
+    done;
+    acc.(0) <- 0.;
+    for j = 0 to m - 1 do
+      acc.(0) <- acc.(0) +. s.Problem.energy sums.(j)
+    done;
+    acc.(1) <- 0.;
+    for r = !rlen - 1 downto 0 do
+      acc.(1) <- acc.(1) +. s.Problem.penalties.(rej.(r))
+    done;
+    acc.(0) +. acc.(1)
+  in
+  (* the items over capacity, in position order, end the rejected list *)
+  for i = n - 1 downto 0 do
+    if not accepted.(i) then push i
+  done;
   (* phase 1: repair to feasibility (ltf_reject already force-rejects
      overflow; we instead choose *which* item to drop by density) *)
-  let rec next_accepted d =
-    if accepted.(by_density.(d)) then d else next_accepted (d + 1)
-  in
-  let rec repair d dropped =
-    let count = pack () in
-    if count >= 0 then (count, dropped)
-    else begin
-      let d = next_accepted d in
-      let cheapest = by_density.(d) in
-      accepted.(cheapest) <- false;
-      repair (d + 1) (cheapest :: dropped)
-    end
-  in
-  let count, rejected = repair 0 (oversize (n - 1) []) in
+  let d = ref 0 in
+  let count = ref (pack ()) in
+  while !count < 0 do
+    while not accepted.(by_density.(!d)) do
+      incr d
+    done;
+    accepted.(by_density.(!d)) <- false;
+    push by_density.(!d);
+    incr d;
+    count := pack ()
+  done;
   (* phase 2: trimming — reject any further item that still pays off;
-     a candidate that no longer packs never does *)
-  let rec trim current rejected d =
-    if d >= n then rejected
+     a candidate that no longer packs never does. [current] is the cost
+     to beat, in a cell so the loop boxes nothing for it. *)
+  let current = Array.make 1 (packed_cost !count) in
+  d := 0;
+  while !d < n do
+    let i = by_density.(!d) in
+    if not accepted.(i) then incr d
     else begin
-      let i = by_density.(d) in
-      if not accepted.(i) then trim current rejected (d + 1)
+      accepted.(i) <- false;
+      push i;
+      let count = pack () in
+      let c = if count < 0 then Float.infinity else packed_cost count in
+      (* strict improvement with a relative margin; exact on purpose *)
+      if Fc.exact_lt c (current.(0) -. (1e-12 *. Float.max 1. current.(0)))
+      then begin
+        current.(0) <- c;
+        d := 0
+      end
       else begin
-        accepted.(i) <- false;
-        let candidate = i :: rejected in
-        let count = pack () in
-        let c =
-          if count < 0 then Float.infinity
-          else packed_cost p sums placed onto count candidate
-        in
-        (* strict improvement with a relative margin; exact on purpose *)
-        if Fc.exact_lt c (current -. (1e-12 *. Float.max 1. current)) then
-          trim c candidate 0
-        else begin
-          accepted.(i) <- true;
-          trim current rejected (d + 1)
-        end
+        accepted.(i) <- true;
+        decr rlen;
+        incr d
       end
     end
-  in
-  let rejected =
-    trim (packed_cost p sums placed onto count rejected) rejected 0
-  in
+  done;
   let count = pack () in
   let buckets = Array.make m [] in
   for k = 0 to count - 1 do
+    (* lint: allow-hot-alloc-in-loop "the bucket lists are the output partition, not churn" *)
     buckets.(onto.(k)) <- s.Problem.item_arr.(placed.(k)) :: buckets.(onto.(k))
+  done;
+  let rejected = ref [] in
+  for r = 0 to !rlen - 1 do
+    (* lint: allow-hot-alloc-in-loop "the rejection list is the output, not churn" *)
+    rejected := s.Problem.item_arr.(rej.(r)) :: !rejected
   done;
   {
     Solution.partition = Rt_partition.Partition.of_buckets buckets;
-    rejected = List.map (fun i -> s.Problem.item_arr.(i)) rejected;
+    rejected = !rejected;
   }
 
 let best_of algorithms (p : Problem.t) =

@@ -34,6 +34,7 @@ val ltf_reject : algorithm
 val marginal_greedy : algorithm
   [@@rt.hot "inner loop of every offline experiment sweep"]
 val density_reject : algorithm
+  [@@rt.hot "runs on every planner op, repacking once per trial"]
 val unsorted_reject : algorithm
 val random_reject : Rt_prelude.Rng.t -> algorithm
 

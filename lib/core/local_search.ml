@@ -16,8 +16,9 @@ open Rt_task
    The rejected items are a stack of positions: [rej.(rlen - 1)] is the
    head of the rejected list, so a rejection pushes and the list order
    is the stack read top-down. [stamp.(j)] is the [clock] value of
-   bucket [j]'s latest change; every change takes a fresh value, so a
-   stamp names one state of one bucket. *)
+   bucket [j]'s latest re-pricing ([refresh]); every change to a bucket
+   ends with one, and each takes a fresh value, so a stamp names one
+   state of one bucket. *)
 type state = {
   m : int;
   soa : Problem.soa;
@@ -30,10 +31,6 @@ type state = {
   stamp : int array;
   mutable clock : int;
 }
-
-let touch st j =
-  st.clock <- st.clock + 1;
-  st.stamp.(j) <- st.clock
 
 let push st j pos =
   let len = st.blen.(j) in
@@ -57,6 +54,54 @@ let remove_at st j i =
   let len = st.blen.(j) in
   Array.blit arr (i + 1) arr i (len - 1 - i);
   st.blen.(j) <- len - 1
+
+(* The state changes, one copy each: the search, [renormalize] and
+   [Drift_test] all go through them. [remove] and [add] move an item and
+   its weight; [refresh] re-prices a bucket's energy and stamps it, and
+   every change ends with it before the next scan. *)
+let remove st j i =
+  let w = st.soa.Problem.weights.(st.bidx.(j).(i)) in
+  remove_at st j i;
+  st.loads.(j) <- st.loads.(j) -. w
+
+let add st j pos =
+  push st j pos;
+  st.loads.(j) <- st.loads.(j) +. st.soa.Problem.weights.(pos)
+
+let refresh st j =
+  st.energies.(j) <- st.soa.Problem.energy st.loads.(j);
+  st.clock <- st.clock + 1;
+  st.stamp.(j) <- st.clock
+
+(* move the item at index [i] of bucket [j] to bucket [k] *)
+let relocate st j i k =
+  let pos = st.bidx.(j).(i) in
+  remove st j i;
+  add st k pos;
+  refresh st j;
+  refresh st k
+
+(* exchange the item at index [ia] of bucket [j] with the one at [ib] of
+   bucket [k] *)
+let exchange st j ia k ib =
+  let pa = st.bidx.(j).(ia) and pb = st.bidx.(k).(ib) in
+  remove st j ia;
+  remove st k ib;
+  add st j pb;
+  add st k pa;
+  refresh st j;
+  refresh st k
+
+(* newest-first summation, the order [Partition.of_buckets] uses, so a
+   renormalized state equals a from-scratch re-evaluation exactly *)
+let renormalize st =
+  for j = 0 to st.m - 1 do
+    st.loads.(j) <- 0.;
+    for i = st.blen.(j) - 1 downto 0 do
+      st.loads.(j) <- st.loads.(j) +. st.soa.Problem.weights.(st.bidx.(j).(i))
+    done;
+    refresh st j
+  done
 
 (* Write the positions of [items] into [buf] from index [k] on, checking
    that each id is the problem's and is seen for the first time; returns
@@ -156,18 +201,6 @@ let solution_of_state st =
     rejected = build_rejected_list st 0 [];
   }
 
-(* newest-first summation, the order [Partition.of_buckets] uses, so a
-   renormalized state equals a from-scratch re-evaluation exactly *)
-let renormalize st =
-  for j = 0 to st.m - 1 do
-    st.loads.(j) <- 0.;
-    for i = st.blen.(j) - 1 downto 0 do
-      st.loads.(j) <- st.loads.(j) +. st.soa.Problem.weights.(st.bidx.(j).(i))
-    done;
-    st.energies.(j) <- st.soa.Problem.energy st.loads.(j);
-    touch st j
-  done
-
 (* one full renormalization per this many applied moves bounds the
    accumulated float drift of the O(1) load updates *)
 let renorm_every = 4096
@@ -178,26 +211,27 @@ type budgeted = { solution : Solution.t; moves : int; exhausted : bool }
    number of moves applied, and whether the step budget stopped the loop
    while a scan was still finding improving moves.
 
-   Scans are memoised on the bucket stamps. Every move a scan tests is
-   a pure function of the one or two buckets it touches (their items,
-   load and energy) and of constants of the run ([eps], [cap], the SoA).
-   So once a full scan has found nothing in a bucket (reject), from a
-   bucket to another (move, per ordered pair) or between two buckets
-   (swap, per pair), the same scan finds nothing again while neither
-   stamp has moved, and is skipped. [*_clean] hold the [clock] at which
-   that scan last came up empty. A move scan tests only the dirty
-   destinations of each item; the first item with an improving one gets
-   the full best-destination selection over every [k], as before. The
-   accept test is remembered per rejected item ([acc_at]) and
-   E(l_j - w) per placed item ([efrom]). The first improving move in
-   scan order is therefore the one the unmemoised scans choose, with
-   every float computed as they compute it.
+   Four memos key on the bucket stamps. Every candidate a scan tests is a
+   pure function of the one or two buckets it touches (their items, load
+   and energy) and of constants of the run ([eps], [cap], the SoA). So
+   once a full scan has found nothing in a bucket (reject) or between two
+   buckets (swap, per pair), the same scan finds nothing again while
+   neither stamp has moved, and is skipped: [*_clean] hold the [clock] at
+   which that scan last came up empty. The accept test is remembered per
+   rejected item ([acc_at]) and E(l_j - w) per placed item ([efrom]). The
+   first improving move in scan order is therefore the one the unmemoised
+   scans choose, with every float computed as they compute it. Each
+   pays on the plan-shaped workload: a copy without it read perfbench
+   [plan] throughput lower at the median of three pairs, by 13% without
+   the accept memo, 8% without [efrom], 3% without the swap memo and 2.5%
+   without the reject memo (the last two within run-to-run spread).
 
-   The memos stay although the gap test below prunes most candidates on
-   its own: the memos skip whole buckets and pairs, the gap test one
-   candidate at a time. With the pair and reject memos deleted, local
-   search's traced self time on the plan-shaped workload rose from 7.2
-   to 8.5 ms per op at the median of three runs. *)
+   The move scan has no memo. It runs the best-destination selection
+   for each item in scan order and applies the first whose best gain
+   beats [eps]: the move a memo of clean pairs picks too, since a clean
+   pair improves for no item. The gap test below already leaves it 9 of
+   41,518 destinations to price on that workload, and without the memo
+   [plan] stayed inside its run-to-run spread (ten pairs). *)
 let improve_state ~max_moves (p : Problem.t) st =
   let cap = Problem.capacity p in
   let soa = st.soa in
@@ -237,21 +271,6 @@ let improve_state ~max_moves (p : Problem.t) st =
     Float.compare y hi >= 0 && Float.compare y cap <= 0
   in
 
-  let apply_remove j i w =
-    remove_at st j i;
-    st.loads.(j) <- st.loads.(j) -. w;
-    touch st j
-  in
-  let apply_add j pos w =
-    push st j pos;
-    st.loads.(j) <- st.loads.(j) +. w;
-    touch st j
-  in
-  let refresh j =
-    st.energies.(j) <- energy st.loads.(j);
-    touch st j
-  in
-
   (* [efrom.(pos)] memoises E(l_j - w_pos) for the item at [pos] in
      bucket [j], valid while [efrom_at.(pos)] is bucket [j]'s stamp; the
      reject and move scans both price it, and the move scan once per
@@ -265,7 +284,6 @@ let improve_state ~max_moves (p : Problem.t) st =
     end
   in
   let reject_clean = Array.make m (-1) in
-  let move_clean = Array.make (m * m) (-1) in
   let swap_clean = Array.make (m * m) (-1) in
   (* [acc_at.(pos)] is the clock at which rejected item [pos] last
      failed the accept test, [acc_best.(pos)] the processor it was
@@ -275,11 +293,6 @@ let improve_state ~max_moves (p : Problem.t) st =
      fails again. *)
   let acc_at = Array.make soa.Problem.n (-1) in
   let acc_best = Array.make soa.Problem.n (-1) in
-
-  let pair_clean memo j k =
-    let v = memo.((j * m) + k) in
-    st.stamp.(j) <= v && st.stamp.(k) <= v
-  in
 
   let try_reject () =
     (* first item (buckets ascending, newest first within) whose
@@ -308,8 +321,8 @@ let improve_state ~max_moves (p : Problem.t) st =
         end
         else begin
           let pos = st.bidx.(j).(i) in
-          apply_remove j i (weight pos);
-          refresh j;
+          remove st j i;
+          refresh st j;
           st.rej.(st.rlen) <- pos;
           st.rlen <- st.rlen + 1;
           acc_at.(pos) <- -1;
@@ -363,8 +376,8 @@ let improve_state ~max_moves (p : Problem.t) st =
         then begin
           Array.blit st.rej (r + 1) st.rej r (st.rlen - 1 - r);
           st.rlen <- st.rlen - 1;
-          apply_add j pos w;
-          refresh j;
+          add st j pos;
+          refresh st j;
           true
         end
         else begin
@@ -395,69 +408,41 @@ let improve_state ~max_moves (p : Problem.t) st =
   (* the running best gain of [best_dest], in a cell so the scan is a
      loop that boxes nothing *)
   let best_gain = Array.make 1 0. in
+  (* the first destination with the largest gain for the item at [pos]
+     of bucket [j], its gain left in [best_gain.(0)]; -1 when none is
+     open. A destination the gap test skips gains at most [eps], so it
+     can never be the one that improves. *)
+  let best_dest j pos =
+    let best = ref (-1) in
+    for k = 0 to m - 1 do
+      if k <> j && move_open j pos k then begin
+        let gain = move_gain j pos k in
+        if !best < 0 || Float.compare gain best_gain.(0) > 0 then begin
+          best := k;
+          best_gain.(0) <- gain
+        end
+      end
+    done;
+    !best
+  in
 
   let try_move () =
-    (* the first destination with the largest gain; only called once a
-       dirty destination's gain beats [eps], so the destinations the gap
-       test skips (gain at most [eps]) can never be it *)
-    let best_dest j pos =
-      let best = ref (-1) in
-      for k = 0 to m - 1 do
-        if k <> j && move_open j pos k then begin
-          let gain = move_gain j pos k in
-          if !best < 0 || Float.compare gain best_gain.(0) > 0 then begin
-            best := k;
-            best_gain.(0) <- gain
-          end
-        end
-      done;
-      !best
-    in
-    (* does some destination whose pair with [j] is dirty improve? A
-       clean pair improves for no item of [j], so this is exactly
-       "the best destination improves" *)
-    let rec improves_dirty j pos k =
-      if k >= m then false
-      else if
-        k <> j
-        && (not (pair_clean move_clean j k))
-        && move_open j pos k
-        && Fc.exact_gt (move_gain j pos k) eps
-      then true
-      else improves_dirty j pos (k + 1)
-    in
+    (* first item (buckets ascending, newest first within) whose best
+       destination improves *)
     let rec scan_items j i =
-      if i < 0 then -1
+      if i < 0 then false
       else begin
         let pos = st.bidx.(j).(i) in
         removal_energy j pos;
-        if improves_dirty j pos 0 then i else scan_items j (i - 1)
-      end
-    in
-    let rec all_clean j k =
-      k >= m || ((k = j || pair_clean move_clean j k) && all_clean j (k + 1))
-    in
-    let rec over j =
-      if j >= m then false
-      else if all_clean j 0 then over (j + 1)
-      else begin
-        let i = scan_items j (st.blen.(j) - 1) in
-        if i < 0 then begin
-          Array.fill move_clean (j * m) m st.clock;
-          over (j + 1)
-        end
-        else begin
-          let pos = st.bidx.(j).(i) in
-          let k = best_dest j pos in
-          let w = weight pos in
-          apply_remove j i w;
-          apply_add k pos w;
-          refresh j;
-          refresh k;
+        let k = best_dest j pos in
+        if k >= 0 && Float.compare best_gain.(0) eps > 0 then begin
+          relocate st j i k;
           true
         end
+        else scan_items j (i - 1)
       end
     in
+    let rec over j = j < m && (scan_items j (st.blen.(j) - 1) || over (j + 1)) in
     over 0
   in
 
@@ -480,8 +465,10 @@ let improve_state ~max_moves (p : Problem.t) st =
     let rec over_j j = if j > m - 2 then false else over_k j (j + 1)
     and over_k j k =
       if k > m - 1 then over_j (j + 1)
-      else if pair_clean swap_clean j k then over_k j (k + 1)
-      else scan_a j k (st.blen.(j) - 1)
+      else
+        let v = swap_clean.((j * m) + k) in
+        if st.stamp.(j) <= v && st.stamp.(k) <= v then over_k j (k + 1)
+        else scan_a j k (st.blen.(j) - 1)
     and scan_a j k ia =
       if ia < 0 then begin
         swap_clean.((j * m) + k) <- st.clock;
@@ -491,14 +478,7 @@ let improve_state ~max_moves (p : Problem.t) st =
         let ib = scan_b j k ia (st.blen.(k) - 1) in
         if ib < 0 then scan_a j k (ia - 1)
         else begin
-          let pa = st.bidx.(j).(ia) and pb = st.bidx.(k).(ib) in
-          let wa = weight pa and wb = weight pb in
-          apply_remove j ia wa;
-          apply_remove k ib wb;
-          apply_add j pb wb;
-          apply_add k pa wa;
-          refresh j;
-          refresh k;
+          exchange st j ia k ib;
           true
         end
       end
@@ -577,12 +557,7 @@ module Drift_test = struct
         if k = j || not (Rt_prelude.Float_cmp.leq (st.loads.(k) +. w) cap)
         then false
         else begin
-          remove_at st j i;
-          st.loads.(j) <- st.loads.(j) -. w;
-          push st k pos;
-          st.loads.(k) <- st.loads.(k) +. w;
-          st.energies.(j) <- st.soa.Problem.energy st.loads.(j);
-          st.energies.(k) <- st.soa.Problem.energy st.loads.(k);
+          relocate st j i k;
           true
         end
       end
@@ -592,24 +567,14 @@ module Drift_test = struct
         if k = j || st.blen.(k) = 0 then false
         else begin
           let i2 = Rt_prelude.Rng.int rng ~lo:0 ~hi:(st.blen.(k) - 1) in
-          let pos2 = st.bidx.(k).(i2) in
-          let w2 = st.soa.Problem.weights.(pos2) in
+          let w2 = st.soa.Problem.weights.(st.bidx.(k).(i2)) in
           let lj = st.loads.(j) -. w +. w2 in
           let lk = st.loads.(k) -. w2 +. w in
           if
             Rt_prelude.Float_cmp.leq lj cap
             && Rt_prelude.Float_cmp.leq lk cap
           then begin
-            remove_at st j i;
-            st.loads.(j) <- st.loads.(j) -. w;
-            remove_at st k i2;
-            st.loads.(k) <- st.loads.(k) -. w2;
-            push st j pos2;
-            st.loads.(j) <- st.loads.(j) +. w2;
-            push st k pos;
-            st.loads.(k) <- st.loads.(k) +. w;
-            st.energies.(j) <- st.soa.Problem.energy st.loads.(j);
-            st.energies.(k) <- st.soa.Problem.energy st.loads.(k);
+            exchange st j i k i2;
             true
           end
           else false

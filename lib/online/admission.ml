@@ -99,50 +99,40 @@ let pending_remove pen pos =
 let pending_to_list pen =
   List.init pen.len (fun i -> (pen.jobs.(i), pen.remaining.(i)))
 
-(* the minimum constant speed meeting every pending commitment from
-   [now]: max over deadlines of cumulative-work-due / time-to-deadline.
-   The arrays are deadline-sorted, so this is one pass. Its accumulators
-   are recursive arguments, which ocamlopt (without flambda) boxes on
-   every step; a [for] loop over local float refs would not allocate. *)
-let rec density_go pen now i work best =
-  if i >= pen.len then best
-  else begin
-    let work = work +. pen.remaining.(i) in
-    let slack = pen.deadlines.(i) -. now in
-    if Fc.exact_le slack eps then density_go pen now (i + 1) work Float.infinity
-    else density_go pen now (i + 1) work (Float.max best (work /. slack))
-  end
-
-let pending_density pen ~now = density_go pen now 0 0. 0.
-
-(* density of the pending set plus one hypothetical job, without
-   materializing the trial set: a merge walk that folds the trial in
-   leftmost among exact deadline ties — where a stable deadline sort of
-   the trial consed onto the pending list would place it *)
-let rec density_trial_go pen now r_t d_t placed i work best =
+(* The one density fold: the minimum constant speed meeting every
+   pending commitment from [now], max over deadlines of
+   cumulative-work-due / time-to-deadline, one pass over the
+   deadline-sorted arrays. Unless [placed], one hypothetical job
+   ([r_t] cycles due at [d_t]) is merged in without materializing the
+   trial set, leftmost among exact deadline ties — where a stable
+   deadline sort of the trial consed onto the pending list would place
+   it. Its accumulators [work] and [best] are recursive arguments, which
+   ocamlopt (without flambda) boxes on every step; a [for] loop over
+   local float refs would not allocate. *)
+let rec density_go pen now r_t d_t placed i work best =
   if (not placed) && (i >= pen.len || Float.compare pen.deadlines.(i) d_t >= 0)
   then begin
     let work = work +. r_t in
     let slack = d_t -. now in
     if Fc.exact_le slack eps then
-      density_trial_go pen now r_t d_t true i work Float.infinity
-    else
-      density_trial_go pen now r_t d_t true i work
-        (Float.max best (work /. slack))
+      density_go pen now r_t d_t true i work Float.infinity
+    else density_go pen now r_t d_t true i work (Float.max best (work /. slack))
   end
   else if i >= pen.len then best
   else begin
     let work = work +. pen.remaining.(i) in
     let slack = pen.deadlines.(i) -. now in
     if Fc.exact_le slack eps then
-      density_trial_go pen now r_t d_t placed (i + 1) work Float.infinity
+      density_go pen now r_t d_t placed (i + 1) work Float.infinity
     else
-      density_trial_go pen now r_t d_t placed (i + 1) work
+      density_go pen now r_t d_t placed (i + 1) work
         (Float.max best (work /. slack))
   end
 
+let pending_density pen ~now = density_go pen now 0. 0. true 0 0. 0.
+
 let pending_density_with pen ~now ~remaining ~deadline =
-  density_trial_go pen now remaining deadline false 0 0. 0.
+  density_go pen now remaining deadline false 0 0. 0.
 
 let critical (proc : Processor.t) =
   match proc.dormancy with
@@ -366,23 +356,50 @@ module Exec = struct
     Hashtbl.replace tbl j.Job.id ();
     record_reject t j
 
-  let reject t (j : Job.t) =
-    if Hashtbl.mem t.seen j.Job.id then
-      Error (Invalid "Admission.simulate: duplicate job ids")
+  (* The one owner of the duplicate-id rule: [register] records [j]'s
+     id and is [false] for a repeat. [decide], [decide_cheap] and
+     [reject] each call it first, so every id the executor sees —
+     admitted, declined, forced or shed — is refused the second time. *)
+  let register t (j : Job.t) =
+    if Hashtbl.mem t.seen j.Job.id then false
     else begin
       Hashtbl.add t.seen j.Job.id ();
+      true
+    end
+
+  let duplicate = Error (Invalid "Admission.simulate: duplicate job ids")
+
+  let reject t (j : Job.t) =
+    if register t j then begin
       record_reject t j;
       Ok ()
+    end
+    else duplicate
+
+  (* the one admit/decline/force path: no feasible [target] (-1) forces
+     a rejection, else the policy's [accept] admits onto it or declines *)
+  let settle t (j : Job.t) ~target ~accept =
+    if target < 0 then begin
+      incr t.forced;
+      record_reject t j;
+      Ok Infeasible
+    end
+    else if accept then begin
+      attach t target j ~remaining:j.Job.cycles;
+      t.admitted := j.Job.id :: !(t.admitted);
+      Ok Admitted
+    end
+    else begin
+      record_reject t j;
+      Ok Declined
     end
 
   (* the per-arrival step: feasibility over the live processors, then the
      policy. The decision instant is [now t] — deciding late (a queued
      arrival) simply leaves the job less slack. *)
   let decide t ~policy (j : Job.t) =
-    if Hashtbl.mem t.seen j.Job.id then
-      Error (Invalid "Admission.simulate: duplicate job ids")
+    if not (register t j) then duplicate
     else begin
-      Hashtbl.add t.seen j.Job.id ();
       (* feasible processor with the cheapest marginal estimate: an
          unboxed index/estimate scan.  One (index, estimate) pair is
          built at the end — re-probing the winner would cost a full
@@ -412,40 +429,25 @@ module Exec = struct
         else best_proc (i + 1) best_i best_est
       in
       let best_i, best_est = best_proc 0 (-1) 0. in
-      if best_i < 0 then begin
-        incr t.forced;
-        record_reject t j;
-        Ok Infeasible
-      end
-      else begin
-        let accept =
-          match policy with
-          | Admit_all -> true
-          | Profitable -> Rt_prelude.Float_cmp.leq best_est j.Job.penalty
-          | Density_threshold theta ->
-              (* tolerant: this is the paper's accept/reject boundary *)
-              Rt_prelude.Float_cmp.geq (j.Job.penalty /. j.Job.cycles) theta
-        in
-        if accept then begin
-          attach t best_i j ~remaining:j.Job.cycles;
-          t.admitted := j.Job.id :: !(t.admitted);
-          Ok Admitted
-        end
-        else begin
-          record_reject t j;
-          Ok Declined
-        end
-      end
+      let accept =
+        best_i >= 0
+        &&
+        match policy with
+        | Admit_all -> true
+        | Profitable -> Rt_prelude.Float_cmp.leq best_est j.Job.penalty
+        | Density_threshold theta ->
+            (* tolerant: this is the paper's accept/reject boundary *)
+            Rt_prelude.Float_cmp.geq (j.Job.penalty /. j.Job.cycles) theta
+      in
+      settle t j ~target:best_i ~accept
     end
 
   (* the degraded-tier decision: one density test on the first feasible
      live processor, a penalty-per-cycle threshold, and no marginal-energy
      estimate — the cheap path the watchdog falls back to. *)
   let decide_cheap t ~theta (j : Job.t) =
-    if Hashtbl.mem t.seen j.Job.id then
-      Error (Invalid "Admission.simulate: duplicate job ids")
+    if not (register t j) then duplicate
     else begin
-      Hashtbl.add t.seen j.Job.id ();
       (* first feasible live processor, by index; early exit instead of
          the latched-ref full sweep this replaces (same winner) *)
       let n = Array.length t.pendings in
@@ -460,22 +462,12 @@ module Exec = struct
         then i
         else first_feasible (i + 1)
       in
-      match first_feasible 0 with
-      | -1 ->
-          incr t.forced;
-          record_reject t j;
-          Ok Infeasible
-      | target ->
-          if Rt_prelude.Float_cmp.geq (j.Job.penalty /. j.Job.cycles) theta
-          then begin
-            attach t target j ~remaining:j.Job.cycles;
-            t.admitted := j.Job.id :: !(t.admitted);
-            Ok Admitted
-          end
-          else begin
-            record_reject t j;
-            Ok Declined
-          end
+      let target = first_feasible 0 in
+      let accept =
+        target >= 0
+        && Rt_prelude.Float_cmp.geq (j.Job.penalty /. j.Job.cycles) theta
+      in
+      settle t j ~target ~accept
     end
 
   (* ---------------------------------------------------------------- *)
@@ -630,25 +622,17 @@ let simulate_mp ~(proc : Processor.t) ~m ~policy jobs =
   match Exec.create ~proc ~m with
   | Error e -> Error e
   | Ok t ->
-      if
-        not
-          (Rt_task.Task.distinct_ids
-             (List.map (fun (j : Job.t) -> j.Job.id) jobs))
-      then Error (Invalid "Admission.simulate: duplicate job ids")
-      else begin
-        let jobs = Job.by_arrival jobs in
-        let rec process = function
-          | [] -> Exec.finish t
-          | (j : Job.t) :: rest -> (
-              match Exec.advance_to t ~until:j.Job.arrival with
-              | Error e -> Error e
-              | Ok () -> (
-                  match Exec.decide t ~policy j with
-                  | Error e -> Error e
-                  | Ok _ -> process rest))
-        in
-        process jobs
-      end
+      let rec process = function
+        | [] -> Exec.finish t
+        | (j : Job.t) :: rest -> (
+            match Exec.advance_to t ~until:j.Job.arrival with
+            | Error e -> Error e
+            | Ok () -> (
+                match Exec.decide t ~policy j with
+                | Error e -> Error e
+                | Ok _ -> process rest))
+      in
+      process (Job.by_arrival jobs)
 
 let simulate ~proc ~policy jobs = simulate_mp ~proc ~m:1 ~policy jobs
 

@@ -81,10 +81,13 @@ type decision = Admitted | Declined | Infeasible
 val simulate :
   proc:Rt_power.Processor.t -> policy:policy -> Job.t list ->
   (outcome, error) result
-(** Jobs may be given in any order (sorted internally). Errors on
-    duplicate ids, a non-ideal processor (discrete-level online scaling
-    is out of scope), or — defensively — if an admitted job misses its
-    deadline, which the admission test is supposed to make impossible. *)
+(** Jobs may be given in any order (sorted internally). Errors on a
+    non-ideal processor (discrete-level online scaling is out of scope),
+    on a repeated id — [Invalid "Admission.simulate: duplicate job ids"],
+    from {!Exec}'s register when the repeat arrives — or, defensively, if
+    an admitted job misses its deadline, which the admission test is
+    supposed to make impossible; the first of these the run reaches is
+    the one returned. *)
 
 val simulate_mp :
   proc:Rt_power.Processor.t -> m:int -> policy:policy -> Job.t list ->
@@ -113,6 +116,18 @@ val lower_bound : proc:Rt_power.Processor.t -> Job.t list -> float
     is [create] / sorted [advance_to]+[decide] per arrival / [finish],
     and [Rt_serve.Serve] interleaves the same calls with its robustness
     layer (ingress shedding, watchdog tiers, fault re-planning).
+
+    Every arrival's fate is recorded by one path: {!decide} and
+    {!decide_cheap} pick a processor (or none, a forced rejection) and
+    a policy verdict, and hand both to the same admit/decline/force
+    step. The executor is the one owner of the duplicate-id rule:
+    {!decide}, {!decide_cheap} and {!reject} share one register of every
+    id they have seen, and each refuses a repeat with
+    [Invalid "Admission.simulate: duplicate job ids"], whether the first
+    copy was admitted, declined, forced or shed. Every admission test,
+    here and in the fault operations, is the same density fold over a
+    processor's deadline-sorted pending set, with or without one trial
+    job merged in.
 
     Time only moves forward: [advance_to] rejects a target before [now].
     Faults and their re-planning live here too, on the same pending sets
@@ -154,19 +169,21 @@ module Exec : sig
       over live processors, cheapest-marginal placement, then [policy].
       Records the outcome (admission, rejection penalty, forced count).
       Deciding later than the job's arrival leaves it less slack — queue
-      latency degrades schedulability, as it should. Errors on a
-      duplicate id. *)
+      latency degrades schedulability, as it should. Errors on an id
+      the executor has seen before. *)
 
   val decide_cheap : t -> theta:float -> Job.t -> (decision, error) result
     [@@rt.hot "per-arrival step of the degraded service tier"]
   (** The degraded-tier step: density feasibility on the {e first}
       feasible live processor and a penalty-per-cycle threshold [theta] —
-      no marginal-energy estimate. Same bookkeeping as {!decide}. *)
+      no marginal-energy estimate. Same bookkeeping and duplicate-id
+      error as {!decide}. *)
 
   val reject : t -> Job.t -> (unit, error) result
   (** Record a rejection decided {e outside} the executor (ingress shed,
       admit-none tier): the job pays its penalty and is never tested.
-      Errors on a duplicate id. *)
+      Its id is registered as {!decide} registers one: errors on an id
+      seen before, and a later arrival with this id is refused. *)
 
   val derate : t -> factor:float -> (unit, error) result
   (** Derating fault: the speed cap becomes

@@ -5,14 +5,6 @@ open Rt_power
 type segment = { speed : float; fraction : float }
 type plan = { segments : segment list; rate : float }
 
-let factored_model ?(power_factor = 1.) (m : Power_model.t) =
-  if Fc.exact_eq power_factor 1. then m
-  else
-    Power_model.make ~p_ind:m.p_ind
-      ~linear:(m.linear *. power_factor)
-      ~coeff:(m.coeff *. power_factor)
-      ~alpha:m.alpha ()
-
 let idle_rate (proc : Processor.t) =
   match proc.dormancy with
   | Processor.Dormant_enable _ -> 0.
@@ -78,15 +70,13 @@ let mix_on_hull hull u =
         Some (segments, y1 +. (a *. (y2 -. y1)))
       end
 
-(* The per-processor preparation the hot path wants hoisted out of the
-   per-[u] evaluation: the factored model, the lower hull of the level
-   points (Levels domain), and the numeric critical speed (dormant ideal
-   domain) depend only on the processor. [prepare] computes them once and
-   returns a closure that performs exactly the per-[u] arithmetic
-   [optimal] always did — same operations in the same order — so a
-   prepared evaluator is bit-identical to calling [optimal] directly. *)
-let prepare ?power_factor (proc : Processor.t) =
-  let model = factored_model ?power_factor proc.model in
+(* [optimal]'s body: the per-processor setup (the lower hull of the
+   level points in a Levels domain, the numeric critical speed in a
+   dormant ideal one), then a closure with the per-[u] arithmetic.
+   [prepare_energy] below repeats that arithmetic, in the same order,
+   for the rate alone. *)
+let prepare (proc : Processor.t) =
+  let model = proc.model in
   let power s = Power_model.power model s in
   let dynamic s = Power_model.dynamic_power model s in
   let top = Processor.s_max proc in
@@ -185,7 +175,7 @@ let rate_on_hull hull u =
       end
 
 (* The argument guard every [prepare_energy] evaluator runs first, in
-   the order [prepare] runs it: reject a non-finite or clearly negative
+   the order [optimal] runs it: reject a non-finite or clearly negative
    load, clamp the -1e-17 residues that repeated add/remove arithmetic
    on loads leaves to 0, then raise past capacity. Written once and
    inlined into each evaluator; the selects below are [Float.max 0. u]
@@ -223,16 +213,16 @@ let[@inline] unit_clamp x =
   else if Float.compare x 1. > 0 then 1.
   else x
 
-(* [prepare] collapsed to the scalar the schedulers actually compare:
+(* [optimal] collapsed to the scalar the schedulers actually compare:
    [prepare_energy proc ~horizon u] is exactly
-   [(Option.get (prepare proc u)).rate *. horizon] bit for bit — every
+   [(Option.get (optimal proc ~u)).rate *. horizon] bit for bit — every
    rate below is the same expression as the corresponding [prepare]
    branch — but computed by ONE flat closure per processor kind, with
    the guard and clamps inlined and no plan, segment list or option
    materialized. The marginal-energy inner loops (Greedy, Local_search)
    evaluate this hundreds of thousands of times per instance, so the
    per-call closure depth and float boxing are what this variant
-   removes. Raises where [prepare] returns [None] (required speed over
+   removes. Raises where [optimal] returns [None] (required speed over
    s_max): the schedulers pre-check capacity, so that is an internal
    error. *)
 let prepare_energy (proc : Processor.t) ~horizon =
@@ -274,24 +264,21 @@ let prepare_energy (proc : Processor.t) ~horizon =
               let busy = unit_clamp (u /. s_run) in
               busy *. Power_model.power model s_run *. horizon)
 
-let optimal ?power_factor (proc : Processor.t) ~u =
-  prepare ?power_factor proc u
+let optimal (proc : Processor.t) ~u = prepare proc u
 
-let rate ?power_factor proc ~u =
-  Option.map (fun p -> p.rate) (optimal ?power_factor proc ~u)
+let rate proc ~u = Option.map (fun p -> p.rate) (optimal proc ~u)
 
-let energy ?power_factor proc ~u ~horizon =
+let energy proc ~u ~horizon =
   if Fc.exact_lt horizon 0. then
     invalid_arg "Energy_rate.energy: negative horizon";
-  Option.map (fun r -> r *. horizon) (rate ?power_factor proc ~u)
+  Option.map (fun r -> r *. horizon) (rate proc ~u)
 
-let plan_rate ?power_factor (proc : Processor.t) plan =
-  let model = factored_model ?power_factor proc.model in
+let plan_rate (proc : Processor.t) plan =
   List.fold_left
     (fun acc { speed; fraction } ->
       let p =
         if Fc.exact_eq speed 0. then idle_rate proc
-        else Power_model.power model speed
+        else Power_model.power proc.model speed
       in
       acc +. (fraction *. p))
     0. plan.segments

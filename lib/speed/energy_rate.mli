@@ -35,32 +35,26 @@ type plan = {
   rate : float;  [@rt.dim "watts"] (** average power of the plan = energy per unit horizon *)
 }
 
-val optimal : ?power_factor:float -> Rt_power.Processor.t -> u:float -> plan option
+val optimal : Rt_power.Processor.t -> u:float -> plan option
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** [optimal proc ~u] is the minimum-average-power plan delivering required
     speed [u >= 0], or [None] when [u] exceeds [s_max] (no feasible plan).
-    [power_factor] scales the speed-dependent power (heterogeneous tasks).
+    Power is the processor's own model; heterogeneous per-task power
+    factors are [Rt_partition.Hetero]'s, which scales the model itself.
     @raise Invalid_argument on negative or non-finite [u]. *)
-
-val prepare :
-  ?power_factor:float -> Rt_power.Processor.t -> (float -> plan option)
-  [@@rt.hot "amortizes hull/critical-speed setup across many evaluations"]
-(** [prepare proc] hoists the per-processor setup of {!optimal} — the
-    factored power model, the lower convex hull of the level points, the
-    numeric critical speed — and returns an evaluator [fun u -> ...] whose
-    results are bit-identical to [optimal proc ~u]. Build it once per
-    instance and call it per candidate load (the SoA hot path). *)
 
 val prepare_energy :
   Rt_power.Processor.t -> horizon:float -> (float -> float [@rt.dim "joules"])
   [@rt.hot "scalar evaluator for the marginal-energy inner loops"]
-(** Like {!prepare} but the evaluator returns only the plan's energy over
-    [horizon] — [prepare_energy proc ~horizon u] equals
-    [(Option.get (prepare proc u)).rate *. horizon] bit for bit. It is the
-    evaluator behind [Rt_core.Problem.bucket_energy]: the greedy and
+(** The per-load energy evaluator of the schedulers' inner loops. It
+    hoists {!optimal}'s per-processor setup (the lower convex hull of the
+    level points, the numeric critical speed) and returns only the plan's
+    energy over [horizon]: [prepare_energy proc ~horizon u] equals
+    [(Option.get (optimal proc ~u)).rate *. horizon] bit for bit. It is
+    the evaluator behind [Rt_core.Problem.bucket_energy]: the greedy and
     local-search inner loops only ever need the scalar, and they
     pre-check capacity, so a required speed above [s_max] (where
-    {!prepare} returns [None]) raises [Invalid_argument] here.
+    {!optimal} returns [None]) raises [Invalid_argument] here.
 
     The evaluator is flat: one closure per processor kind, the argument
     guard written once and inlined, and the ideal-speed clamps written as
@@ -88,19 +82,17 @@ val prepare_energy :
     {!Rt_prelude.Float_cmp} tolerance. *)
 
 val rate :
-  ?power_factor:float -> Rt_power.Processor.t -> u:float ->
-  float option [@rt.dim "watts"]
+  Rt_power.Processor.t -> u:float -> float option [@rt.dim "watts"]
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** Average power of the optimal plan. *)
 
 val energy :
-  ?power_factor:float -> Rt_power.Processor.t -> u:float -> horizon:float ->
+  Rt_power.Processor.t -> u:float -> horizon:float ->
   float option [@rt.dim "joules"]
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** [rate × horizon]. @raise Invalid_argument on negative horizon. *)
 
-val plan_rate :
-  ?power_factor:float -> Rt_power.Processor.t -> plan -> float [@rt.dim "watts"]
+val plan_rate : Rt_power.Processor.t -> plan -> float [@rt.dim "watts"]
 (** Recompute a plan's average power from its segments (idle/sleep segments
     charged per the processor's dormancy); used to cross-check [rate]. *)
 

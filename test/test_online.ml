@@ -132,10 +132,31 @@ let test_preemption_by_tighter_deadline () =
   check_bool "work done before the last deadline" true
     (Fc.leq ~eps:1e-6 o.Admission.makespan 200.)
 
+(* The executor owns the duplicate-id rule: whatever became of the first
+   copy, a repeat is the same typed error from both simulators. *)
 let test_duplicate_ids_rejected () =
-  let j = job ~id:0 ~arrival:0. ~cycles:1. ~deadline:10. ~penalty:0. in
-  check_bool "duplicates" true
-    (Result.is_error (Admission.simulate ~proc ~policy:Admission.Admit_all [ j; j ]))
+  let first = job ~id:0 ~arrival:0. ~cycles:5. ~deadline:100. ~penalty:0. in
+  let later = job ~id:0 ~arrival:1. ~cycles:1. ~deadline:50. ~penalty:0. in
+  (* the premises: alone, the first copy is admitted and still pending
+     when [later] arrives, or declined under [Profitable] *)
+  let o = simulate_exn ~policy:Admission.Admit_all [ first ] in
+  Alcotest.(check (list int)) "admitted alone" [ 0 ] o.Admission.admitted;
+  check_bool "still pending at the repeat" true (o.Admission.makespan > 1.);
+  let o = simulate_exn ~policy:Admission.Profitable [ first ] in
+  Alcotest.(check (list int)) "declined alone" [ 0 ] o.Admission.rejected;
+  check_int "not forced" 0 o.Admission.forced_rejections;
+  let dup = Error (Admission.Invalid "Admission.simulate: duplicate job ids") in
+  List.iter
+    (fun (name, policy, jobs) ->
+      check_bool (name ^ ", simulate") true
+        (Admission.simulate ~proc ~policy jobs = dup);
+      check_bool (name ^ ", simulate_mp ~m:4") true
+        (Admission.simulate_mp ~proc ~m:4 ~policy jobs = dup))
+    [
+      ("repeat at the same arrival", Admission.Admit_all, [ first; first ]);
+      ("repeat of a pending job", Admission.Admit_all, [ later; first ]);
+      ("repeat of a declined job", Admission.Profitable, [ later; first ]);
+    ]
 
 let test_levels_unsupported () =
   let lv = Rt_power.Processor.xscale_levels ~dormancy:Rt_power.Processor.Dormant_disable in
@@ -581,6 +602,39 @@ let finish_exn e =
 
 let check_ids = Alcotest.(check (list int))
 
+(* [Exec.decide], [decide_cheap] and [reject] share one id register:
+   an id any of them has taken is refused by all three, with the same
+   error [simulate] reports *)
+let test_exec_duplicate_ids_every_entry () =
+  let j = job ~id:7 ~arrival:0. ~cycles:1. ~deadline:10. ~penalty:1. in
+  let entries =
+    [
+      ( "decide",
+        fun e ->
+          Result.map ignore
+            (Admission.Exec.decide e ~policy:Admission.Admit_all j) );
+      ( "decide_cheap",
+        fun e -> Result.map ignore (Admission.Exec.decide_cheap e ~theta:0. j)
+      );
+      ("reject", fun e -> Admission.Exec.reject e j);
+    ]
+  in
+  let dup = Error (Admission.Invalid "Admission.simulate: duplicate job ids") in
+  List.iter
+    (fun (first, take) ->
+      List.iter
+        (fun (second, repeat) ->
+          match Admission.Exec.create ~proc:cubic ~m:2 with
+          | Error err ->
+              Alcotest.failf "create: %s" (Admission.error_to_string err)
+          | Ok e ->
+              check_bool (first ^ " takes the id") true (take e = Ok ());
+              check_bool
+                (first ^ " then " ^ second ^ " is a duplicate")
+                true (repeat e = dup))
+        entries)
+    entries
+
 let test_exec_replan_sheds_cheapest () =
   (* density 80/100 = 0.8 on one processor. Jobs 2 and 3 tie on penalty
      per remaining cycle (0.2); 3 sits first in deadline order, so only
@@ -708,6 +762,8 @@ let () =
           Alcotest.test_case "preemption" `Quick
             test_preemption_by_tighter_deadline;
           Alcotest.test_case "duplicate ids" `Quick test_duplicate_ids_rejected;
+          Alcotest.test_case "one duplicate-id rule for every entry" `Quick
+            test_exec_duplicate_ids_every_entry;
           Alcotest.test_case "levels unsupported" `Quick test_levels_unsupported;
         ] );
       ( "properties",

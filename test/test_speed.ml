@@ -163,7 +163,7 @@ let prop_plans_validate =
       | None -> false
       | Some plan -> Energy_rate.validate proc ~u plan = Ok ())
 
-(* [prepare] either raises, returns [None] (past capacity) or a plan;
+(* [optimal] either raises, returns [None] (past capacity) or a plan;
    [prepare_energy] must raise [Invalid_argument] in the first two cases
    and return the plan's rate times the horizon, to the bit, in the
    third. The loads cover [0, s_max] and the guard's edges: the
@@ -171,7 +171,7 @@ let prop_plans_validate =
    inside the tolerance, and the rejected ones (below -1e-9, NaN, the
    infinities, past the tolerance). *)
 let prop_prepare_energy_is_rate_times_horizon =
-  qtest ~count:600 "prepare_energy = prepare rate * horizon, bit for bit"
+  qtest ~count:600 "prepare_energy = optimal rate * horizon, bit for bit"
     QCheck2.Gen.(
       triple (int_range 0 4)
         (frequency
@@ -210,7 +210,7 @@ let prop_prepare_energy_is_rate_times_horizon =
       let raises f =
         match f () with _ -> false | exception Invalid_argument _ -> true
       in
-      match Energy_rate.prepare proc u with
+      match Energy_rate.optimal proc ~u with
       | exception Invalid_argument _ -> raises energy
       | None -> raises energy
       | Some plan ->
@@ -292,12 +292,6 @@ let prop_no_single_speed_beats_plan =
             r
             <= (u /. s *. Power_model.power proc.Processor.model s) +. 1e-9)
         (Rt_prelude.Math_util.frange ~lo:u ~hi:1. ~steps:50))
-
-let test_power_factor_scales_dynamic_term () =
-  let r1 = rate_exn cubic_disable 0.5 in
-  match Energy_rate.rate ~power_factor:2. cubic_disable ~u:0.5 with
-  | Some r2 -> check_float 1e-12 "factor 2 doubles dynamic-only rate" (2. *. r1) r2
-  | None -> Alcotest.fail "feasible"
 
 (* ------------------------------------------------------------------ *)
 (* Sync_global *)
@@ -455,8 +449,6 @@ let () =
             test_ideal_enable_critical_clamp;
           Alcotest.test_case "infeasible above s_max" `Quick
             test_infeasible_above_smax;
-          Alcotest.test_case "power factor" `Quick
-            test_power_factor_scales_dynamic_term;
         ] );
       ( "energy_rate_levels",
         [

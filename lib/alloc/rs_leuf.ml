@@ -8,6 +8,9 @@ type outcome = { processors : int; energy : float }
    equal processor counts — both algorithms here report execution energy
    plus per-processor awake overhead) *)
 let estimate_energy (proc : Rt_power.Processor.t) ~frame items times =
+  let leak =
+    Rt_power.Processor.idle_power proc -. Rt_power.Processor.rest_power proc
+  in
   List.fold_left
     (fun acc (it : Task.item) ->
       match List.assoc_opt it.item_id times with
@@ -15,12 +18,6 @@ let estimate_energy (proc : Rt_power.Processor.t) ~frame items times =
       | Some t ->
           let cycles = it.weight *. frame in
           let s = cycles /. t in
-          let leak =
-            match proc.dormancy with
-            | Rt_power.Processor.Dormant_enable _ ->
-                proc.model.Rt_power.Power_model.p_ind
-            | Rt_power.Processor.Dormant_disable -> 0.
-          in
           acc
           +. (t
              *. (leak
@@ -28,11 +25,7 @@ let estimate_energy (proc : Rt_power.Processor.t) ~frame items times =
     0. items
 
 let awake_overhead (proc : Rt_power.Processor.t) ~frame ~processors =
-  match proc.dormancy with
-  | Rt_power.Processor.Dormant_enable _ -> 0.
-  | Rt_power.Processor.Dormant_disable ->
-      float_of_int processors *. frame
-      *. proc.model.Rt_power.Power_model.p_ind
+  float_of_int processors *. frame *. Rt_power.Processor.rest_power proc
 
 let feasible_times (proc : Rt_power.Processor.t) ~frame items times =
   let s_max = Rt_power.Processor.s_max proc in

@@ -134,16 +134,6 @@ let pending_density pen ~now = density_go pen now 0. 0. true 0 0. 0.
 let pending_density_with pen ~now ~remaining ~deadline =
   density_go pen now remaining deadline false 0 0. 0.
 
-let critical (proc : Processor.t) =
-  match proc.dormancy with
-  | Processor.Dormant_enable _ -> Processor.critical_speed proc
-  | Processor.Dormant_disable -> Processor.s_min proc
-
-let idle_power (proc : Processor.t) =
-  match proc.dormancy with
-  | Processor.Dormant_enable _ -> 0.
-  | Processor.Dormant_disable -> Processor.idle_power proc
-
 (* the structured state an incident log wants when an admitted job is
    late: who was pending, how much work was left, and the density the
    executor was trying to sustain (only evaluated on the error path).
@@ -175,9 +165,10 @@ let edf_pick pen = edf_scan pen pen.deadlines.(0) 1 0
    time, accumulated energy, and the completion time of the last finished
    job; fails if an admitted job misses its deadline. [cap] is the
    effective top speed — [s_max] on a healthy platform, lower under a
-   derating fault. [s_crit] and [p_idle] are the processor's critical
-   speed and idle draw, hoisted to the executor by the caller. *)
-let advance (proc : Processor.t) ~cap ~s_crit ~p_idle pen ~now ~until =
+   derating fault. [s_floor] and [p_rest] are the processor's
+   {!Processor.floor_speed} and {!Processor.rest_power}, hoisted to the
+   executor by the caller. *)
+let advance (proc : Processor.t) ~cap ~s_floor ~p_rest pen ~now ~until =
   let energy = ref 0. in
   let last_completion = ref Float.neg_infinity in
   let now = ref now in
@@ -187,13 +178,13 @@ let advance (proc : Processor.t) ~cap ~s_crit ~p_idle pen ~now ~until =
     else if Fc.exact_ge !now (until -. eps) then ()
     else if pen.len = 0 then begin
       (* idle to the horizon of this segment *)
-      energy := !energy +. (p_idle *. (until -. !now));
+      energy := !energy +. (p_rest *. (until -. !now));
       now := until
     end
     else begin
       let speed =
         Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:cap
-          (Float.max s_crit (pending_density pen ~now:!now))
+          (Float.max s_floor (pending_density pen ~now:!now))
       in
       if Fc.exact_le speed 0. then begin
         (* zero density with work pending cannot happen (cycles > 0) *)
@@ -232,12 +223,12 @@ let advance (proc : Processor.t) ~cap ~s_crit ~p_idle pen ~now ~until =
   | Some e -> Error e
   | None -> Ok (!now, !energy, !last_completion)
 
-let marginal_estimate (proc : Processor.t) ~cap ~s_crit pen ~now (j : Job.t) =
+(* [density] is the pending set's density with [j] merged in, as the
+   admission test already folded it *)
+let marginal_estimate (proc : Processor.t) ~cap ~s_floor ~density
+    (j : Job.t) =
   let s =
-    Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:cap
-      (Float.max s_crit
-         (pending_density_with pen ~now ~remaining:j.Job.cycles
-            ~deadline:j.Job.deadline))
+    Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:cap (Float.max s_floor density)
   in
   if Fc.exact_le s 0. then Float.infinity
   else j.Job.cycles *. Power_model.power proc.model s /. s
@@ -256,8 +247,8 @@ module Exec = struct
     pendings : pending array;
     alive : bool array;
     seen : (int, unit) Hashtbl.t;
-    s_crit : float;  (** [critical proc], hoisted out of the hot loops *)
-    p_idle : float;  (** [idle_power proc], likewise *)
+    s_floor : float;  (** [Processor.floor_speed proc], hoisted *)
+    p_rest : float;  (** [Processor.rest_power proc], likewise *)
     energy : float ref;
     penalty : float ref;
     admitted : int list ref;
@@ -282,8 +273,8 @@ module Exec = struct
           pendings = Array.init m (fun _ -> pending_create ());
           alive = Array.make m true;
           seen = Hashtbl.create 97;
-          s_crit = critical proc;
-          p_idle = idle_power proc;
+          s_floor = Processor.floor_speed proc;
+          p_rest = Processor.rest_power proc;
           energy = ref 0.;
           penalty = ref 0.;
           admitted = ref [];
@@ -321,7 +312,7 @@ module Exec = struct
           | Ok () ->
               if t.alive.(i) then begin
                 match
-                  advance t.proc ~cap:t.cap ~s_crit:t.s_crit ~p_idle:t.p_idle
+                  advance t.proc ~cap:t.cap ~s_floor:t.s_floor ~p_rest:t.p_rest
                     pen ~now:!(t.now) ~until
                 with
                 | Error e -> result := Error e
@@ -409,16 +400,14 @@ module Exec = struct
       let rec best_proc i best_i best_est =
         if i >= n then (best_i, best_est)
         else if t.alive.(i) then begin
-          let pen = t.pendings.(i) in
-          if
-            Rt_prelude.Float_cmp.leq
-              (pending_density_with pen ~now:!(t.now) ~remaining:j.Job.cycles
-                 ~deadline:j.Job.deadline)
-              t.cap
-          then begin
+          let density =
+            pending_density_with t.pendings.(i) ~now:!(t.now)
+              ~remaining:j.Job.cycles ~deadline:j.Job.deadline
+          in
+          if Rt_prelude.Float_cmp.leq density t.cap then begin
             let est =
-              marginal_estimate t.proc ~cap:t.cap ~s_crit:t.s_crit pen
-                ~now:!(t.now) j
+              marginal_estimate t.proc ~cap:t.cap ~s_floor:t.s_floor
+                ~density j
             in
             if best_i < 0 || not (Fc.exact_le best_est est) then
               best_proc (i + 1) i est
@@ -638,10 +627,10 @@ let simulate ~proc ~policy jobs = simulate_mp ~proc ~m:1 ~policy jobs
 
 let job_bound ~(proc : Processor.t) (j : Job.t) =
   let s_max = Processor.s_max proc in
-  let s_crit = critical proc in
+  let s_floor = Processor.floor_speed proc in
   let s =
     Rt_prelude.Float_cmp.clamp ~lo:1e-9 ~hi:s_max
-      (Float.max s_crit (Job.laxity_speed j))
+      (Float.max s_floor (Job.laxity_speed j))
   in
   let run_cost = j.Job.cycles *. Power_model.power proc.model s /. s in
   Float.min j.Job.penalty run_cost

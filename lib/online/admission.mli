@@ -4,7 +4,11 @@
     it holds the {e density speed} — the largest, over pending deadlines
     [d], of (remaining work due by [d]) / (d − now) — which is the
     minimum constant speed that keeps every commitment, clamped from
-    below by the critical speed (sleep when idle) and capped at [s_max].
+    below by the floor speed and capped at [s_max]. The floor speed and
+    the draw while no job is pending are the processor's
+    ({!Rt_power.Processor.floor_speed} and
+    {!Rt_power.Processor.rest_power}): the critical speed and sleep at
+    zero power when it can sleep, [s_min] and [p_ind] when it cannot.
     This is the online analogue of the uniform-speed optimality the
     static problem enjoys.
 
@@ -106,9 +110,11 @@ val job_bound : proc:Rt_power.Processor.t -> Job.t -> float
 
 val lower_bound : proc:Rt_power.Processor.t -> Job.t list -> float
 (** An unreachable-but-sound reference: each job independently pays
-    {!job_bound}, where the per-cycle energy is evaluated at the better
-    of the critical speed and the job's own laxity speed — interference
-    between jobs can only make reality costlier. *)
+    {!job_bound}, where the per-cycle energy is evaluated at the faster
+    of the floor speed ({!Rt_power.Processor.floor_speed}: the critical
+    speed, or [s_min] on a processor that cannot sleep) and the job's own
+    laxity speed — interference between jobs can only make reality
+    costlier. *)
 
 (** The stepwise executor behind {!simulate_mp}, exposed for the
     streaming service. A [t] is [m] per-processor EDF executors plus the

@@ -184,28 +184,18 @@ let energy ~(proc : Rt_power.Processor.t) jobs =
         Error "Yds.energy: infeasible (peak intensity above s_max)"
     | _ ->
         let model = proc.Rt_power.Processor.model in
-        let s_crit =
-          match proc.Rt_power.Processor.dormancy with
-          | Rt_power.Processor.Dormant_enable _ ->
-              Rt_power.Processor.critical_speed proc
-          | Rt_power.Processor.Dormant_disable -> 0.
-        in
-        let leak_while_idle =
-          match proc.Rt_power.Processor.dormancy with
-          | Rt_power.Processor.Dormant_enable _ -> 0.
-          | Rt_power.Processor.Dormant_disable ->
-              Rt_power.Power_model.power model 0.
-        in
+        let s_floor = Rt_power.Processor.floor_speed proc in
+        let p_rest = Rt_power.Processor.rest_power proc in
         Ok
           (List.fold_left
              (fun acc b ->
-               let s = Float.min s_max (Float.max s_crit b.intensity) in
+               let s = Float.min s_max (Float.max s_floor b.intensity) in
                if Fc.exact_le s 0. then acc
                else begin
                  let busy = b.work /. s in
                  acc
                  +. (busy *. Rt_power.Power_model.power model s)
-                 +. ((b.length -. busy) *. leak_while_idle)
+                 +. ((b.length -. busy) *. p_rest)
                end)
              0. bs)
   end

@@ -43,7 +43,13 @@ val blocks : Job.t list -> block list
 val energy :
   proc:Rt_power.Processor.t -> Job.t list -> (float, string) result
 (** Offline-optimal energy on an ideal processor: each block runs at
-    [max(intensity, critical speed)] (sleeping through the slack when the
-    clamp is active; dormant-disable processors instead pay leakage over
-    the block). Errors when the peak intensity exceeds [s_max] (no
-    feasible schedule) or the processor has discrete levels. *)
+    [max(intensity, floor speed)] and rests through the slack the clamp
+    leaves, paying the rest power over it. Both are the processor's
+    ({!Rt_power.Processor.floor_speed}, {!Rt_power.Processor.rest_power}):
+    a dormant-enable processor runs no slower than its critical speed and
+    sleeps at zero power; a dormant-disable one runs no slower than
+    [s_min] and idles at [p_ind]. In exact arithmetic a block therefore
+    costs what {!Rt_speed.Energy_rate.prepare_energy} charges for its
+    intensity over its length. Errors when the peak intensity exceeds
+    [s_max] (no feasible schedule) or the processor has discrete
+    levels. *)

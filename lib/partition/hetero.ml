@@ -49,11 +49,7 @@ let time_at proc k jobs =
    awake; dormant-disable's constant awake cost is accounted separately) *)
 let exec_energy (proc : Processor.t) job s =
   let dyn = Power_model.dynamic_power (factored proc.model job.factor) s in
-  let leak =
-    match proc.dormancy with
-    | Processor.Dormant_enable _ -> proc.model.Power_model.p_ind
-    | Processor.Dormant_disable -> 0.
-  in
+  let leak = Processor.idle_power proc -. Processor.rest_power proc in
   job.cycles /. s *. (leak +. dyn)
 
 let solve_jobs (proc : Processor.t) ~time_budget jobs =
@@ -101,9 +97,7 @@ let processor_speeds (proc : Processor.t) ~horizon items =
   solve_jobs proc ~time_budget:horizon jobs
 
 let awake_overhead (proc : Processor.t) ~horizon =
-  match proc.dormancy with
-  | Processor.Dormant_disable -> proc.model.Power_model.p_ind *. horizon
-  | Processor.Dormant_enable _ -> 0.
+  Processor.rest_power proc *. horizon
 
 let estimated_times (proc : Processor.t) ~m ~horizon items =
   check_proc proc;

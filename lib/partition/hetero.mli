@@ -40,9 +40,10 @@ val processor_speeds :
     or a non-ideal (discrete-level) processor. *)
 
 val awake_overhead : Rt_power.Processor.t -> horizon:float -> float
-(** [p_ind · horizon] for dormant-disable processors, [0.] for
-    dormant-enable (which sleep when idle; transition overheads are out of
-    scope here, see {!Rt_speed.Procrastinate}). *)
+(** [rest_power · horizon] ({!Rt_power.Processor.rest_power}): [p_ind ·
+    horizon] for dormant-disable processors, [0.] for dormant-enable
+    (which sleep when idle; transition overheads are out of scope here,
+    see {!Rt_speed.Procrastinate}). *)
 
 val estimated_times :
   Rt_power.Processor.t -> m:int -> horizon:float -> Rt_task.Task.item list ->

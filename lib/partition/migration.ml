@@ -9,21 +9,17 @@ type schedule = {
   energy : float;
 }
 
+(* a busy processor pays the leakage its rest power leaves out: p_ind
+   when it could sleep, nothing more when idling costs p_ind anyway *)
 let exec_energy (proc : Rt_power.Processor.t) ~cycles ~speed =
   let leak =
-    match proc.dormancy with
-    | Rt_power.Processor.Dormant_enable _ ->
-        proc.model.Rt_power.Power_model.p_ind
-    | Rt_power.Processor.Dormant_disable -> 0.
+    Rt_power.Processor.idle_power proc -. Rt_power.Processor.rest_power proc
   in
   cycles /. speed
   *. (leak +. Rt_power.Power_model.dynamic_power proc.model speed)
 
 let idle_energy (proc : Rt_power.Processor.t) ~idle =
-  match proc.dormancy with
-  | Rt_power.Processor.Dormant_enable _ -> 0.
-  | Rt_power.Processor.Dormant_disable ->
-      idle *. Rt_power.Processor.idle_power proc
+  idle *. Rt_power.Processor.rest_power proc
 
 let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
   if m < 1 then Error "Migration.optimal: m < 1"

@@ -23,17 +23,6 @@ let power m s =
 
 let dynamic_power m s = power m s -. m.p_ind
 
-let energy m ~speed ~time =
-  if Fc.exact_lt time 0. then invalid_arg "Power_model.energy: negative time";
-  time *. power m speed
-
-let energy_cycles m ~speed ~cycles =
-  if Fc.exact_le speed 0. then
-    invalid_arg "Power_model.energy_cycles: speed <= 0";
-  if Fc.exact_lt cycles 0. then
-    invalid_arg "Power_model.energy_cycles: negative cycles";
-  cycles /. speed *. power m speed
-
 let energy_per_cycle m s =
   if Fc.exact_le s 0. then invalid_arg "Power_model.energy_per_cycle: speed <= 0";
   power m s /. s
@@ -60,9 +49,3 @@ let critical_speed m ~s_max =
 let pp ppf m =
   Format.fprintf ppf "P(s) = %g + %g*s^%g" m.p_ind m.coeff m.alpha;
   if Fc.exact_gt m.linear 0. then Format.fprintf ppf " + %g*s" m.linear
-
-let equal a b =
-  Fc.exact_eq a.p_ind b.p_ind
-  && Fc.exact_eq a.coeff b.coeff
-  && Fc.exact_eq a.alpha b.alpha
-  && Fc.exact_eq a.linear b.linear

@@ -10,7 +10,7 @@
     with [alpha] in [\[2, 3\]] for CMOS, [coeff > 0], [linear >= 0]. The
     evaluation sections of the DATE'05–'07 papers normalize the Intel XScale
     to [P(s) = 0.08 + 1.52 s^3] W with the top speed scaled to 1; the same
-    normalization is available as {!Presets.xscale}.
+    normalization is available as {!Processor.xscale}.
 
     Speeds are in (normalized) cycles per time unit; energy of running for
     [t] time units at speed [s] is [t * P(s)]. *)
@@ -39,14 +39,6 @@ val power : t -> float -> float [@rt.dim "watts"]
 val dynamic_power : t -> float -> float [@rt.dim "watts"]
 (** The speed-dependent part [P_d(s) = P(s) - p_ind]. *)
 
-val energy : t -> speed:float -> time:float -> float [@rt.dim "joules"]
-(** [energy m ~speed ~time] is [time * P(speed)]; the workload completed is
-    [speed * time] cycles. @raise Invalid_argument on negative time. *)
-
-val energy_cycles : t -> speed:float -> cycles:float -> float [@rt.dim "joules"]
-(** Energy to execute [cycles] cycles at constant [speed > 0]:
-    [cycles / speed * P(speed)]. *)
-
 val energy_per_cycle : t -> float -> float [@rt.dim "joules/cycles"]
 (** [P(s)/s] for [s > 0] — the per-cycle energy whose minimizer is the
     critical speed. *)
@@ -61,4 +53,3 @@ val critical_speed : t -> s_max:float -> float [@rt.dim "speed"]
     treat it as "no lower clamp". *)
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -88,25 +88,6 @@ let nearest_level_above t s =
         levels;
       !found
 
-let levels_around t s =
-  match t.domain with
-  | Ideal _ -> invalid_arg "Processor.levels_around: ideal domain"
-  | Levels levels ->
-      let n = Array.length levels in
-      if Rt_prelude.Float_cmp.gt s levels.(n - 1) then None
-      else if Rt_prelude.Float_cmp.exact_le s levels.(0) then
-        Some (levels.(0), levels.(0))
-      else begin
-        (* find i with levels.(i) <= s <= levels.(i+1) *)
-        let rec go i =
-          if i = n - 1 then (levels.(n - 1), levels.(n - 1))
-          else if Rt_prelude.Float_cmp.exact_le s levels.(i + 1) then
-            (levels.(i), levels.(i + 1))
-          else go (i + 1)
-        in
-        Some (go 0)
-      end
-
 let critical_speed t =
   let unconstrained = Power_model.critical_speed t.model ~s_max:(s_max t) in
   match t.domain with
@@ -116,18 +97,22 @@ let critical_speed t =
       (* pick the level with minimal per-cycle energy; by unimodality it is
          one of the two levels around the unconstrained optimum, but scanning
          all levels is just as simple and obviously correct *)
-      let n = Array.length levels in
-      let rec scan i best best_e =
-        if i >= n then best
-        else
-          let e = Power_model.energy_per_cycle t.model levels.(i) in
-          if Rt_prelude.Float_cmp.exact_lt e best_e then
-            scan (i + 1) levels.(i) e
-          else scan (i + 1) best best_e
-      in
-      scan 0 levels.(0) Float.infinity
+      let per_cycle i = Power_model.energy_per_cycle t.model levels.(i) in
+      let best = ref 0 in
+      for i = 1 to Array.length levels - 1 do
+        if Fc.exact_lt (per_cycle i) (per_cycle !best) then best := i
+      done;
+      levels.(!best)
 
 let idle_power t = t.model.Power_model.p_ind
+
+let rest_power t =
+  match t.dormancy with Dormant_enable _ -> 0. | Dormant_disable -> idle_power t
+
+let floor_speed t =
+  match t.dormancy with
+  | Dormant_enable _ -> critical_speed t
+  | Dormant_disable -> s_min t
 
 let pp ppf t =
   let domain_str =

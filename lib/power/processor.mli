@@ -56,19 +56,38 @@ val nearest_level_above : t -> float -> float option [@rt.dim "speed"]
     if [s] exceeds the top level. For ideal domains, [s] clamped up to
     [s_min] if below, [None] if [s > s_max]. *)
 
-val levels_around : t -> float -> (float * float) option
-(** For level domains: the pair of adjacent levels [(s_lo, s_hi)] with
-    [s_lo <= s <= s_hi] used by the two-level split; at or below the bottom
-    level returns [(bottom, bottom)]; [None] if [s] is above the top level.
-    @raise Invalid_argument on ideal domains. *)
-
 val critical_speed : t -> float [@rt.dim "speed"]
 (** {!Power_model.critical_speed} projected into the domain: for level
     domains, the level with minimal per-cycle energy. *)
 
 val idle_power : t -> float [@rt.dim "watts"]
 (** Power drawn while idle-but-awake: [p_ind] (dynamic power vanishes at
-    speed 0 for the polynomial model). *)
+    speed 0 for the polynomial model), whatever the dormancy; idle time
+    in a schedule costs {!rest_power}. *)
+
+(** {1 Dormancy rules}
+
+    The two places where dormancy changes what a schedule costs. Code
+    outside this library asks these two functions instead of matching on
+    {!dormancy} itself. *)
+
+val rest_power : t -> float [@rt.dim "watts"]
+(** Power drawn while no job runs: [0.] on a dormant-enable processor,
+    which sleeps, and {!idle_power} on a dormant-disable one, which idles
+    awake. {!idle_power} is [p_ind] whatever the dormancy; [rest_power]
+    is what a schedule pays per unit of idle time. A schedule that
+    charges [rest_power] over its whole horizon charges each busy unit
+    [idle_power - rest_power] of leakage on top of the dynamic power:
+    [p_ind] when the processor can sleep, [0.] when it cannot.
+    Mode-switch overheads are not included. *)
+
+val floor_speed : t -> float [@rt.dim "speed"]
+(** Slowest speed worth running at: {!critical_speed} on a
+    dormant-enable processor, where running slower only stretches the
+    time leakage is paid before the processor can sleep, and {!s_min} on
+    a dormant-disable one, which pays leakage for the whole horizon
+    whatever its speed. A load below it runs at it and rests for the
+    remaining time. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -44,7 +44,11 @@ let frange ~lo ~hi ~steps =
 (* inverse golden ratio *)
 let invphi = (sqrt 5. -. 1.) /. 2.
 
-let golden_section_min ?(tol = 1e-10) ?(max_iter = 200) ~f ~lo ~hi () =
+let golden_tol = 1e-10
+let bisect_tol = 1e-12
+let max_iter = 200
+
+let golden_section_min ~f ~lo ~hi () =
   if Float_cmp.exact_gt lo hi then
     invalid_arg "Math_util.golden_section_min: lo > hi";
   (* invariant: the minimum lies in [a, b]; xa < xb are the interior probes
@@ -54,7 +58,7 @@ let golden_section_min ?(tol = 1e-10) ?(max_iter = 200) ~f ~lo ~hi () =
     if
       iter < max_iter
       && Float_cmp.exact_gt (b -. a)
-           (tol *. Float.max 1. (Float.abs a +. Float.abs b))
+           (golden_tol *. Float.max 1. (Float.abs a +. Float.abs b))
     then
       if fa < fb then begin
         let b = xb in
@@ -75,7 +79,7 @@ let golden_section_min ?(tol = 1e-10) ?(max_iter = 200) ~f ~lo ~hi () =
   let x = go 0 lo hi xa xb fa fb in
   (x, f x)
 
-let bisect_root ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
+let bisect_root ~f ~lo ~hi () =
   let flo = f lo and fhi = f hi in
   if Float_cmp.exact_eq flo 0. then lo
   else if Float_cmp.exact_eq fhi 0. then hi
@@ -87,7 +91,7 @@ let bisect_root ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
     while
       !iter < max_iter
       && Float_cmp.exact_gt (!b -. !a)
-           (tol *. Float.max 1. (Float.abs !a +. Float.abs !b))
+           (bisect_tol *. Float.max 1. (Float.abs !a +. Float.abs !b))
     do
       incr iter;
       let m = (!a +. !b) /. 2. in
@@ -105,7 +109,7 @@ let bisect_root ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
     (!a +. !b) /. 2.
   end
 
-let bisect_decreasing ?(tol = 1e-12) ?(max_iter = 200) ~f ~target ~lo ~hi () =
+let bisect_decreasing ~f ~target ~lo ~hi () =
   if Float_cmp.exact_le (f lo) target then lo
   else if Float_cmp.exact_ge (f hi) target then hi
-  else bisect_root ~tol ~max_iter ~f:(fun x -> f x -. target) ~lo ~hi ()
+  else bisect_root ~f:(fun x -> f x -. target) ~lo ~hi ()

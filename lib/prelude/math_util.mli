@@ -36,23 +36,21 @@ val frange : lo:float -> hi:float -> steps:int -> float list
 (** {1 One-dimensional solvers} *)
 
 val golden_section_min :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> float * float
+  f:(float -> float) -> lo:float -> hi:float -> unit -> float * float
 (** [golden_section_min ~f ~lo ~hi ()] minimizes a unimodal [f] on
-    [\[lo, hi\]] and returns the pair of minimizer and minimum value.
-    [tol] bounds the final bracket width (relative to the interval,
-    default [1e-10]). *)
+    [\[lo, hi\]] and returns the pair of minimizer and minimum value. It
+    stops when the bracket is narrower than [1e-10] times
+    [max 1 (|a| + |b|)] for its ends [a] and [b], or after 200 steps. *)
 
 val bisect_root :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> float
+  f:(float -> float) -> lo:float -> hi:float -> unit -> float
 (** [bisect_root ~f ~lo ~hi ()] finds [x] with [f x ≈ 0] given
-    [f lo] and [f hi] of opposite signs (either may be zero).
+    [f lo] and [f hi] of opposite signs (either may be zero). It stops
+    as {!golden_section_min} does, at a relative width of [1e-12].
     @raise Invalid_argument when the signs do not bracket a root. *)
 
 val bisect_decreasing :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> target:float ->
-  lo:float -> hi:float -> unit -> float
+  f:(float -> float) -> target:float -> lo:float -> hi:float -> unit -> float
 (** [bisect_decreasing ~f ~target ~lo ~hi ()] solves [f x = target] for a
     monotonically decreasing [f], clamping to the bracket ends when the
-    target is outside [\[f hi, f lo\]]. *)
+    target is outside [\[f hi, f lo\]]; it stops as {!bisect_root}. *)

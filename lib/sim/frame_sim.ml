@@ -19,17 +19,13 @@ type t = {
   total_energy : float;
 }
 
-let idle_power_of (proc : Processor.t) =
-  match proc.dormancy with
-  | Processor.Dormant_enable _ -> 0.
-  | Processor.Dormant_disable -> Processor.idle_power proc
-
 let energy_of_slices ~(proc : Processor.t) slices =
   List.fold_left
     (fun acc s ->
       let dt = s.t1 -. s.t0 in
       let p =
-        if s.task_id = None || Fc.exact_eq s.speed 0. then idle_power_of proc
+        if s.task_id = None || Fc.exact_eq s.speed 0. then
+          Processor.rest_power proc
         else Power_model.power proc.model s.speed
       in
       acc +. (dt *. p))
@@ -289,7 +285,7 @@ let run_injected ?nominal ~inject t =
           let dt = t1 -. s.t0 in
           if Fc.exact_gt dt 0. then
             match s.task_id with
-            | None -> energy := !energy +. (dt *. idle_power_of t.proc)
+            | None -> energy := !energy +. (dt *. Processor.rest_power t.proc)
             | Some id ->
                 let actual =
                   match cap with

@@ -5,11 +5,6 @@ open Rt_power
 type segment = { speed : float; fraction : float }
 type plan = { segments : segment list; rate : float }
 
-let idle_rate (proc : Processor.t) =
-  match proc.dormancy with
-  | Processor.Dormant_enable _ -> 0.
-  | Processor.Dormant_disable -> Processor.idle_power proc
-
 (* Lower convex hull (monotone chain) of points sorted by strictly
    increasing x; the optimal mixing of "operating points" lies on it.
    [pop] walks the hull as a suffix instead of rebuilding it, so one
@@ -29,9 +24,10 @@ let lower_hull points =
    its power. *)
 let level_hull (proc : Processor.t) ~power levels =
   let levels = Array.to_list levels in
+  let rest = Processor.rest_power proc in
   lower_hull
     (* lint: allow-hot-alloc-in-loop "bounded by the processor's static level count and built once per prepared evaluator, not per evaluation" *)
-    ((0., idle_rate proc) :: List.map (fun l -> (l, power l)) levels)
+    ((0., rest) :: List.map (fun l -> (l, power l)) levels)
 
 (* The hull suffix starting at the vertex pair bracketing [u]; sharing
    the suffix keeps the bracket unboxed (no per-call float pair). *)
@@ -129,13 +125,12 @@ let prepare (proc : Processor.t) =
                 end
               end
         | Processor.Dormant_enable _ ->
-            let s_crit = Power_model.critical_speed model ~s_max in
+            let s_floor = Processor.floor_speed proc in
             fun u ->
               if Fc.exact_eq u 0. then
                 Some { segments = [ { speed = 0.; fraction = 1. } ]; rate = 0. }
               else begin
-                let s_run = Float.max (Float.max u s_min) s_crit in
-                let s_run = Float.min s_run s_max in
+                let s_run = Float.min (Float.max u s_floor) s_max in
                 let busy =
                   Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
                 in
@@ -255,12 +250,12 @@ let prepare_energy (proc : Processor.t) ~horizon =
                 *. horizon
             end
       | Processor.Dormant_enable _ ->
-          let s_crit = Power_model.critical_speed model ~s_max in
+          let s_floor = Processor.floor_speed proc in
           fun u ->
             let u = checked_load ~top u in
             if Fc.exact_eq u 0. then 0. *. horizon
             else
-              let s_run = at_most s_max (at_least s_crit (at_least s_min u)) in
+              let s_run = at_most s_max (at_least s_floor u) in
               let busy = unit_clamp (u /. s_run) in
               busy *. Power_model.power model s_run *. horizon)
 
@@ -277,7 +272,7 @@ let plan_rate (proc : Processor.t) plan =
   List.fold_left
     (fun acc { speed; fraction } ->
       let p =
-        if Fc.exact_eq speed 0. then idle_rate proc
+        if Fc.exact_eq speed 0. then Processor.rest_power proc
         else Power_model.power proc.model speed
       in
       acc +. (fraction *. p))

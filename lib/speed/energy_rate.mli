@@ -10,13 +10,17 @@
     - {e ideal × dormant-disable}: run at [s = max(u, s_min)] for a [u/s]
       fraction of the time; idle pays the leakage [p_ind].
       Rate = [p_ind + (u/s)·P_d(s)].
-    - {e ideal × dormant-enable}: run at [s = clamp(s_crit, max(u,s_min),
-      s_max)] and sleep the rest at zero power; this is the critical-speed
-      clamp of the leakage-aware algorithms. Rate = [u · P(s)/s].
+    - {e ideal × dormant-enable}: run at [s = min(max(u, s_floor), s_max)]
+      and sleep the rest at zero power, where [s_floor] is
+      {!Rt_power.Processor.floor_speed}, the critical speed raised to
+      [s_min]; this is the critical-speed clamp of the leakage-aware
+      algorithms. Rate = [u · P(s)/s].
     - {e levels × either}: the optimum mixes at most two adjacent vertices
-      of the lower convex hull of [{(0, P_idle)} ∪ {(l, P(l))}] — the
+      of the lower convex hull of [{(0, P_rest)} ∪ {(l, P(l))}] — the
       Ishihara–Yasuura two-level split generalized to account for idling or
-      sleeping.
+      sleeping. The idle point [P_rest] is
+      {!Rt_power.Processor.rest_power}: [0] when the processor sleeps,
+      [p_ind] when it idles awake.
 
     Mode-switch overheads ([t_sw], [E_sw]) are not charged here (the
     frame/periodic models of the papers treat speed switching as free and
@@ -93,8 +97,9 @@ val energy :
 (** [rate × horizon]. @raise Invalid_argument on negative horizon. *)
 
 val plan_rate : Rt_power.Processor.t -> plan -> float [@rt.dim "watts"]
-(** Recompute a plan's average power from its segments (idle/sleep segments
-    charged per the processor's dormancy); used to cross-check [rate]. *)
+(** Recompute a plan's average power from its segments (idle/sleep
+    segments charged {!Rt_power.Processor.rest_power}); used to
+    cross-check [rate]. *)
 
 val plan_throughput : plan -> float [@rt.dim "speed"]
 (** [Σ speed·fraction] — the required speed the plan actually delivers. *)

@@ -570,6 +570,27 @@ let test_yds_energy_critical_clamp () =
       in
       check_float 1e-6 "clamped energy" expected e
 
+(* A processor that cannot sleep and cannot run below s_min = 0.4: a
+   2-cycle job due at 10 runs at 0.4 for 5 units and idles at p_ind for
+   the other 5, 5 * 0.164 + 5 * 0.1 = 1.32, the energy rate's price of
+   load 0.2 over 10 units. Running it at its intensity 0.2, which the
+   processor cannot do, would read 1.08. *)
+let test_yds_energy_s_min_floor () =
+  let proc =
+    Rt_power.Processor.make
+      ~model:(Rt_power.Power_model.make ~p_ind:0.1 ~coeff:1. ~alpha:3. ())
+      ~domain:(Rt_power.Processor.Ideal { s_min = 0.4; s_max = 1. })
+      ~dormancy:Rt_power.Processor.Dormant_disable
+  in
+  let j = job ~id:0 ~arrival:0. ~cycles:2. ~deadline:10. ~penalty:0. in
+  match Yds.energy ~proc [ j ] with
+  | Error e -> Alcotest.fail e
+  | Ok e ->
+      check_float 1e-12 "priced as the energy rate prices it"
+        (Rt_speed.Energy_rate.prepare_energy proc ~horizon:10. 0.2)
+        e;
+      check_float 1e-12 "runs at s_min, idles at p_ind" 1.32 e
+
 let test_yds_infeasible () =
   let j = job ~id:0 ~arrival:0. ~cycles:100. ~deadline:50. ~penalty:0. in
   check_bool "over s_max" true (Result.is_error (Yds.energy ~proc [ j ]))
@@ -805,6 +826,8 @@ let () =
           prop_yds_no_worse_than_online;
           Alcotest.test_case "critical clamp" `Quick
             test_yds_energy_critical_clamp;
+          Alcotest.test_case "s_min floors a processor that cannot sleep"
+            `Quick test_yds_energy_s_min_floor;
           Alcotest.test_case "infeasible detection" `Quick test_yds_infeasible;
         ] );
     ]

@@ -49,11 +49,6 @@ let test_make_validation () =
     (Power_model.make ~coeff:1. ~alpha:64. ()).Power_model.alpha
 
 let test_energy () =
-  check_float 1e-12 "time energy" 0.25
-    (Power_model.energy cubic ~speed:0.5 ~time:2.);
-  (* 100 cycles at speed 0.5 take 200 time units at power 0.125 *)
-  check_float 1e-9 "cycle energy" 25.
-    (Power_model.energy_cycles cubic ~speed:0.5 ~cycles:100.);
   check_float 1e-12 "per-cycle" 0.25 (Power_model.energy_per_cycle cubic 0.5)
 
 let test_critical_speed_closed_form () =
@@ -169,24 +164,6 @@ let test_speed_feasible () =
   check_bool "off-grid" false (Processor.speed_feasible lv 0.5);
   check_bool "idle always ok" true (Processor.speed_feasible lv 0.)
 
-let test_levels_around () =
-  let lv = Processor.xscale_levels ~dormancy:Processor.Dormant_disable in
-  (match Processor.levels_around lv 0.5 with
-  | Some (lo, hi) ->
-      check_float 1e-12 "lo" 0.4 lo;
-      check_float 1e-12 "hi" 0.6 hi
-  | None -> Alcotest.fail "expected levels");
-  (match Processor.levels_around lv 0.1 with
-  | Some (lo, hi) ->
-      check_float 1e-12 "bottom lo" 0.15 lo;
-      check_float 1e-12 "bottom hi" 0.15 hi
-  | None -> Alcotest.fail "expected bottom clamp");
-  check_bool "above top" true (Processor.levels_around lv 1.5 = None);
-  let ideal = Processor.xscale ~dormancy:Processor.Dormant_disable in
-  Alcotest.check_raises "ideal raises"
-    (Invalid_argument "Processor.levels_around: ideal domain") (fun () ->
-      ignore (Processor.levels_around ideal 0.5))
-
 let test_nearest_level_above () =
   let lv = Processor.xscale_levels ~dormancy:Processor.Dormant_disable in
   Alcotest.(check (option (float 1e-12)))
@@ -214,9 +191,36 @@ let test_processor_critical_speed () =
   check_bool "no level beats the chosen one" false
     (List.exists better [ 0.15; 0.4; 0.6; 0.8; 1.0 ])
 
-let test_idle_power () =
-  let p = Processor.xscale ~dormancy:Processor.Dormant_disable in
-  check_float 1e-12 "idle = leakage" 0.08 (Processor.idle_power p)
+(* what a resting processor draws and how slow a busy one runs: 0 and
+   the critical speed when it can sleep, p_ind and s_min when it cannot;
+   idle_power is p_ind either way *)
+let test_dormancy_rules () =
+  let enable = Processor.Dormant_enable { t_sw = 0.; e_sw = 0. } in
+  let disable = Processor.Dormant_disable in
+  let s_crit = (0.08 /. (2. *. 1.52)) ** (1. /. 3.) in
+  let check name p ~idle ~rest ~floor =
+    check_float 0. (name ^ " idle") idle (Processor.idle_power p);
+    check_float 0. (name ^ " rest") rest (Processor.rest_power p);
+    check_float 1e-12 (name ^ " floor") floor (Processor.floor_speed p)
+  in
+  check "xscale enable" (Processor.xscale ~dormancy:enable) ~idle:0.08 ~rest:0.
+    ~floor:s_crit;
+  check "xscale disable" (Processor.xscale ~dormancy:disable) ~idle:0.08
+    ~rest:0.08 ~floor:0.;
+  (* a binding s_min: above the critical speed, it floors both *)
+  let ideal dormancy =
+    Processor.make ~model:xscale
+      ~domain:(Processor.Ideal { s_min = 0.4; s_max = 1. })
+      ~dormancy
+  in
+  check "s_min 0.4 enable" (ideal enable) ~idle:0.08 ~rest:0. ~floor:0.4;
+  check "s_min 0.4 disable" (ideal disable) ~idle:0.08 ~rest:0.08 ~floor:0.4;
+  (* levels: the critical level (0.4) when it sleeps, the bottom level
+     when not *)
+  check "levels enable" (Processor.xscale_levels ~dormancy:enable) ~idle:0.08
+    ~rest:0. ~floor:0.4;
+  check "levels disable" (Processor.xscale_levels ~dormancy:disable)
+    ~idle:0.08 ~rest:0.08 ~floor:0.15
 
 let () =
   Alcotest.run "rt_power"
@@ -238,11 +242,10 @@ let () =
           Alcotest.test_case "domain validation" `Quick test_domain_validation;
           Alcotest.test_case "presets" `Quick test_presets;
           Alcotest.test_case "speed feasibility" `Quick test_speed_feasible;
-          Alcotest.test_case "levels around" `Quick test_levels_around;
           Alcotest.test_case "nearest level above" `Quick
             test_nearest_level_above;
           Alcotest.test_case "critical level projection" `Quick
             test_processor_critical_speed;
-          Alcotest.test_case "idle power" `Quick test_idle_power;
+          Alcotest.test_case "dormancy rules" `Quick test_dormancy_rules;
         ] );
     ]

@@ -273,6 +273,40 @@ let prop_prepare_energy_convex =
       let tol = convexity_ulps *. epsilon_float /. 2. *. e grid in
       e b <= e c +. tol && e a +. e d >= e b +. e c -. tol)
 
+(* The dormancy rules have one owner: on every processor of the gap-test
+   list, an idle processor costs [rest_power] to the bit, and on an ideal
+   one a load below [floor_speed] runs at [floor_speed] and rests. *)
+let prop_dormancy_owner =
+  qtest ~count:300 "prepare_energy and optimal follow rest_power and floor_speed"
+    QCheck2.Gen.(
+      let* k = int_range 0 (Gap_procs.count - 1) in
+      let* alpha = float_range 2. 3. in
+      let* p_ind = float_range 0. 0.2 in
+      let* sleeps = bool in
+      let* frac = float_range 0. 1. in
+      pure (k, alpha, p_ind, sleeps, frac))
+    (fun (k, alpha, p_ind, sleeps, frac) ->
+      let proc = snd (Gap_procs.all ~alpha ~p_ind ~sleeps).(k) in
+      let rest = Processor.rest_power proc in
+      let s_floor = Processor.floor_speed proc in
+      let u = frac *. s_floor in
+      Int64.equal
+        (Int64.bits_of_float (Energy_rate.prepare_energy proc ~horizon:1. 0.))
+        (Int64.bits_of_float rest)
+      && ((not (Processor.is_ideal proc))
+         || Fc.exact_le s_floor 0. || Fc.exact_le u 0.
+         || Fc.exact_ge u s_floor
+         ||
+         let speeds =
+           List.map
+             (fun (s : Energy_rate.segment) -> s.speed)
+             (plan_exn proc u).Energy_rate.segments
+         in
+         List.exists (Fc.exact_eq s_floor) speeds
+         && List.for_all
+              (fun s -> Fc.exact_eq s s_floor || Fc.exact_eq s 0.)
+              speeds))
+
 let prop_no_single_speed_beats_plan =
   qtest "no feasible single sustained speed beats the optimal plan"
     QCheck2.Gen.(pair (float_range 0.01 1.) (float_range 0.01 0.4))
@@ -466,6 +500,7 @@ let () =
           prop_no_single_speed_beats_plan;
           prop_prepare_energy_is_rate_times_horizon;
           prop_prepare_energy_convex;
+          prop_dormancy_owner;
         ] );
       ( "sync_global",
         [

@@ -688,34 +688,6 @@ let fuzz seed count time_budget corpus_dir jobs =
               (Printf.sprintf "fuzz found %d failure(s)"
                  (List.length failures))))
 
-let lint paths rules format require_cmts =
-  let roots =
-    if paths = [] then [ "lib"; "bin"; "bench"; "examples" ] else paths
-  in
-  match List.find_opt (fun r -> not (Sys.file_exists r)) roots with
-  | Some r -> Error (`Msg ("no such file or directory: " ^ r))
-  | None -> (
-      let findings =
-        Rt_lint_core.Lint_core.lint_paths ~require_cmts roots
-      in
-      let findings =
-        match rules with
-        | [] -> findings
-        | rules ->
-            List.filter
-              (fun (f : Rt_lint_core.Lint_core.finding) ->
-                List.mem f.Rt_lint_core.Lint_core.rule rules)
-              findings
-      in
-      print_string (Rt_lint_core.Report.render format findings);
-      (* note-level findings are informational; only errors and
-         warnings fail the command *)
-      match
-        List.length (List.filter Rt_lint_core.Finding.gates findings)
-      with
-      | 0 -> Ok ()
-      | n -> Error (`Msg (Printf.sprintf "%d lint issue(s) found" n)))
-
 (* ---------------------------------------------------------------- *)
 
 let proc_arg =
@@ -1047,52 +1019,6 @@ let fuzz_cmd =
         (const fuzz $ fuzz_seed_arg $ count_arg $ time_budget_arg
        $ corpus_dir_arg $ jobs_arg))
 
-let lint_paths_arg =
-  Arg.(
-    value & pos_all string []
-    & info [] ~docv:"PATH"
-        ~doc:
-          "Files or directories to lint (default: lib bin bench examples).")
-
-let lint_rule_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "rule" ] ~docv:"ID"
-        ~doc:"Only report findings of rule $(docv) (repeatable).")
-
-let lint_format_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("text", Rt_lint_core.Report.Text);
-             ("json", Rt_lint_core.Report.Json);
-             ("sarif", Rt_lint_core.Report.Sarif);
-           ])
-        Rt_lint_core.Report.Text
-    & info [ "format" ] ~docv:"FORMAT"
-        ~doc:"Output format: text, json, or sarif.")
-
-let lint_require_cmts_arg =
-  Arg.(
-    value & flag
-    & info [ "require-cmts" ]
-        ~doc:
-          "Report sources whose typed pass could not run instead of \
-           silently skipping them.")
-
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "run the repo's typedtree-based static analysis (float \
-          comparisons, determinism, units of measure)")
-    Term.(
-      term_result
-        (const lint $ lint_paths_arg $ lint_rule_arg $ lint_format_arg
-       $ lint_require_cmts_arg))
-
 let cmd =
   Cmd.group
     (Cmd.info "rt_sched" ~version:"1.0.0"
@@ -1109,7 +1035,6 @@ let cmd =
       exact_cmd;
       portfolio_cmd;
       fuzz_cmd;
-      lint_cmd;
     ]
 
 let () = exit (Cmd.eval cmd)

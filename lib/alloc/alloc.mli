@@ -66,13 +66,6 @@ val e_min : instance -> float
 val e_max : instance -> float
 (** Σ over tasks of the costliest feasible per-task energy. *)
 
-val with_gamma :
-  types:proc_type array -> tasks:task list -> frame:float -> gamma:float ->
-  (instance, string) result
-(** Build an instance whose budget is [E_min + gamma · (E_max - E_min)] —
-    the energy-constraint-ratio axis of the published evaluation.
-    @raise Invalid_argument if [gamma] is outside [\[0, 1\]]. *)
-
 (** {1 A placement and its realized cost} *)
 
 type placement = { task_id : int; ti : int; level : int }

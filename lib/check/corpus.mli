@@ -26,19 +26,17 @@ type entry = {
   instance : Instance.t;  (** minimized *)
 }
 
-val to_json : entry -> Rt_prelude.Json.t
-val of_json : Rt_prelude.Json.t -> (entry, string) result
-
 val to_string : entry -> string
-val of_string : string -> (entry, string) result
 
 val save : dir:string -> entry -> (string, string) result
 (** Write [<dir>/<name>.json]; returns the path. Errors on I/O failure
     (the directory must exist). *)
 
 val load_file : string -> (entry, string) result
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 
 val load_dir : string -> ((string * entry) list, string) result
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 (** Every [*.json] in the directory as [(path, entry)], sorted by path
     so replay order is deterministic. A file that fails to parse is an
     [Error] — a corrupt corpus must fail loudly, not skip silently. *)
@@ -46,6 +44,7 @@ val load_dir : string -> ((string * entry) list, string) result
 val replay :
   algorithms:(string * (Rt_core.Problem.t -> Rt_core.Solution.t)) list ->
   entry -> (unit, string) result
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 (** The regression check described above: the recorded algorithm (when
     not ["-"]) passes all four oracles, every metamorphic law holds on
     the instance, and the recorded [opt_cost] (if any) is reproduced by

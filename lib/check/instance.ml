@@ -52,13 +52,6 @@ let frame_tasks t =
       Rt_task.Task.frame ~penalty:it.penalty ~id:it.id ~cycles:it.wcec ())
     t.items
 
-let periodic_tasks t =
-  List.map
-    (fun it ->
-      Rt_task.Task.periodic ~penalty:it.penalty ~id:it.id ~cycles:it.wcec
-        ~period:t.frame_ticks ())
-    t.items
-
 let to_problem t =
   Rt_core.Problem.of_frame ~proc:(processor t.proc) ~m:t.m
     ~frame_length:(float_of_int t.frame_ticks) (frame_tasks t)
@@ -83,15 +76,6 @@ let equal a b =
          x.id = y.id && x.wcec = y.wcec
          && Fc.exact_eq x.penalty y.penalty)
        a.items b.items
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s@,items:" (label t);
-  List.iter
-    (fun it ->
-      Format.fprintf ppf "@,  id=%d cycles=%d penalty=%g" it.id it.wcec
-        it.penalty)
-    t.items;
-  Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
 (* serialization *)

@@ -32,21 +32,14 @@ val processor : proc_kind -> Rt_power.Processor.t
     ideal/levels with zero-overhead dormancy — the same presets the
     existing test suites use, all with [s_max = 1]. *)
 
-val proc_name : proc_kind -> string
-val proc_of_name : string -> (proc_kind, string) result
-
 val make :
   proc:proc_kind -> m:int -> frame_ticks:int -> item list -> (t, string) result
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 (** Checks the field ranges above and id distinctness. *)
 
 val frame_tasks : t -> Rt_task.Task.frame list
 (** The items as frame tasks (for {!Rt_core.Uni_dp} and
     {!Rt_core.Problem.of_frame}). *)
-
-val periodic_tasks : t -> Rt_task.Task.periodic list
-(** The items as implicit-deadline periodic tasks with period = frame —
-    a frame task {e is} the one-job periodic task, which is what lets
-    the EDF simulator replay frame solutions. *)
 
 val to_problem : t -> (Rt_core.Problem.t, string) result
 
@@ -55,12 +48,13 @@ val label : t -> string
 (** One-line summary ["proc=xscale m=2 frame=100 n=5 load=1.32"]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 
 (** {1 Serialization} *)
 
 val to_json : t -> Rt_prelude.Json.t
 val of_json : Rt_prelude.Json.t -> (t, string) result
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 
 (** {1 Generation}
 
@@ -89,6 +83,7 @@ val generate : Rt_prelude.Rng.t -> params -> t
     accept/reject a real trade-off; see {!Rt_task.Penalty}). *)
 
 val qcheck_gen : ?params:params -> unit -> t QCheck2.Gen.t
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 
 (** {1 Shrinking} *)
 

@@ -20,8 +20,8 @@
       can ever run it, by convexity of the rate) must be rejected by the
       exact solver.
 
-    Laws that need the exponential solver skip instances larger than
-    [exact_cap]. *)
+    Laws that need the exponential solver skip instances larger than 8
+    items. *)
 
 type outcome = Pass | Skip of string | Fail of string
 
@@ -36,13 +36,4 @@ val find : string -> t option
 
 val run_all : Instance.t -> (string * outcome) list
 val first_failure : (string * outcome) list -> (string * string) option
-
-val exact_cap : int
-(** Size cap for the laws that invoke the exact solver (8). *)
-
-val transfer :
-  Rt_core.Problem.t -> Rt_core.Solution.t -> (Rt_core.Solution.t, string) result
-(** Rebuild a solution's structure (same placement, same rejections, by
-    item id) on another problem over the same id set — the mechanism the
-    penalty-scaling law uses to compare one decision across two
-    instances. Errors if an id has no counterpart. *)
+  [@@rt.test_api "the corpus and instance fuzz harness"]

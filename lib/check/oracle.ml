@@ -78,7 +78,6 @@ let context ?(exact_cap = 10) inst =
         }
 
 let problem ctx = ctx.prob
-let instance ctx = ctx.inst
 
 let optimal_cost ctx =
   match Lazy.force ctx.exact with

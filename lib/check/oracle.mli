@@ -32,7 +32,6 @@ val context : ?exact_cap:int -> Instance.t -> (ctx, string) result
     instance size beyond which the exact oracle reports [Skip]. *)
 
 val problem : ctx -> Rt_core.Problem.t
-val instance : ctx -> Instance.t
 
 val optimal_cost : ctx -> float option
 (** Forces the cached branch-and-bound solve; [None] above [exact_cap]. *)
@@ -63,6 +62,7 @@ val run_all : ctx -> Rt_core.Solution.t -> (string * outcome) list
 (** Every oracle's verdict, in registry order. *)
 
 val first_failure : (string * outcome) list -> (string * string) option
+  [@@rt.test_api "the corpus and instance fuzz harness"]
 (** The first [(oracle, detail)] failure, if any. *)
 
 val eps : float

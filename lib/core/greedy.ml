@@ -1,7 +1,5 @@
 module Fc = Rt_prelude.Float_cmp
 
-open Rt_task
-
 type algorithm = Problem.t -> Solution.t
 
 (* least-loaded processor on which weight [w] still fits, or -1; earliest
@@ -85,34 +83,6 @@ let marginal_greedy (p : Problem.t) =
     Rt_prelude.Float_cmp.leq marginal s.Problem.penalties.(i)
   in
   pack_positions p ~accept s.Problem.order_weight_desc
-
-let random_reject rng (p : Problem.t) =
-  let cap = Problem.capacity p in
-  let items = Rt_prelude.Rng.shuffle rng p.items in
-  List.fold_left
-    (fun (partition, rejected) (it : Task.item) ->
-      let feasible =
-        List.filter
-          (fun j ->
-            Rt_prelude.Float_cmp.leq
-              (Rt_partition.Partition.load partition j +. it.weight)
-              cap)
-          (Rt_prelude.Math_util.range 0 (p.m - 1))
-      in
-      match feasible with
-      | [] -> (partition, it :: rejected)
-      | _ ->
-          let j = Rt_prelude.Rng.choice rng feasible in
-          (Rt_partition.Partition.add partition j it, rejected))
-    (Rt_partition.Partition.empty ~m:p.m, [])
-    items
-  |> fun (partition, rejected) ->
-  { Solution.partition; rejected = List.rev rejected }
-
-let total_cost (p : Problem.t) solution =
-  match Solution.cost p solution with
-  | Ok c -> c.Solution.total
-  | Error msg -> invalid_arg ("Greedy: internal solution invalid: " ^ msg)
 
 (* positional mirror of the old density comparator: penalty per unit
    weight ascending, id ascending on ties *)
@@ -263,16 +233,6 @@ let density_reject (p : Problem.t) =
     Solution.partition = Rt_partition.Partition.of_buckets buckets;
     rejected = !rejected;
   }
-
-let best_of algorithms (p : Problem.t) =
-  match algorithms with
-  | [] -> invalid_arg "Greedy.best_of: empty list"
-  | a :: rest ->
-      List.fold_left
-        (fun best alg ->
-          let s = alg p in
-          if Fc.exact_lt (total_cost p s) (total_cost p best) then s else best)
-        (a p) rest
 
 let named =
   [

@@ -19,8 +19,6 @@
       whose rejection still lowers the total cost.
     - {!unsorted_reject} — the RAND-style reference baseline (min-load
       greedy in input order, overflow rejection).
-    - {!random_reject} — fully random placement (uniform processor among
-      feasible ones, random order); the weakest baseline.
 
     Marginal energies are computed against the least-loaded feasible
     processor — correct because the optimal rate is convex, so marginal
@@ -36,12 +34,7 @@ val marginal_greedy : algorithm
 val density_reject : algorithm
   [@@rt.hot "runs on every planner op, repacking once per trial"]
 val unsorted_reject : algorithm
-val random_reject : Rt_prelude.Rng.t -> algorithm
-
-val best_of : algorithm list -> algorithm
-(** Run all, return the lowest total cost (ties keep the earliest).
-    @raise Invalid_argument on the empty list. *)
 
 val named : (string * algorithm) list
-(** The deterministic algorithms above, keyed by the names used in
+(** The algorithms above, keyed by the names used in
     experiment tables: ["ltf-reject"; "marginal"; "density"; "unsorted"]. *)

@@ -26,12 +26,14 @@ type gadget = {
 }
 
 val partition_gadget : int list -> (gadget, string) result
+  [@@rt.test_api "the reduction the hardness tests build"]
 (** Reduction 1. Errors on an empty list, non-positive entries, or an odd
     sum. Penalties are set to [10×] the energy of running the whole set,
     so any rejection costs more than any balanced acceptance. *)
 
 val knapsack_gadget :
   capacity:int -> (int * float) list -> (gadget, string) result
+  [@@rt.test_api "the reduction the hardness tests build"]
 (** Reduction 2: [(cycles, penalty)] pairs on one processor with the given
     cycle capacity and negligible energy (tiny power coefficient), so the
     objective is ≈ the rejected penalty — i.e. a minimization knapsack.

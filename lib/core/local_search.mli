@@ -118,3 +118,4 @@ module Drift_test : sig
 
   val solution : t -> Solution.t
 end
+[@@rt.test_api "the seam the drift tests replay local search through"]

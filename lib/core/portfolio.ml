@@ -1,7 +1,7 @@
 module Fc = Rt_prelude.Float_cmp
 module Clock = Rt_prelude.Clock
 
-let default_entrants =
+let entrants =
   [
     ("ltf+ls", Local_search.with_local_search Greedy.ltf_reject);
     ("density+ls", Local_search.with_local_search Greedy.density_reject);
@@ -66,7 +66,7 @@ let run_exact shared ?node_budget ?time_budget p =
         },
         Some b.solution )
 
-let run ?pool ?(entrants = default_entrants) ?node_budget ?time_budget p =
+let run ?pool ?node_budget ?time_budget p =
   let shared = Rt_exact.Search.shared () in
   let jobs =
     List.map (fun e () -> run_heuristic shared p e) entrants

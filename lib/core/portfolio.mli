@@ -42,22 +42,15 @@ type outcome = {
   stats : stat list;  (** per-entrant, in entrant order (exact last) *)
 }
 
-val default_entrants : (string * (Problem.t -> Solution.t)) list
-(** [ltf+ls], [density+ls], [marginal+ls] — the deterministic greedy
-    family, each polished by {!Local_search}. *)
-
-val exact_name : string
-(** ["bb"] — the name under which the exact entrant reports. *)
-
 val run :
   ?pool:Rt_parallel.Pool.t ->
-  ?entrants:(string * (Problem.t -> Solution.t)) list ->
   ?node_budget:int -> ?time_budget:float -> Problem.t ->
   (outcome, string) result
-(** Race [entrants] (default {!default_entrants}) plus the exact entrant
-    ({!Exact.branch_and_bound_budgeted} under [node_budget] /
-    wall-clock [time_budget]). Without [pool], entrants run sequentially
-    in order on the calling domain. Errors only if no entrant produced a
-    feasible solution or the winner failed validation — neither occurs
-    for the default entrants, whose solutions are feasible by
-    construction. *)
+(** Race the deterministic greedy family — [ltf+ls], [density+ls] and
+    [marginal+ls], each polished by {!Local_search} — plus the exact
+    entrant, which reports as ["bb"] ({!Exact.branch_and_bound_budgeted}
+    under [node_budget] / wall-clock [time_budget]). Without [pool],
+    entrants run sequentially in order on the calling domain. Errors
+    only if no entrant produced a feasible solution or the winner failed
+    validation — neither occurs, since the greedy entrants' solutions
+    are feasible by construction. *)

@@ -98,8 +98,6 @@ let capacity t = Rt_power.Processor.s_max t.proc
 let load_factor t =
   Taskset.load_factor ~m:t.m ~s_max:(capacity t) t.items
 
-let total_penalty t = Taskset.total_penalty_items t.items
-
 let soa t = t.soa
 
 let item t id =

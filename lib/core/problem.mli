@@ -76,8 +76,6 @@ val capacity : t -> float [@rt.dim "speed"]
 val load_factor : t -> float [@rt.dim "1"]
 (** Total weight over [m · s_max]; above 1.0 rejection is forced. *)
 
-val total_penalty : t -> float [@rt.dim "penalty"]
-
 val soa : t -> soa
 (** The struct-of-arrays view (same object as [t.soa]). *)
 

@@ -52,10 +52,6 @@ let acceptance_ratio (p : Problem.t) s =
   | n ->
       float_of_int (Rt_partition.Partition.size s.partition) /. float_of_int n
 
-let pp ppf s =
-  Format.fprintf ppf "@[<v>%a@,rejected: %a@]" Rt_partition.Partition.pp
-    s.partition Taskset.pp_items s.rejected
-
 let pp_cost ppf c =
   Format.fprintf ppf "energy=%.6g penalty=%.6g total=%.6g" c.energy c.penalty
     c.total

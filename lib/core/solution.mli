@@ -35,5 +35,4 @@ val rejected_ids : t -> int list
 val acceptance_ratio : Problem.t -> t -> float [@rt.dim "1"]
 (** Accepted items over total items (1.0 for an empty problem). *)
 
-val pp : Format.formatter -> t -> unit
 val pp_cost : Format.formatter -> cost -> unit

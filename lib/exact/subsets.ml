@@ -14,7 +14,3 @@ let iter xs f =
     done;
     f (!chosen, !rest)
   done
-
-let count xs =
-  guard xs;
-  1 lsl List.length xs

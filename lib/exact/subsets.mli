@@ -6,5 +6,3 @@ val iter : 'a list -> ('a list * 'a list -> unit) -> unit
     @raise Invalid_argument when [xs] is longer than 30 elements (the loop
     would never finish). *)
 
-val count : 'a list -> int
-(** [2^n]; same length guard as {!iter}. *)

@@ -5,7 +5,7 @@ let proc =
   Rt_power.Processor.xscale
     ~dormancy:(Rt_power.Processor.Dormant_enable { t_sw = 0.; e_sw = 0. })
 
-let default_fault_rates = [ 0.; 0.05; 0.15 ]
+let fault_rates = [ 0.; 0.05; 0.15 ]
 
 type row = {
   fault_rate : float;
@@ -70,7 +70,7 @@ let mean = function
   | [] -> Float.nan
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-let sweep ?pool ?(seeds = 12) ?(fault_rates = default_fault_rates) () =
+let sweep ?pool ?(seeds = 12) () =
   let seed_list = Runner.seeds ~base:1900 ~n:seeds in
   let cells =
     List.concat_map
@@ -137,4 +137,4 @@ let e19_fault_sweep ?(seeds = 12) () =
           policies
       in
       Rt_prelude.Tablefmt.add_float_row t (Printf.sprintf "%.2f" rate) cells)
-    t default_fault_rates
+    t fault_rates

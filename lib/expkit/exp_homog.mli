@@ -6,10 +6,6 @@
     output. [seeds] is the number of replications per row (defaults keep
     the full suite under a couple of minutes). *)
 
-val algorithms : (string * Rt_core.Greedy.algorithm) list
-(** The evaluated algorithm set: the deterministic greedy family plus
-    their local-search-polished variants. *)
-
 val e1_vs_optimal : ?seeds:int -> unit -> Rt_prelude.Tablefmt.t
 (** Average total-cost ratio to the exact optimum (branch-and-bound) on
     small instances; rows sweep (m, n), load 1.4. *)

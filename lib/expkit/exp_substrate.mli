@@ -9,8 +9,8 @@
     play no role here — tasks are all accepted. *)
 
 val e7_ltf_vs_rand : ?seeds:int -> unit -> Rt_prelude.Tablefmt.t
-(** Rows sweep (m, n); columns: mean relative energy of LTF, RAND
-    (unsorted min-load greedy) and uniform-random placement against the
+(** Rows sweep (m, n); columns [LTF / OPT] and [RAND / OPT]: the mean
+    energy of LTF and of RAND (unsorted min-load greedy) relative to the
     exact minimum-energy partition. *)
 
 val e7_hetero_leuf : ?seeds:int -> unit -> Rt_prelude.Tablefmt.t

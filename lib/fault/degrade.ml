@@ -265,16 +265,3 @@ let recover_periodic ~proc ~m ~(tasks : Task.periodic list) sc policy =
           energy_delta = energy_faulty -. energy_fault_free;
           residual = Some s';
         }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>misses: %a@,shed: %a@,extra penalty: %.6g@,energy: %.6g faulty vs \
-     %.6g fault-free (delta %+.6g)@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    r.misses
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    r.shed r.extra_penalty r.energy_faulty r.energy_fault_free r.energy_delta

@@ -76,5 +76,3 @@ val recover_periodic :
     replay the survivors with the overruns still applied. Errors
     propagate from scenario validation, hyper-period overflow, or an
     empty residual platform. *)
-
-val pp_report : Format.formatter -> report -> unit

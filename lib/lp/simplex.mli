@@ -37,8 +37,10 @@ val solve : ?max_pivots:int -> problem -> (outcome, string) result
     budgets. *)
 
 val feasible : ?eps:float -> problem -> float array -> bool
+  [@@rt.test_api "the oracle of the simplex tests"]
 (** Does a point satisfy all constraints and non-negativity? (Used by the
     tests to cross-check [Optimal] solutions.) *)
 
 val value : problem -> float array -> float
+  [@@rt.test_api "the oracle of the simplex tests"]
 (** [c·x]. *)

@@ -26,8 +26,8 @@ type speed_assignment = {
   time_used : float;  (** Σ c_i / s_i, <= the horizon *)
   energy : float;
       (** execution energy; for dormant-disable processors the caller must
-          add the constant [p_ind · H] awake cost separately via
-          {!awake_overhead} *)
+          add the constant [p_ind · H] awake cost separately
+          ({!Rt_power.Processor.rest_power} [· H]) *)
 }
 
 val processor_speeds :
@@ -38,12 +38,6 @@ val processor_speeds :
     against this same horizon (cycles [= weight·horizon]).
     @raise Invalid_argument on [horizon <= 0], a model with a linear term,
     or a non-ideal (discrete-level) processor. *)
-
-val awake_overhead : Rt_power.Processor.t -> horizon:float -> float
-(** [rest_power · horizon] ({!Rt_power.Processor.rest_power}): [p_ind ·
-    horizon] for dormant-disable processors, [0.] for dormant-enable
-    (which sleep when idle; transition overheads are out of scope here,
-    see {!Rt_speed.Procrastinate}). *)
 
 val estimated_times :
   Rt_power.Processor.t -> m:int -> horizon:float -> Rt_task.Task.item list ->

@@ -10,49 +10,20 @@ let ltf ~m items =
 
 let greedy_unsorted ~m items = greedy_min_load ~m items
 
-let random rng ~m items =
-  List.fold_left
-    (fun p it -> Partition.add p (Rt_prelude.Rng.int rng ~lo:0 ~hi:(m - 1)) it)
-    (Partition.empty ~m) items
-
-let fit_by ~choose ~m ~capacity items =
+let first_fit ~m ~capacity items =
   if Rt_prelude.Float_cmp.exact_le capacity 0. then
-    invalid_arg "Heuristics.fit: capacity <= 0";
+    invalid_arg "Heuristics.first_fit: capacity <= 0";
   let place (p, rejected) (it : Task.item) =
     let fits j = Rt_prelude.Float_cmp.leq (Partition.load p j +. it.weight) capacity in
-    let candidates = List.filter fits (Rt_prelude.Math_util.range 0 (m - 1)) in
-    match choose p candidates with
+    match List.find_opt fits (Rt_prelude.Math_util.range 0 (m - 1)) with
     | None -> (p, it :: rejected)
     | Some j -> (Partition.add p j it, rejected)
   in
   let p, rejected = List.fold_left place (Partition.empty ~m, []) items in
   (p, List.rev rejected)
 
-let first_fit ~m ~capacity items =
-  fit_by ~m ~capacity items ~choose:(fun _ -> function
-    | [] -> None
-    | j :: _ -> Some j)
-
 let first_fit_decreasing ~m ~capacity items =
   first_fit ~m ~capacity (List.sort Task.compare_item_weight_desc items)
-
-let extreme_by ~better p = function
-  | [] -> None
-  | j :: rest ->
-      Some
-        (List.fold_left
-           (fun best j' ->
-             if better (Partition.load p j') (Partition.load p best) then j'
-             else best)
-           j rest)
-
-let best_fit ~m ~capacity items =
-  fit_by ~m ~capacity items
-    ~choose:(fun p -> extreme_by ~better:Rt_prelude.Float_cmp.exact_gt p)
-
-let worst_fit ~m ~capacity items =
-  fit_by ~m ~capacity items
-    ~choose:(fun p -> extreme_by ~better:Rt_prelude.Float_cmp.exact_lt p)
 
 let capacity_respected ~capacity p =
   Array.for_all

@@ -8,15 +8,13 @@
     property tests exercise.
 
     [greedy_unsorted] is the companion's Algorithm RAND reference: the same
-    min-load greedy but in arrival order (no sort). [random] places each
-    item uniformly at random. The [*_fit] heuristics are capacity-aware
-    bin-packing rules that return the items that fit nowhere. *)
+    min-load greedy but in arrival order (no sort). The [first_fit]
+    heuristics are capacity-aware bin-packing rules that return the items
+    that fit nowhere. *)
 
 val ltf : m:int -> Rt_task.Task.item list -> Partition.t
 
 val greedy_unsorted : m:int -> Rt_task.Task.item list -> Partition.t
-
-val random : Rt_prelude.Rng.t -> m:int -> Rt_task.Task.item list -> Partition.t
 
 val first_fit :
   m:int -> capacity:float -> Rt_task.Task.item list ->
@@ -29,17 +27,6 @@ val first_fit_decreasing :
   m:int -> capacity:float -> Rt_task.Task.item list ->
   Partition.t * Rt_task.Task.item list
 (** [first_fit] after sorting by weight descending. *)
-
-val best_fit :
-  m:int -> capacity:float -> Rt_task.Task.item list ->
-  Partition.t * Rt_task.Task.item list
-(** Place on the feasible processor with the largest current load (tightest
-    fit). *)
-
-val worst_fit :
-  m:int -> capacity:float -> Rt_task.Task.item list ->
-  Partition.t * Rt_task.Task.item list
-(** Place on the feasible processor with the smallest current load. *)
 
 val capacity_respected : capacity:float -> Partition.t -> bool
 (** All loads [<=] capacity (within tolerance). *)

@@ -121,8 +121,9 @@ let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
     end
   end
 
-let validate ?(eps = 1e-6) ~(proc : Rt_power.Processor.t) ~m ~frame items sch =
+let validate ~(proc : Rt_power.Processor.t) ~m ~frame items sch =
   let ( let* ) = Result.bind in
+  let eps = 1e-6 in
   let* () =
     if
       List.for_all

@@ -49,13 +49,14 @@ val optimal :
     schedule. *)
 
 val validate :
-  ?eps:float -> proc:Rt_power.Processor.t -> m:int -> frame:float ->
+  proc:Rt_power.Processor.t -> m:int -> frame:float ->
   Rt_task.Task.item list -> schedule -> (unit, string) result
-(** Independent re-check: every task's slices sum to its execution time
-    at its speed, no task overlaps itself in time (the wrap-around
-    invariant), no processor is double-booked, speeds are feasible and at
-    least the task's required speed, and the energy matches the busy/idle
-    integral. *)
+  [@@rt.test_api "the oracle of the migration tests"]
+(** Independent re-check, to a tolerance of 1e-6: every task's slices
+    sum to its execution time at its speed, no task overlaps itself in
+    time (the wrap-around invariant), no processor is double-booked,
+    speeds are feasible and at least the task's required speed, and the
+    energy matches the busy/idle integral. *)
 
 val energy_lower_bound :
   proc:Rt_power.Processor.t -> m:int -> frame:float ->

@@ -94,12 +94,3 @@ let id_set b =
 let equal_shape a b =
   a.m = b.m
   && Array.for_all2 (fun x y -> id_set x = id_set y) a.buckets b.buckets
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun j b ->
-      Format.fprintf ppf "P%d (load %.4g): %a@," j (load t j) Taskset.pp_items
-        (List.rev b))
-    t.buckets;
-  Format.fprintf ppf "@]"

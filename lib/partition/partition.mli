@@ -46,5 +46,3 @@ val processor_of : t -> int -> int option
 val equal_shape : t -> t -> bool
 (** Same [m] and the same set of item ids on each processor (order
     ignored). *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,12 @@
     These are ordinary OCaml attributes in the [rt.] namespace — the
     compiler ignores them, [tool/lint] reads them out of typedtrees.
     This module is the single registry of their names, so library code,
-    the lint, and the docs cannot drift apart on spelling; the grammar
-    of each payload is specified here and in docs/CONCURRENCY_LINT.md
-    (concurrency annotations) and docs/LINT.md ([rt.dim]).
+    the lint, and the docs cannot drift apart on spelling; the lint
+    reports any other [rt.]-namespaced attribute as [unknown-attribute],
+    so a misspelt name cannot silently switch its analysis off.  The
+    grammar of each payload is specified here and in
+    docs/CONCURRENCY_LINT.md (concurrency annotations) and docs/LINT.md
+    ([rt.dim], [rt.test_api], [rt.lint.ignore]).
 
     Placement cheat-sheet (where the typedtree keeps each one):
 
@@ -57,6 +60,21 @@ val cold : string
     error paths, logging, and setup code reachable from a hot root.
     Same placements as {!hot}. *)
 
+val test_api : string
+(** ["rt.test_api"] — payload: a string literal saying why the value
+    stays exported. Marks a [val] in a lib [.mli] that only tests reach
+    on purpose (a test seam, a gadget, a validator that tests use as an
+    oracle), so the [unused-export] rule does not ask to delete it.
+    Placement: on the [val] ([val validate : t -> ... [@@rt.test_api
+    "oracle of test_x"]]) or on a nested [module] signature, where it
+    covers every value inside. *)
+
+val lint_ignore : string
+(** ["rt.lint.ignore"] — payload: a string literal naming exactly one
+    rule. Silences that rule inside the attributed expression, binding
+    or declaration, or the whole file as a floating [[@@@rt.lint.ignore
+    "rule"]] (docs/LINT.md). *)
+
 val all : string list
-(** Every attribute name above — what the lint treats as reserved in
-    the [rt.] namespace. *)
+(** Every attribute name above — the [rt.] namespace; the lint reports
+    any other [rt.] attribute. *)

@@ -24,9 +24,6 @@ let clamp ~lo ~hi x =
 
 let is_finite x = Float.is_finite x
 
-let compare_approx ?eps a b =
-  if approx_eq ?eps a b then 0 else Float.compare a b
-
 let exact_eq = Float.equal
 let exact_lt (a : float) b = a < b
 let exact_le (a : float) b = a <= b

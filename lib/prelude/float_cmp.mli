@@ -35,9 +35,6 @@ val clamp : lo:float -> hi:float -> float -> float
 val is_finite : float -> bool
 (** [true] iff the argument is neither infinite nor NaN. *)
 
-val compare_approx : ?eps:float -> float -> float -> int
-(** Three-way comparison that treats [approx_eq] values as equal. *)
-
 (** {2 Exact comparisons}
 
     Argument validation ("reject a non-positive frame length") and

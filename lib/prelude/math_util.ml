@@ -18,19 +18,6 @@ let lcm_list_checked = function
         (fun acc y -> Result.bind acc (fun a -> lcm_checked a y))
         (Ok x) xs
 
-let pow_int b e =
-  if e < 0 then invalid_arg "Math_util.pow_int: negative exponent";
-  let rec go acc b e =
-    if e = 0 then acc
-    else begin
-      let acc = if e land 1 = 1 then acc * b else acc in
-      if acc <> 0 && abs acc > max_int / (max 1 (abs b)) && e > 1 then
-        invalid_arg "Math_util.pow_int: overflow";
-      go acc (if e > 1 then b * b else b) (e lsr 1)
-    end
-  in
-  go 1 b e
-
 let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
   go hi []

@@ -20,10 +20,6 @@ val lcm_list_checked : int list -> (int, string) result
     periods), with errors (empty list, non-positive element, overflow on
     any intermediate fold step) as a typed result. *)
 
-val pow_int : int -> int -> int
-(** [pow_int b e] is [b]{^ [e]} for [e >= 0]. @raise Invalid_argument on
-    negative exponent or overflow. *)
-
 (** {1 Ranges} *)
 
 val range : int -> int -> int list

@@ -58,15 +58,3 @@ let summarize xs =
     max = maximum xs;
     median = median xs;
   }
-
-let geometric_mean xs =
-  let xs = nonempty "geometric_mean" xs in
-  let log_sum =
-    List.fold_left
-      (fun acc x ->
-        if Float_cmp.exact_le x 0. then
-          invalid_arg "Stats.geometric_mean: non-positive sample"
-        else acc +. log x)
-      0. xs
-  in
-  exp (log_sum /. float_of_int (List.length xs))

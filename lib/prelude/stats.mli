@@ -27,7 +27,3 @@ val percentile : float -> float list -> float
     order statistics. @raise Invalid_argument if [p] is out of range. *)
 
 val summarize : float list -> summary
-
-val geometric_mean : float list -> float
-(** Geometric mean of strictly positive samples; the customary aggregate for
-    ratios-to-baseline. @raise Invalid_argument on non-positive samples. *)

@@ -24,9 +24,8 @@ let float_cell ?(decimals = 4) x =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.*f" decimals x
 
-let add_float_row ?fmt t label xs =
-  let fmt = match fmt with Some f -> f | None -> float_cell ~decimals:4 in
-  add_row t (label :: List.map fmt xs)
+let add_float_row t label xs =
+  add_row t (label :: List.map (float_cell ~decimals:4) xs)
 
 let render t =
   let rows = List.rev t.rows in

@@ -18,9 +18,9 @@ val add_row : t -> string list -> t
 (** Append a row. @raise Invalid_argument if the arity differs from the
     header. *)
 
-val add_float_row : ?fmt:(float -> string) -> t -> string -> float list -> t
-(** [add_float_row t label xs] appends [label :: map fmt xs]; [fmt] defaults
-    to [Printf.sprintf "%.4f"]. The label column plus the floats must match
+val add_float_row : t -> string -> float list -> t
+(** [add_float_row t label xs] appends [label] and each float at 4
+    decimals ({!float_cell}). The label column plus the floats must match
     the header arity. *)
 
 val render : t -> string

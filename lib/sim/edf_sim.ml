@@ -25,8 +25,6 @@ type job = {
   mutable remaining : float;  (** execution time left at the given speed *)
 }
 
-type exec_slice = { x0 : float; x1 : float; xtask : int }
-
 type injection = {
   overrun : int -> float;
   crash_at : float option;
@@ -36,7 +34,7 @@ type injection = {
 let no_injection =
   { overrun = (fun _ -> 1.); crash_at = None; speed_cap = None }
 
-let build_jobs ?(overrun = fun _ -> 1.) ~horizon ~speed tasks =
+let build_jobs ~overrun ~horizon ~speed tasks =
   List.concat_map
     (fun (t : Task.periodic) ->
       let p = float_of_int t.period in
@@ -78,7 +76,6 @@ let simulate_jobs ~horizon ~exec_until ~(proc : Processor.t) ~speed jobs =
             else best)
       None ready
   in
-  let slices = ref [] in
   let gaps = ref [] in
   let misses = ref [] in
   let busy = ref 0. in
@@ -123,7 +120,6 @@ let simulate_jobs ~horizon ~exec_until ~(proc : Processor.t) ~speed jobs =
           let ran = t' -. t in
           if Fc.exact_gt ran 0. then begin
             busy := !busy +. ran;
-            slices := { x0 = t; x1 = t'; xtask = j.jtask } :: !slices;
             j.remaining <- j.remaining -. ran
           end;
           let completed = Fc.exact_le j.remaining 1e-9 in
@@ -175,24 +171,17 @@ let simulate_jobs ~horizon ~exec_until ~(proc : Processor.t) ~speed jobs =
     if Fc.exact_eq !busy 0. then 0.
     else !busy *. Power_model.power proc.model speed
   in
-  let outcome =
-    {
-      horizon;
-      misses = List.rev !misses;
-      busy_time = !busy;
-      gaps;
-      exec_energy;
-      idle_energy_awake = p_idle *. idle_total;
-      idle_energy_sleep;
-      idle_energy_proc;
-      preemptions = !preemptions;
-    }
-  in
-  (outcome, List.rev !slices)
-
-let simulate ~horizon ~proc ~speed tasks =
-  let jobs = build_jobs ~horizon ~speed tasks in
-  simulate_jobs ~horizon ~exec_until:horizon ~proc ~speed jobs
+  {
+    horizon;
+    misses = List.rev !misses;
+    busy_time = !busy;
+    gaps;
+    exec_energy;
+    idle_energy_awake = p_idle *. idle_total;
+    idle_energy_sleep;
+    idle_energy_proc;
+    preemptions = !preemptions;
+  }
 
 let prepare ?horizon ~proc ~speed tasks =
   let ( let* ) = Result.bind in
@@ -253,28 +242,9 @@ let run ?horizon ?(inject = no_injection) ~proc ~speed tasks =
         else Error "Edf_sim: crash time must be finite and >= 0"
   in
   match tasks with
-  | [] -> Ok (fst (simulate ~horizon ~proc ~speed tasks))
+  | [] -> Ok (simulate_jobs ~horizon ~exec_until:horizon ~proc ~speed [])
   | _ ->
       let jobs =
         build_jobs ~overrun:inject.overrun ~horizon ~speed:eff_speed tasks
       in
-      Ok
-        (fst (simulate_jobs ~horizon ~exec_until ~proc ~speed:eff_speed jobs))
-
-let gantt ?horizon ~proc ~speed tasks =
-  Result.map
-    (fun horizon ->
-      let _, slices = simulate ~horizon ~proc ~speed tasks in
-      let segments =
-        List.map
-          (fun s ->
-            {
-              Gantt.t0 = s.x0;
-              t1 = s.x1;
-              row = Printf.sprintf "τ%d" s.xtask;
-              glyph = '#';
-            })
-          slices
-      in
-      Gantt.render ~horizon segments)
-    (prepare ?horizon ~proc ~speed tasks)
+      Ok (simulate_jobs ~horizon ~exec_until ~proc ~speed:eff_speed jobs)

@@ -71,7 +71,3 @@ val run :
     factor for some task, a non-finite or negative crash time, or a
     non-finite or non-positive speed cap. *)
 
-val gantt :
-  ?horizon:float -> proc:Rt_power.Processor.t -> speed:float ->
-  Rt_task.Task.periodic list -> (string, string) result
-(** Render the simulated schedule as an ASCII chart, one row per task. *)

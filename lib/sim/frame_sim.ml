@@ -122,9 +122,9 @@ let build ~proc ~frame_length partition =
     end
   end
 
-let validate ?eps t =
+let validate t =
   let ( let* ) = Result.bind in
-  let feps = match eps with Some e -> e | None -> 1e-6 in
+  let feps = 1e-6 in
   let* () =
     if List.length t.timelines = Rt_partition.Partition.m t.partition then
       Ok ()

@@ -40,16 +40,13 @@ val build :
     has a non-unit [power_factor] (heterogeneous power lives in
     {!Rt_partition.Hetero}, not here). *)
 
-val validate : ?eps:float -> t -> (unit, string) result
-(** Independent re-check of a built schedule: slices tile [\[0, frame\]]
-    without overlap; every task present in a slice completes exactly its
-    cycles (weight × frame) across its slices; speeds are feasible;
-    [total_energy] equals the energy integrated from the slices. *)
-
-val energy_of_slices : proc:Rt_power.Processor.t -> slice list -> float
-(** Integrate energy directly from a timeline (idle slices charged at the
-    dormancy-appropriate idle power: leakage when dormant-disable, zero
-    when dormant-enable). *)
+val validate : t -> (unit, string) result
+(** Independent re-check of a built schedule, to a tolerance of 1e-6:
+    slices tile [\[0, frame\]] without overlap; every task present in a
+    slice completes exactly its cycles (weight × frame) across its
+    slices; speeds are feasible; [total_energy] equals the energy
+    integrated from the slices (idle slices charged at the
+    dormancy-appropriate rest power). *)
 
 type injection = {
   overrun : int -> float;

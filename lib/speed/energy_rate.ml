@@ -283,14 +283,14 @@ let plan_throughput plan =
     (fun acc { speed; fraction } -> acc +. (speed *. fraction))
     0. plan.segments
 
-let validate ?eps (proc : Processor.t) ~u plan =
+let validate (proc : Processor.t) ~u plan =
   let ( let* ) = Result.bind in
   let* () =
     if
       List.for_all
         (fun s ->
           Fc.exact_ge s.fraction 0.
-          && Rt_power.Processor.speed_feasible ?eps proc s.speed)
+          && Rt_power.Processor.speed_feasible proc s.speed)
         plan.segments
     then Ok ()
     else Error "infeasible speed or negative fraction"
@@ -299,13 +299,13 @@ let validate ?eps (proc : Processor.t) ~u plan =
     List.fold_left (fun acc s -> acc +. s.fraction) 0. plan.segments
   in
   let* () =
-    if Rt_prelude.Float_cmp.approx_eq ?eps total_fraction 1. then Ok ()
+    if Rt_prelude.Float_cmp.approx_eq total_fraction 1. then Ok ()
     else Error "fractions do not sum to 1"
   in
   let* () =
-    if Rt_prelude.Float_cmp.geq ?eps (plan_throughput plan) u then Ok ()
+    if Rt_prelude.Float_cmp.geq (plan_throughput plan) u then Ok ()
     else Error "plan does not deliver the required speed"
   in
-  if Rt_prelude.Float_cmp.approx_eq ?eps (plan_rate proc plan) plan.rate then
+  if Rt_prelude.Float_cmp.approx_eq (plan_rate proc plan) plan.rate then
     Ok ()
   else Error "reported rate disagrees with segments"

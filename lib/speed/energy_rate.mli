@@ -96,15 +96,12 @@ val energy :
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** [rate × horizon]. @raise Invalid_argument on negative horizon. *)
 
-val plan_rate : Rt_power.Processor.t -> plan -> float [@rt.dim "watts"]
-(** Recompute a plan's average power from its segments (idle/sleep
-    segments charged {!Rt_power.Processor.rest_power}); used to
-    cross-check [rate]. *)
-
 val plan_throughput : plan -> float [@rt.dim "speed"]
 (** [Σ speed·fraction] — the required speed the plan actually delivers. *)
 
-val validate :
-  ?eps:float -> Rt_power.Processor.t -> u:float -> plan -> (unit, string) result
-(** Checks: feasible speeds, non-negative fractions summing to 1, delivered
-    throughput [>= u], and [rate] consistent with the segments. *)
+val validate : Rt_power.Processor.t -> u:float -> plan -> (unit, string) result
+  [@@rt.test_api "the oracle of the energy-rate tests"]
+(** Checks, at the {!Rt_prelude.Float_cmp} default tolerances: feasible
+    speeds, non-negative fractions summing to 1, delivered throughput
+    [>= u], and [rate] consistent with the segments (idle/sleep segments
+    charged {!Rt_power.Processor.rest_power}). *)

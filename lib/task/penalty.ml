@@ -68,15 +68,6 @@ let assign t rng ~proc ~horizon items =
         ~id:it.item_id ~weight:it.weight ())
     items
 
-let pp ppf = function
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform[%g, %g]" lo hi
-  | Proportional { factor; jitter } ->
-      Format.fprintf ppf "proportional(%g, ±%g)" factor jitter
-  | Inverse { factor; jitter } ->
-      Format.fprintf ppf "inverse(%g, ±%g)" factor jitter
-  | Bimodal { low; high; p_high } ->
-      Format.fprintf ppf "bimodal(%g | %g @ %g)" low high p_high
-
 let default_models =
   [
     ("uniform", Uniform { lo = 0.2; hi = 2.0 });

@@ -35,8 +35,6 @@ val assign :
     energy term, which is what makes accept/reject a real trade-off.
     @raise Invalid_argument if [validate] fails or [horizon <= 0]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val default_models : (string * t) list
 (** The named models used by experiment E4: uniform, proportional, inverse,
     bimodal. *)

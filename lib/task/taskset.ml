@@ -1,14 +1,8 @@
-let total_cycles ts =
-  List.fold_left (fun acc (t : Task.frame) -> acc + t.cycles) 0 ts
-
 let total_utilization ts =
   List.fold_left (fun acc t -> acc +. Task.utilization t) 0. ts
 
 let total_weight items =
   List.fold_left (fun acc (i : Task.item) -> acc +. i.weight) 0. items
-
-let total_penalty_frame ts =
-  List.fold_left (fun acc (t : Task.frame) -> acc +. t.penalty) 0. ts
 
 let total_penalty_items items =
   List.fold_left (fun acc (i : Task.item) -> acc +. i.item_penalty) 0. items

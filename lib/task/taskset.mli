@@ -1,13 +1,9 @@
 (** Whole-task-set queries and invariants. *)
 
-val total_cycles : Task.frame list -> int
-(** Sum of execution cycles. *)
-
 val total_utilization : Task.periodic list -> float
 
 val total_weight : Task.item list -> float
 
-val total_penalty_frame : Task.frame list -> float
 val total_penalty_items : Task.item list -> float
 
 val hyper_period : Task.periodic list -> int

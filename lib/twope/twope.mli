@@ -52,6 +52,7 @@ val cost : system -> assignment -> (float, string) result
     the DVS PE's top speed. *)
 
 val validate : system -> task list -> assignment -> (unit, string) result
+  [@@rt.test_api "the oracle of the 2-PE tests"]
 (** [cost] feasibility plus: the assignment is a partition of exactly the
     given task set. *)
 

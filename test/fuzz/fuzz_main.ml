@@ -1,6 +1,8 @@
 (* Driver behind the [@fuzz] dune alias: the fixed-seed CI configuration
    of the differential fuzzer. Exit status 1 when any oracle or law
-   failure survives minimization, so the alias fails the build. *)
+   failure survives minimization, so the alias fails the build.
+   [dune runtest] diffs the summary against fuzz_main.expected, so a
+   change that skips or adds checks shows too. *)
 
 let () =
   let config =

@@ -3,7 +3,9 @@
    come back [Ok] — the engine returns [Error (Deadline_miss _)] if any
    admitted job ever completes late, so [Ok] IS the zero-miss assertion
    — and the incident log must be non-empty (at minimum the fault
-   strike itself is recorded). *)
+   strike itself is recorded). [dune runtest] diffs the printed counts,
+   and the outcome's energy and total in hex, against
+   serve_smoke.expected. *)
 
 let proc =
   Rt_power.Processor.xscale
@@ -56,4 +58,6 @@ let () =
         (List.length o.Rt_online.Admission.admitted)
         (List.length o.Rt_online.Admission.rejected)
         o.Rt_online.Admission.forced_rejections
-        r.Rt_serve.Serve.replan_shed incidents
+        r.Rt_serve.Serve.replan_shed incidents;
+      Printf.printf "serve_smoke: energy %h, total %h\n"
+        o.Rt_online.Admission.energy o.Rt_online.Admission.total

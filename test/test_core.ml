@@ -1112,22 +1112,6 @@ let prop_heuristics_above_optimal =
         (fun (_, alg) -> (cost_exn p (alg p)).Solution.total >= opt -. 1e-6)
         all_algorithms)
 
-let test_random_reject_valid () =
-  let rng = Rt_prelude.Rng.create ~seed:77 in
-  let p = random_instance ~seed:5 ~n:15 ~m:3 ~load:1.5 () in
-  let s = Greedy.random_reject rng p in
-  check_bool "validates" true (Solution.validate p s = Ok ())
-
-let test_best_of () =
-  let p = random_instance ~seed:11 ~n:10 ~m:2 ~load:1.8 () in
-  let best = Greedy.best_of (List.map snd all_algorithms) p in
-  let best_cost = (cost_exn p best).Solution.total in
-  List.iter
-    (fun (name, alg) ->
-      Alcotest.(check bool)
-        (name ^ " >= best") true
-        ((cost_exn p (alg p)).Solution.total >= best_cost -. 1e-9))
-    all_algorithms
 
 (* ------------------------------------------------------------------ *)
 (* Exact wrappers *)
@@ -1311,8 +1295,6 @@ let () =
           Alcotest.test_case "long search matches the reference" `Quick
             test_long_search_matches_reference;
           prop_heuristics_above_optimal;
-          Alcotest.test_case "random baseline valid" `Quick test_random_reject_valid;
-          Alcotest.test_case "best_of" `Quick test_best_of;
         ] );
       ("exact", [ prop_exhaustive_equals_bnb ]);
       ( "uni_dp",

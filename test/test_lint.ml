@@ -347,6 +347,48 @@ let test_report_renderers () =
   check_string "ruleId" "hot-boxed-float" (str "ruleId" result);
   check_string "level" "warning" (str "level" result)
 
+(* ------------------------------------------------------------------ *)
+(* unused-export: a fixture project with a library, a program and a test *)
+
+let export_findings ?require_cmts roots =
+  Lint_core.lint_paths ?require_cmts (List.map fixture roots)
+  |> List.filter (fun (f : Lint_core.finding) -> f.rule = "unused-export")
+
+let exports = lazy (export_findings [ "export/lib"; "export/bin" ])
+
+(* the finding naming [value], whose messages print it qualified *)
+let export_finding value =
+  let names (f : Lint_core.finding) =
+    String.split_on_char ' ' f.msg
+    |> List.exists (fun w ->
+           String.equal value
+             (String.trim (String.map (function ';' | ',' -> ' ' | c -> c) w)))
+  in
+  List.find_opt names (Lazy.force exports)
+
+let export_clean value () =
+  check_bool (value ^ " not reported") true (export_finding value = None)
+
+let export_flagged value prefix () =
+  match export_finding value with
+  | None -> Alcotest.failf "%s not reported" value
+  | Some f ->
+      check_bool (value ^ ": " ^ f.msg) true (String.starts_with ~prefix f.msg);
+      check_bool "a note" false (Finding.gates f)
+
+let test_export_count () =
+  check_int "five findings" 5 (List.length (Lazy.force exports))
+
+let test_export_missing_cmts () =
+  let only ?require_cmts () =
+    match export_findings ?require_cmts [ "export_nocmt/lib" ] with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "%d findings, want one" (List.length fs)
+  in
+  check_bool "a note by default" false (Finding.gates (only ()));
+  check_bool "an error under --require-cmts" true
+    (Finding.gates (only ~require_cmts:true ()))
+
 let () =
   Alcotest.run "rt_lint"
     [
@@ -457,6 +499,35 @@ let () =
             test_hot_good;
           Alcotest.test_case "[@rt.cold] cuts propagation" `Quick
             test_hot_cold_cut;
+        ] );
+      ( "unused-export",
+        [
+          Alcotest.test_case "used export clean" `Quick
+            (export_clean "Shapes.used");
+          Alcotest.test_case "export nothing reaches" `Quick
+            (export_flagged "Shapes.dead" "nothing reaches");
+          Alcotest.test_case "test-only export" `Quick
+            (export_flagged "Shapes.test_only" "no program reaches");
+          Alcotest.test_case "[@@rt.test_api] export clean" `Quick
+            (export_clean "Shapes.seam");
+          Alcotest.test_case "cross-unit alias" `Quick
+            (export_clean "Shapes.via_alias");
+          Alcotest.test_case "let module alias" `Quick
+            (export_clean "Shapes.via_let_module");
+          Alcotest.test_case "nested-module export" `Quick (fun () ->
+              export_clean "Shapes.Nested.inner" ();
+              export_flagged "Shapes.Nested.inner_dead" "nothing reaches" ());
+          Alcotest.test_case "named only in its unit" `Quick (fun () ->
+              export_flagged "Shapes.private_helper" "nothing outside" ();
+              export_flagged "Facade.dead_end" "nothing outside" ());
+          Alcotest.test_case "nothing else reported" `Quick test_export_count;
+          Alcotest.test_case "missing .cmt files" `Quick
+            test_export_missing_cmts;
+        ] );
+      ( "unknown-attribute",
+        [
+          Alcotest.test_case "unregistered rt. names flagged" `Quick
+            (flags "attr_unknown.ml" "unknown-attribute" 2);
         ] );
       ( "report",
         [

@@ -110,12 +110,6 @@ let prop_greedy_partitions_complete =
               (Partition.all_items p))
          = List.sort compare (List.map (fun (i : Task.item) -> i.Task.item_id) items))
 
-let test_random_is_a_partition () =
-  let rng = Rt_prelude.Rng.create ~seed:4 in
-  let items = items_of [ 0.1; 0.2; 0.3; 0.4 ] in
-  let p = Heuristics.random rng ~m:3 items in
-  check_int "all placed" 4 (Partition.size p)
-
 let test_first_fit () =
   let items = items_of [ 0.6; 0.5; 0.4; 0.3 ] in
   let p, rejected = Heuristics.first_fit ~m:2 ~capacity:1.0 items in
@@ -130,27 +124,17 @@ let test_first_fit_rejects () =
   let _, rejected = Heuristics.first_fit ~m:2 ~capacity:1.0 items in
   check_int "third does not fit" 1 (List.length rejected)
 
-let test_best_worst_fit_differ () =
-  let items = items_of [ 0.5; 0.3 ] in
-  let bf, _ = Heuristics.best_fit ~m:2 ~capacity:1.0 items in
-  let wf, _ = Heuristics.worst_fit ~m:2 ~capacity:1.0 items in
-  (* best fit packs the second item with the first; worst fit spreads *)
-  check_float 1e-12 "best fit stacks" 0.8 (Partition.makespan bf);
-  check_float 1e-12 "worst fit spreads" 0.5 (Partition.makespan wf)
-
 let prop_fit_respects_capacity =
   qtest "all fit heuristics respect capacity and account every item"
     QCheck2.Gen.(
       triple (int_range 1 5)
         (list_size (int_range 0 15) (float_range 0.05 1.4))
-        (int_range 0 2))
-    (fun (m, weights, which) ->
+        bool)
+    (fun (m, weights, decreasing) ->
       let items = items_of weights in
       let fit =
-        match which with
-        | 0 -> Heuristics.first_fit
-        | 1 -> Heuristics.best_fit
-        | _ -> Heuristics.worst_fit
+        if decreasing then Heuristics.first_fit_decreasing
+        else Heuristics.first_fit
       in
       let p, rejected = fit ~m ~capacity:1.0 items in
       Heuristics.capacity_respected ~capacity:1.0 p
@@ -344,10 +328,8 @@ let () =
           Alcotest.test_case "ltf vs unsorted" `Quick test_unsorted_vs_ltf;
           prop_ltf_graham_bound;
           prop_greedy_partitions_complete;
-          Alcotest.test_case "random places all" `Quick test_random_is_a_partition;
           Alcotest.test_case "first fit" `Quick test_first_fit;
           Alcotest.test_case "first fit rejects" `Quick test_first_fit_rejects;
-          Alcotest.test_case "best/worst fit" `Quick test_best_worst_fit_differ;
           prop_fit_respects_capacity;
         ] );
       ( "hetero",

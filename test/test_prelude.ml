@@ -46,11 +46,6 @@ let test_clamp () =
   Alcotest.check_raises "inverted" (Invalid_argument "Float_cmp.clamp: lo > hi")
     (fun () -> ignore (Float_cmp.clamp ~lo:2. ~hi:1. 0.))
 
-let test_compare_approx () =
-  check_int "equal" 0 (Float_cmp.compare_approx 1.0 (1.0 +. 1e-12));
-  check_bool "less" true (Float_cmp.compare_approx 1.0 2.0 < 0);
-  check_bool "greater" true (Float_cmp.compare_approx 2.0 1.0 > 0)
-
 (* ------------------------------------------------------------------ *)
 (* Math_util *)
 
@@ -73,14 +68,6 @@ let test_lcm_checked () =
     (Result.is_error (Math_util.lcm_list_checked []));
   check_bool "list overflow is an error" true
     (Result.is_error (Math_util.lcm_list_checked [ max_int; max_int - 1 ]))
-
-let test_pow_int () =
-  check_int "2^10" 1024 (Math_util.pow_int 2 10);
-  check_int "x^0" 1 (Math_util.pow_int 7 0);
-  check_int "0^5" 0 (Math_util.pow_int 0 5);
-  Alcotest.check_raises "negative exponent"
-    (Invalid_argument "Math_util.pow_int: negative exponent") (fun () ->
-      ignore (Math_util.pow_int 2 (-1)))
 
 let test_ranges () =
   Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (Math_util.range 2 4);
@@ -147,12 +134,6 @@ let test_percentile () =
   check_float "p25 interpolates" 20. (Stats.percentile 25. xs);
   Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty sample")
     (fun () -> ignore (Stats.percentile 50. []))
-
-let test_geometric_mean () =
-  check_float "gm" 2. (Stats.geometric_mean [ 1.; 2.; 4. ]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Stats.geometric_mean: non-positive sample") (fun () ->
-      ignore (Stats.geometric_mean [ 1.; 0. ]))
 
 let prop_mean_bounds =
   qtest "mean lies between min and max"
@@ -356,14 +337,12 @@ let () =
           Alcotest.test_case "approx_eq" `Quick test_approx_eq;
           Alcotest.test_case "leq/geq/lt/gt" `Quick test_leq_geq;
           Alcotest.test_case "clamp" `Quick test_clamp;
-          Alcotest.test_case "compare_approx" `Quick test_compare_approx;
         ] );
       ( "math_util",
         [
           Alcotest.test_case "gcd" `Quick test_gcd;
           Alcotest.test_case "checked lcm overflow guard" `Quick
             test_lcm_checked;
-          Alcotest.test_case "pow_int" `Quick test_pow_int;
           Alcotest.test_case "ranges" `Quick test_ranges;
           Alcotest.test_case "golden section" `Quick test_golden_section;
           Alcotest.test_case "bisect root" `Quick test_bisect_root;
@@ -374,7 +353,6 @@ let () =
         [
           Alcotest.test_case "basic aggregates" `Quick test_stats_basic;
           Alcotest.test_case "percentile" `Quick test_percentile;
-          Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
           prop_mean_bounds;
           prop_summary_consistent;
         ] );

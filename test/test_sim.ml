@@ -259,11 +259,6 @@ let prop_edf_busy_time_identity =
               (gap_total +. o.Rt_sim.Edf_sim.busy_time)
               o.Rt_sim.Edf_sim.horizon)
 
-let test_edf_gantt_renders () =
-  match Rt_sim.Edf_sim.gantt ~proc:cubic ~speed:1.0 periodic_set with
-  | Error e -> Alcotest.fail e
-  | Ok s -> check_bool "gantt non-empty" true (String.length s > 0)
-
 (* ------------------------------------------------------------------ *)
 (* Gantt *)
 
@@ -354,7 +349,6 @@ let () =
           Alcotest.test_case "preemption" `Quick test_edf_preemption_happens;
           prop_edf_utilization_bound;
           prop_edf_busy_time_identity;
-          Alcotest.test_case "gantt renders" `Quick test_edf_gantt_renders;
         ] );
       ( "gantt",
         [

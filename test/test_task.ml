@@ -69,8 +69,6 @@ let test_taskset_queries () =
       Task.frame ~penalty:2. ~id:1 ~cycles:30 ();
     ]
   in
-  check_int "total cycles" 40 (Taskset.total_cycles ts);
-  check_float 1e-12 "total penalty" 3. (Taskset.total_penalty_frame ts);
   check_bool "well formed" true (Taskset.well_formed_frame ts = Ok ());
   let dup = ts @ [ Task.frame ~id:0 ~cycles:5 () ] in
   check_bool "duplicate detected" true
@@ -208,7 +206,9 @@ let test_gen_frame_with_load () =
     Gen.frame_tasks_with_load rng ~n:40 ~m:4 ~s_max:1. ~frame_length:1000.
       ~load:1.5
   in
-  let total = float_of_int (Taskset.total_cycles ts) in
+  let total =
+    float_of_int (List.fold_left (fun acc (t : Task.frame) -> acc + t.cycles) 0 ts)
+  in
   (* target = 1.5 * 4 * 1000 = 6000, rounding slack is small *)
   check_bool "total close to target" true
     (Float.abs (total -. 6000.) /. 6000. < 0.02)

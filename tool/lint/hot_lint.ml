@@ -1,30 +1,34 @@
-(* Hot-path allocation/boxing analysis (rt-lint v4).  See hot_lint.mli
-   for the rule contract and docs/PERF_LINT.md for the user-facing
-   grammar.
+(* Hot-path allocation/boxing analysis and the unused-export rule
+   (rt-lint v4).  See hot_lint.mli for the rule contracts, and
+   docs/PERF_LINT.md and docs/LINT.md for the user-facing grammar.
 
-   The pass runs in two phases.  Phase 1 (marks + graph + resolve) is a
-   whole-repo prepass: [@rt.hot]/[@rt.cold] seeds are harvested from the
-   interfaces, every unit's top-level definitions and the (module, name)
-   references in their bodies become call-graph nodes and edges, and a
-   worklist propagates hotness seed -> callee, stopping at [@rt.cold]
-   and at names that are not definitions in the linted set (stdlib and
-   other-unit calls cannot re-enter).  Phase 2 ([check]) walks each hot
-   definition's body with a lexical per-iteration flag and flags the
-   allocation/boxing rules, then runs the budget-poll analysis from the
-   unit's [*_budgeted] entry points.
+   Both rules stand on one whole-repo call graph (Phase 1).  Every
+   unit's top-level definitions, nested modules included, become nodes,
+   and the value paths named in their bodies become edges; paths named
+   outside any definition (a [let () = ...], a module initialiser) are
+   kept per unit.  One worklist ([reach]) closes a seed set over the
+   edges.  The hot rules seed it with [@rt.hot] marks and stop it at
+   [@rt.cold]; Phase 2 ([check]) then walks each hot definition's body
+   with a lexical per-iteration flag and flags the allocation/boxing
+   rules, and runs the budget-poll analysis from the unit's
+   [*_budgeted] entry points.  The unused-export rule seeds it with
+   everything the programs name and compares the closure with the
+   [val]s of the lib interfaces.
 
-   Keys are (module, value) pairs: the innermost enclosing module for
-   definitions inside [module M = struct ... end] (matching how a nested
-   signature is harvested), the compilation unit otherwise.  Unqualified
-   references are recorded under both the enclosing module and the unit,
-   so sibling calls resolve in either scope; only keys that exist as
-   definitions propagate, so the over-approximation is harmless. *)
+   A key is a compilation unit and the dotted path of a definition
+   inside it: [("Rt_online.Admission", "Exec.decide")].  Unit names undo
+   dune's library wrapping; executables, which dune names [Dune__exe__M]
+   in every directory, are named by directory instead ([bench/Main]), so
+   bench and perfbench stay apart.  Paths resolve through module aliases
+   within a unit ([module Fc = Rt_prelude.Float_cmp], [let module J =
+   ... in]) and across units ([Rt_check.Json] is [Rt_prelude.Json]). *)
 
 open Typedtree
 module ISet = Set.Make (Ident)
 
 let attr_hot = Rt_prelude.Annot.hot
 let attr_cold = Rt_prelude.Annot.cold
+let attr_test_api = Rt_prelude.Annot.test_api
 
 let has_suffix s suf =
   let n = String.length s and m = String.length suf in
@@ -35,17 +39,34 @@ let norm p =
   | "Stdlib" :: (_ :: _ as rest) -> rest
   | parts -> parts
 
+type key = string * string
+
+let unit_name ~dir modname =
+  match Typed_lint.split_wrapped modname with
+  | "Dune" :: "exe" :: rest -> dir ^ "/" ^ String.concat "." rest
+  | parts -> String.concat "." parts
+
+let key_at unit path name = (unit, String.concat "." (path @ [ name ]))
+
 (* ------------------------------------------------------------------ *)
 (* Phase 1a: interface marks                                            *)
 (* ------------------------------------------------------------------ *)
 
+type export = {
+  x_key : key;
+  x_file : string;
+  x_loc : Location.t;
+  x_test_api : bool;
+}
+
 type marks = {
-  m_hot : (string * string, unit) Hashtbl.t;
-  m_cold : (string * string, unit) Hashtbl.t;
+  m_hot : (key, unit) Hashtbl.t;
+  m_cold : (key, unit) Hashtbl.t;
+  mutable exports : export list;
 }
 
 let create_marks () =
-  { m_hot = Hashtbl.create 64; m_cold = Hashtbl.create 64 }
+  { m_hot = Hashtbl.create 64; m_cold = Hashtbl.create 64; exports = [] }
 
 let rec result_type (t : Parsetree.core_type) =
   match t.ptyp_desc with
@@ -58,19 +79,31 @@ let payload_ok = function
   | Parsetree.PStr [] -> true
   | p -> Dim_table.string_payload p <> None
 
-let harvest_value marks ~file ~modname (vd : Parsetree.value_description)
-    errors =
+let find_attr name attrs =
+  List.find_opt (fun (a : Parsetree.attribute) -> a.attr_name.txt = name) attrs
+
+(* a [[@@rt.test_api]] mark must say why the value stays exported *)
+let test_api_mark ~file attrs errors =
+  match find_attr attr_test_api attrs with
+  | None -> (false, errors)
+  | Some a when Dim_table.string_payload a.attr_payload <> None -> (true, errors)
+  | Some a ->
+      ( true,
+        Finding.of_location ~file ~rule:"unused-export"
+          ~msg:"[@@rt.test_api] needs a string literal saying why the value \
+                stays exported"
+          a.attr_loc
+        :: errors )
+
+let harvest_value marks ~file ~unit ~path ~export ~test_api
+    (vd : Parsetree.value_description) errors =
   let result = result_type vd.pval_type in
   let attrs =
     vd.pval_attributes @ vd.pval_type.ptyp_attributes @ result.ptyp_attributes
   in
-  let find name =
-    List.find_opt
-      (fun (a : Parsetree.attribute) -> a.attr_name.txt = name)
-      attrs
-  in
-  let hot = find attr_hot and cold = find attr_cold in
+  let hot = find_attr attr_hot attrs and cold = find_attr attr_cold attrs in
   let name = vd.pval_name.txt in
+  let key = key_at unit path name in
   let bad (a : Parsetree.attribute) msg =
     Finding.of_location ~file ~rule:"hot-annotation" ~msg a.attr_loc
   in
@@ -97,71 +130,123 @@ let harvest_value marks ~file ~modname (vd : Parsetree.value_description)
       [ (attr_hot, hot); (attr_cold, cold) ]
   in
   (match (hot, cold) with
-  | Some _, None -> Hashtbl.replace marks.m_hot (modname, name) ()
+  | Some _, None -> Hashtbl.replace marks.m_hot key ()
   | None, Some _ | Some _, Some _ ->
       (* on conflict, cold wins: never silently widen the hot region *)
-      Hashtbl.replace marks.m_cold (modname, name) ()
+      Hashtbl.replace marks.m_cold key ()
   | None, None -> ());
+  let marked, errors = test_api_mark ~file vd.pval_attributes errors in
+  if export then
+    marks.exports <-
+      {
+        x_key = key;
+        x_file = file;
+        x_loc = vd.pval_loc;
+        x_test_api = test_api || marked;
+      }
+      :: marks.exports;
   errors
 
-let rec harvest_signature marks ~file ~modname (sg : Parsetree.signature)
-    errors =
+(* a [[@@rt.test_api]] on a nested module covers every value in it *)
+let rec harvest_signature marks ~file ~unit ~path ~export ~test_api
+    (sg : Parsetree.signature) errors =
   List.fold_left
     (fun errors (item : Parsetree.signature_item) ->
       match item.psig_desc with
-      | Psig_value vd -> harvest_value marks ~file ~modname vd errors
+      | Psig_value vd ->
+          harvest_value marks ~file ~unit ~path ~export ~test_api vd errors
       | Psig_module
-          { pmd_type = { pmty_desc = Pmty_signature sg; _ }; pmd_name; _ } ->
-          let modname =
-            match pmd_name.txt with Some n -> n | None -> modname
-          in
-          harvest_signature marks ~file ~modname sg errors
+          {
+            pmd_type = { pmty_desc = Pmty_signature sg; _ };
+            pmd_name = { txt = Some name; _ };
+            pmd_attributes;
+            _;
+          } ->
+          let marked, errors = test_api_mark ~file pmd_attributes errors in
+          harvest_signature marks ~file ~unit ~path:(path @ [ name ]) ~export
+            ~test_api:(test_api || marked) sg errors
       | _ -> errors)
     errors sg
 
-let add_interface marks path =
-  let modname = Dim_table.modname_of_path path in
+let add_interface marks ~unit_name ~export path =
   match Pparse.parse_interface ~tool_name:"rt-lint" path with
   | exception _ -> [] (* unparseable files are reported by the main pass *)
-  | sg -> List.rev (harvest_signature marks ~file:path ~modname sg [])
+  | sg ->
+      List.rev
+        (harvest_signature marks ~file:path ~unit:unit_name ~path:[] ~export
+           ~test_api:false sg [])
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1b: call graph                                                 *)
 (* ------------------------------------------------------------------ *)
 
+type role = Lib | Program | Test
+
+(* A unit's initialisers ([let () = ...], bare expressions) are one
+   definition with the empty name. *)
 type graph = {
-  defs : (string * string, unit) Hashtbl.t;
-  edges : (string * string, (string * string) list) Hashtbl.t;
-  g_hot : (string * string, unit) Hashtbl.t; (* in-file [@rt.hot] lets *)
-  g_cold : (string * string, unit) Hashtbl.t;
+  roles : (string, role) Hashtbl.t; (* every scanned unit *)
+  aliases : (key, string list) Hashtbl.t; (* module M = P, keyed like a value *)
+  defs : (key, string list list) Hashtbl.t; (* definition -> paths it names *)
+  g_hot : (key, unit) Hashtbl.t; (* in-file [@rt.hot] lets *)
+  g_cold : (key, unit) Hashtbl.t;
 }
 
 let create_graph () =
   {
+    roles = Hashtbl.create 128;
+    aliases = Hashtbl.create 64;
     defs = Hashtbl.create 512;
-    edges = Hashtbl.create 512;
     g_hot = Hashtbl.create 16;
     g_cold = Hashtbl.create 16;
   }
 
-(* every (module, name) reference in [e], under both plausible scopes for
-   unqualified names *)
-let callees_of ~unit_mod ~cur_mod (e : expression) =
+let add_def g key callees =
+  let prev = Option.value ~default:[] (Hashtbl.find_opt g.defs key) in
+  Hashtbl.replace g.defs key (callees @ prev)
+
+(* What a unit-local identifier stands for, as an absolute path whose head
+   is a unit name: a top-level value or module, or a module alias. *)
+type scope = {
+  s_unit : string;
+  s_dir : string;
+  locals : (Ident.t, string list) Hashtbl.t;
+}
+
+let rec raw_path sc (p : Path.t) =
+  match p with
+  | Path.Pident id when Ident.persistent id ->
+      Some (Typed_lint.split_wrapped (Ident.name id))
+  | Path.Pident id -> Hashtbl.find_opt sc.locals id
+  | Path.Pdot (q, s) -> Option.map (fun q -> q @ [ s ]) (raw_path sc q)
+  | _ -> None
+
+let abs_path sc p =
+  match raw_path sc p with
+  | Some ("Dune" :: "exe" :: m :: rest) -> Some ((sc.s_dir ^ "/" ^ m) :: rest)
+  | r -> r
+
+let alias_target sc (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _)
+  | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
+      abs_path sc p
+  | _ -> None
+
+(* the absolute value paths [e] names; a [let module M = P in] on the way
+   is recorded as an alias first *)
+let paths_of sc (e : expression) =
   let acc = ref [] in
-  let add k = acc := k :: !acc in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun sub x ->
           (match x.exp_desc with
-          | Texp_ident (p, _, _) -> (
-              match List.rev (norm p) with
-              | name :: m :: _ -> add (m, name)
-              | [ name ] ->
-                  add (cur_mod, name);
-                  if cur_mod <> unit_mod then add (unit_mod, name)
-              | [] -> ())
+          | Texp_ident (p, _, _) ->
+              Option.iter (fun r -> acc := r :: !acc) (abs_path sc p)
+          | Texp_letmodule (Some id, _, _, me, _) ->
+              Option.iter (Hashtbl.replace sc.locals id) (alias_target sc me)
           | _ -> ());
           Tast_iterator.default_iterator.expr sub x);
     }
@@ -172,93 +257,197 @@ let callees_of ~unit_mod ~cur_mod (e : expression) =
 let vb_mark_attrs (vb : value_binding) =
   vb.vb_attributes @ vb.vb_pat.pat_attributes @ vb.vb_expr.exp_attributes
 
-let scan_vb g ~unit_mod ~cur_mod (vb : value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Tpat_var (_, name) ->
-      let key = (cur_mod, name.txt) in
-      Hashtbl.replace g.defs key ();
-      let prev = Option.value ~default:[] (Hashtbl.find_opt g.edges key) in
-      Hashtbl.replace g.edges key
-        (callees_of ~unit_mod ~cur_mod vb.vb_expr @ prev);
+let scan_vb g sc path (vb : value_binding) =
+  let callees = paths_of sc vb.vb_expr in
+  match pat_bound_idents vb.vb_pat with
+  | [] -> add_def g (sc.s_unit, "") callees
+  | ids ->
       let attrs = vb_mark_attrs vb in
       let has a =
-        List.exists
-          (fun (x : Parsetree.attribute) -> x.attr_name.txt = a)
-          attrs
+        List.exists (fun (x : Parsetree.attribute) -> x.attr_name.txt = a) attrs
       in
-      if has attr_hot then Hashtbl.replace g.g_hot key ();
-      if has attr_cold then Hashtbl.replace g.g_cold key ()
-  | _ -> ()
+      List.iter
+        (fun id ->
+          let key = key_at sc.s_unit path (Ident.name id) in
+          add_def g key callees;
+          if has attr_hot then Hashtbl.replace g.g_hot key ();
+          if has attr_cold then Hashtbl.replace g.g_cold key ())
+        ids
 
-let rec scan_structure g ~unit_mod ~cur_mod (str : structure) =
+(* Every structure item of a unit with the module path it sits under,
+   each item before its contents: nested structures, includes and functor
+   bodies are entered, so a definition's path is the one its interface
+   declares it under. *)
+let rec iter_items f path (items : structure_item list) =
+  let module_path (mb : module_binding) =
+    match mb.mb_id with Some id -> path @ [ Ident.name id ] | None -> path
+  in
   List.iter
     (fun (si : structure_item) ->
+      f path si;
       match si.str_desc with
-      | Tstr_value (_, vbs) -> List.iter (scan_vb g ~unit_mod ~cur_mod) vbs
-      | Tstr_module mb ->
-          let cur_mod =
-            match mb.mb_id with Some id -> Ident.name id | None -> cur_mod
-          in
-          scan_module g ~unit_mod ~cur_mod mb.mb_expr
+      | Tstr_module mb -> iter_module f (module_path mb) mb.mb_expr
       | Tstr_recmodule mbs ->
-          List.iter
-            (fun (mb : module_binding) ->
-              let cur_mod =
-                match mb.mb_id with
-                | Some id -> Ident.name id
-                | None -> cur_mod
-              in
-              scan_module g ~unit_mod ~cur_mod mb.mb_expr)
-            mbs
-      | Tstr_include incl -> scan_module g ~unit_mod ~cur_mod incl.incl_mod
+          List.iter (fun mb -> iter_module f (module_path mb) mb.mb_expr) mbs
+      | Tstr_include incl -> iter_module f path incl.incl_mod
       | _ -> ())
-    str.str_items
+    items
 
-and scan_module g ~unit_mod ~cur_mod (me : module_expr) =
+and iter_module f path (me : module_expr) =
   match me.mod_desc with
-  | Tmod_structure str -> scan_structure g ~unit_mod ~cur_mod str
-  | Tmod_constraint (me, _, _, _) -> scan_module g ~unit_mod ~cur_mod me
-  | Tmod_functor (_, me) -> scan_module g ~unit_mod ~cur_mod me
+  | Tmod_structure str -> iter_items f path str.str_items
+  | Tmod_constraint (me, _, _, _) | Tmod_functor (_, me) ->
+      iter_module f path me
   | _ -> ()
 
-let scan_unit g ~modname str =
-  scan_structure g ~unit_mod:modname ~cur_mod:modname str
+let bind_module g sc path (mb : module_binding) =
+  match mb.mb_id with
+  | None -> ()
+  | Some id -> (
+      let inner = path @ [ Ident.name id ] in
+      match alias_target sc mb.mb_expr with
+      | Some target ->
+          Hashtbl.replace sc.locals id target;
+          Hashtbl.replace g.aliases (sc.s_unit, String.concat "." inner) target
+      | None -> Hashtbl.replace sc.locals id (sc.s_unit :: inner))
+
+let scan_item g sc path (si : structure_item) =
+  match si.str_desc with
+  | Tstr_value (_, vbs) ->
+      List.iter
+        (fun (vb : value_binding) ->
+          List.iter
+            (fun id ->
+              Hashtbl.replace sc.locals id ((sc.s_unit :: path) @ [ Ident.name id ]))
+            (pat_bound_idents vb.vb_pat))
+        vbs;
+      List.iter (scan_vb g sc path) vbs
+  | Tstr_eval (e, _) -> add_def g (sc.s_unit, "") (paths_of sc e)
+  | Tstr_module mb -> bind_module g sc path mb
+  | Tstr_recmodule mbs -> List.iter (bind_module g sc path) mbs
+  | _ -> ()
+
+let scan_unit g ~unit_name ~file ~role str =
+  Hashtbl.replace g.roles unit_name role;
+  let sc =
+    { s_unit = unit_name; s_dir = Filename.dirname file; locals = Hashtbl.create 64 }
+  in
+  iter_items (scan_item g sc) [] str.str_items
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1c: propagation                                                *)
+(* Phase 1c: resolution and the worklist                                *)
 (* ------------------------------------------------------------------ *)
+
+let rec take n = function x :: r when n > 0 -> x :: take (n - 1) r | _ -> []
+let rec drop n l = match l with _ :: r when n > 0 -> drop (n - 1) r | _ -> l
+
+(* The definition an absolute path names: its longest prefix that is a
+   unit, then the rest inside that unit, re-rooted at any module alias
+   on the way.  [None] for paths outside the graph (the stdlib, other
+   libraries). *)
+let rec key_of ?(hops = 0) g parts =
+  let rec unit_prefix i =
+    if i = 0 then None
+    else
+      let u = String.concat "." (take i parts) in
+      if Hashtbl.mem g.roles u then Some (u, drop i parts)
+      else unit_prefix (i - 1)
+  in
+  match unit_prefix (List.length parts - 1) with
+  | None -> None
+  | Some (u, rest) ->
+      let rec via j =
+        if j >= List.length rest then Some (u, String.concat "." rest)
+        else
+          match Hashtbl.find_opt g.aliases (u, String.concat "." (take j rest)) with
+          | Some target when hops < 8 ->
+              key_of ~hops:(hops + 1) g (target @ drop j rest)
+          | _ -> via (j + 1)
+      in
+      via 1
+
+(* every key reachable from [seeds] over the definitions' edges, never
+   entering [stop] *)
+let reach g ~stop seeds =
+  let seen = Hashtbl.create 256 and queue = Queue.create () in
+  let visit k =
+    if not (Hashtbl.mem seen k || Hashtbl.mem stop k) then begin
+      Hashtbl.replace seen k ();
+      Queue.add k queue
+    end
+  in
+  List.iter visit seeds;
+  while not (Queue.is_empty queue) do
+    match Hashtbl.find_opt g.defs (Queue.pop queue) with
+    | Some callees -> List.iter (fun p -> Option.iter visit (key_of g p)) callees
+    | None -> ()
+  done;
+  seen
 
 type hotset = {
-  h_hot : (string * string, unit) Hashtbl.t;
-  h_cold : (string * string, unit) Hashtbl.t;
+  h_hot : (key, unit) Hashtbl.t;
+  h_cold : (key, unit) Hashtbl.t;
 }
 
 let resolve marks g =
-  let cold = Hashtbl.create 64 in
-  Hashtbl.iter (fun k () -> Hashtbl.replace cold k ()) marks.m_cold;
+  let cold = Hashtbl.copy marks.m_cold in
   Hashtbl.iter (fun k () -> Hashtbl.replace cold k ()) g.g_cold;
-  let hot = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let seed k = if not (Hashtbl.mem cold k) then Queue.add k queue in
-  Hashtbl.iter (fun k () -> seed k) marks.m_hot;
-  Hashtbl.iter (fun k () -> seed k) g.g_hot;
-  while not (Queue.is_empty queue) do
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some k ->
-        if not (Hashtbl.mem hot k) then begin
-          Hashtbl.replace hot k ();
-          List.iter
-            (fun c ->
-              if
-                Hashtbl.mem g.defs c
-                && (not (Hashtbl.mem cold c))
-                && not (Hashtbl.mem hot c)
-              then Queue.add c queue)
-            (Option.value ~default:[] (Hashtbl.find_opt g.edges k))
-        end
-  done;
-  { h_hot = hot; h_cold = cold }
+  let seeds tbl = List.of_seq (Hashtbl.to_seq_keys tbl) in
+  { h_hot = reach g ~stop:cold (seeds marks.m_hot @ seeds g.g_hot); h_cold = cold }
+
+(* ------------------------------------------------------------------ *)
+(* The unused-export rule                                               *)
+(* ------------------------------------------------------------------ *)
+
+let unused_exports marks g =
+  let role_in roles u =
+    match Hashtbl.find_opt g.roles u with
+    | Some r -> List.mem r roles
+    | None -> false
+  in
+  (* programs' and tests' own definitions are live; lib initialisers run
+     whenever a program links the unit *)
+  let seeds roles =
+    Hashtbl.fold
+      (fun ((u, v) as k) _ acc ->
+        if role_in roles u || (v = "" && role_in [ Lib ] u) then k :: acc
+        else acc)
+      g.defs []
+  in
+  let none = Hashtbl.create 1 in
+  let by_programs = reach g ~stop:none (seeds [ Program ]) in
+  let by_tests = reach g ~stop:none (seeds [ Program; Test ]) in
+  let named_outside = Hashtbl.create 512 in
+  let name_from u p =
+    match key_of g p with
+    | Some ((u', _) as k) when u' <> u -> Hashtbl.replace named_outside k ()
+    | _ -> ()
+  in
+  Hashtbl.iter (fun (u, _) -> List.iter (name_from u)) g.defs;
+  List.filter_map
+    (fun x ->
+      let u, v = x.x_key in
+      let msg =
+        if not (Hashtbl.mem named_outside x.x_key) then
+          Some
+            (Printf.sprintf
+               "nothing outside %s names %s.%s; drop it from the interface" u
+               u v)
+        else if x.x_test_api || Hashtbl.mem by_programs x.x_key then None
+        else if Hashtbl.mem by_tests x.x_key then
+          Some
+            (Printf.sprintf
+               "no program reaches %s.%s, only tests do; delete it with its \
+                tests, or mark it [@@rt.test_api \"why\"]"
+               u v)
+        else Some (Printf.sprintf "nothing reaches %s.%s; delete it" u v)
+      in
+      Option.map
+        (fun msg ->
+          Finding.of_location ~severity:Finding.Note ~file:x.x_file
+            ~rule:"unused-export" ~msg x.x_loc)
+        msg)
+    marks.exports
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: the rule walker                                             *)
@@ -266,7 +455,6 @@ let resolve marks g =
 
 type ctx = {
   file : string;
-  modname : string;
   bindings : (Ident.t, expression) Hashtbl.t; (* every let-bound rhs *)
   mutable found : Finding.t list;
 }
@@ -740,69 +928,46 @@ let check_budget_root ctx ~name ~self_rec (vb : value_binding) =
 (* ------------------------------------------------------------------ *)
 
 type def = {
-  d_key : string * string;
+  d_key : key;
+  d_name : string;
   d_id : Ident.t option;
   d_group : Ident.t list; (* idents of the enclosing rec group *)
   d_vb : value_binding;
 }
 
-let collect_defs ~unit_mod (str : structure) =
+let collect_defs ~unit (str : structure) =
   let acc = ref [] in
-  let rec go_str ~cur_mod (str : structure) =
-    List.iter
-      (fun (si : structure_item) ->
-        match si.str_desc with
-        | Tstr_value (rf, vbs) ->
-            let group =
-              if rf = Asttypes.Recursive then
-                List.filter_map
-                  (fun (vb : value_binding) ->
-                    match vb.vb_pat.pat_desc with
-                    | Tpat_var (id, _) -> Some id
-                    | _ -> None)
-                  vbs
-              else []
-            in
-            List.iter
-              (fun (vb : value_binding) ->
-                match vb.vb_pat.pat_desc with
-                | Tpat_var (id, name) ->
-                    acc :=
-                      {
-                        d_key = (cur_mod, name.txt);
-                        d_id = Some id;
-                        d_group = group;
-                        d_vb = vb;
-                      }
-                      :: !acc
-                | _ -> ())
-              vbs
-        | Tstr_module mb ->
-            let cur_mod =
-              match mb.mb_id with Some id -> Ident.name id | None -> cur_mod
-            in
-            go_mod ~cur_mod mb.mb_expr
-        | Tstr_recmodule mbs ->
-            List.iter
-              (fun (mb : module_binding) ->
-                let cur_mod =
-                  match mb.mb_id with
-                  | Some id -> Ident.name id
-                  | None -> cur_mod
-                in
-                go_mod ~cur_mod mb.mb_expr)
-              mbs
-        | Tstr_include incl -> go_mod ~cur_mod incl.incl_mod
-        | _ -> ())
-      str.str_items
-  and go_mod ~cur_mod (me : module_expr) =
-    match me.mod_desc with
-    | Tmod_structure str -> go_str ~cur_mod str
-    | Tmod_constraint (me, _, _, _) -> go_mod ~cur_mod me
-    | Tmod_functor (_, me) -> go_mod ~cur_mod me
-    | _ -> ()
-  in
-  go_str ~cur_mod:unit_mod str;
+  iter_items
+    (fun path (si : structure_item) ->
+      match si.str_desc with
+      | Tstr_value (rf, vbs) ->
+          let group =
+            if rf = Asttypes.Recursive then
+              List.filter_map
+                (fun (vb : value_binding) ->
+                  match vb.vb_pat.pat_desc with
+                  | Tpat_var (id, _) -> Some id
+                  | _ -> None)
+                vbs
+            else []
+          in
+          List.iter
+            (fun (vb : value_binding) ->
+              match vb.vb_pat.pat_desc with
+              | Tpat_var (id, name) ->
+                  acc :=
+                    {
+                      d_key = key_at unit path name.txt;
+                      d_name = name.txt;
+                      d_id = Some id;
+                      d_group = group;
+                      d_vb = vb;
+                    }
+                    :: !acc
+              | _ -> ())
+            vbs
+      | _ -> ())
+    [] str.str_items;
   List.rev !acc
 
 let collect_bindings ctx (str : structure) =
@@ -816,10 +981,10 @@ let collect_bindings ctx (str : structure) =
   let it = { default_iterator with value_binding } in
   it.structure it str
 
-let check ~hot ~file ~modname (str : structure) =
-  let ctx = { file; modname; bindings = Hashtbl.create 64; found = [] } in
+let check ~hot ~file ~unit_name (str : structure) =
+  let ctx = { file; bindings = Hashtbl.create 64; found = [] } in
   collect_bindings ctx str;
-  let defs = collect_defs ~unit_mod:modname str in
+  let defs = collect_defs ~unit:unit_name str in
   List.iter
     (fun d ->
       if Hashtbl.mem hot.h_hot d.d_key && not (Hashtbl.mem hot.h_cold d.d_key)
@@ -833,7 +998,7 @@ let check ~hot ~file ~modname (str : structure) =
           | _ -> []
         in
         if self <> [] then begin
-          report_float_recursion ctx d.d_vb.vb_loc (snd d.d_key) fn;
+          report_float_recursion ctx d.d_vb.vb_loc d.d_name fn;
           walk_rec_fn ctx ~self ~outer:false fn
         end
         else rules ctx ~loop:false fn
@@ -841,13 +1006,13 @@ let check ~hot ~file ~modname (str : structure) =
     defs;
   List.iter
     (fun d ->
-      if is_budget_name (snd d.d_key) then begin
+      if is_budget_name d.d_name then begin
         let self_rec =
           match d.d_id with
           | Some id -> has_ident_of [ id ] d.d_vb.vb_expr
           | None -> false
         in
-        check_budget_root ctx ~name:(snd d.d_key) ~self_rec d.d_vb
+        check_budget_root ctx ~name:d.d_name ~self_rec d.d_vb
       end)
     defs;
   List.sort_uniq Finding.compare ctx.found

@@ -39,29 +39,54 @@
     parameters and qualified cross-unit calls get the benefit of the
     doubt (only provably clockless loops are flagged).
 
-    See docs/PERF_LINT.md for the full contract. *)
+    The same call graph carries one more rule, outside hot code:
+
+    [unused-export] (note) — a [val] in a lib [.mli] that no other unit
+    names (drop it from the interface), or that no program reaches and
+    no [[@@rt.test_api "why"]] marks.  Programs are the units under
+    bin, bench, examples, tool and perfbench: everything they name, and
+    every lib initialiser, seeds the worklist; test units seed a second
+    closure that says whether tests reach the value.
+
+    See docs/PERF_LINT.md and docs/LINT.md for the full contract. *)
+
+val unit_name : dir:string -> string -> string
+(** [unit_name ~dir modname] is the graph's name for the compilation unit
+    dune calls [modname]: [Rt_core__Greedy] becomes [Rt_core.Greedy], and
+    an executable's [Dune__exe__Main] in [dir] becomes [dir/Main]. *)
 
 type marks
-(** [[@rt.hot]]/[[@rt.cold]] seeds harvested from interface files. *)
+(** [[@rt.hot]]/[[@rt.cold]] seeds and the exported values, harvested
+    from interface files. *)
 
 val create_marks : unit -> marks
 
-val add_interface : marks -> string -> Finding.t list
-(** Parse one [.mli] and record its hot/cold marks, keyed by
-    [(module, value)] — nested module signatures contribute under the
-    nested module's name, like {!Dim_table}.  Returned findings are
-    [hot-annotation] diagnostics for malformed or conflicting payloads;
+val add_interface :
+  marks -> unit_name:string -> export:bool -> string -> Finding.t list
+(** Parse one [.mli] of unit [unit_name] and record its hot/cold marks,
+    nested module signatures included; with [export], also record each
+    [val] as a candidate for [unused-export].  Returned findings are
+    [hot-annotation] diagnostics for malformed or conflicting payloads
+    and [unused-export] ones for a reason-less [[@@rt.test_api]];
     unparseable files contribute nothing. *)
 
+type role = Lib | Program | Test
+(** A unit's tree: lib exports are judged, what a program names is live,
+    what a test names is reached by tests only. *)
+
 type graph
-(** The intra-repo call graph: top-level definitions and the
-    [(module, name)] references occurring in their bodies, plus in-file
-    [[@rt.hot]]/[[@rt.cold]] marks on let bindings. *)
+(** The intra-repo call graph, keyed by compilation unit and the dotted
+    path inside it ([("Rt_online.Admission", "Exec.decide")]): every
+    unit's definitions, its initialisers, the paths their bodies name,
+    module aliases, and in-file [[@rt.hot]]/[[@rt.cold]] marks on let
+    bindings. *)
 
 val create_graph : unit -> graph
 
-val scan_unit : graph -> modname:string -> Typedtree.structure -> unit
-(** Record one compilation unit's definitions and call edges. *)
+val scan_unit :
+  graph -> unit_name:string -> file:string -> role:role ->
+  Typedtree.structure -> unit
+(** Record one compilation unit, read from [file]. *)
 
 type hotset
 (** The resolved hot/cold classification of every definition. *)
@@ -71,10 +96,13 @@ val resolve : marks -> graph -> hotset
     referenced from a hot definition, becomes hot; [[@rt.cold]] names are
     never marked and stop the propagation. *)
 
+val unused_exports : marks -> graph -> Finding.t list
+(** The [unused-export] notes over the exported values (see above). *)
+
 val check :
   hot:hotset ->
   file:string ->
-  modname:string ->
+  unit_name:string ->
   Typedtree.structure ->
   Finding.t list
 (** Run the hot rules over one unit: the allocation/boxing rules on the

@@ -123,7 +123,7 @@ open Parsetree
 let ignore_spans_of_attrs ~host_loc attrs (spans, bad) =
   List.fold_left
     (fun (spans, bad) (a : attribute) ->
-      if a.attr_name.txt <> "rt.lint.ignore" then (spans, bad)
+      if a.attr_name.txt <> Rt_prelude.Annot.lint_ignore then (spans, bad)
       else
         match Dim_table.string_payload a.attr_payload with
         | Some rule -> (span_of_attr host_loc rule :: spans, bad)
@@ -199,6 +199,18 @@ let check_expr ctx (e : expression) =
         "assert false in lib/ needs an @raise doc or an allow-no-raise pragma"
   | _ -> ()
 
+let check_attribute ctx (a : attribute) =
+  let name = a.attr_name.txt in
+  if String.starts_with ~prefix:"rt." name
+     && not (List.mem name Rt_prelude.Annot.all)
+  then
+    report ctx a.attr_loc "unknown-attribute"
+      (Printf.sprintf
+         "[@%s] is not an rt-lint attribute, so no analysis reads it; the \
+          registered names (Rt_prelude.Annot.all) are %s"
+         name
+         (String.concat ", " Rt_prelude.Annot.all))
+
 let whole_file_span rule = { rule; from_line = 1; to_line = max_int }
 
 let iterator ctx =
@@ -212,6 +224,10 @@ let iterator ctx =
   in
   {
     default_iterator with
+    attribute =
+      (fun it a ->
+        check_attribute ctx a;
+        default_iterator.attribute it a);
     expr =
       (fun it e ->
         check_expr ctx e;
@@ -228,7 +244,7 @@ let iterator ctx =
     structure_item =
       (fun it item ->
         (match item.pstr_desc with
-        | Pstr_attribute a when a.attr_name.txt = "rt.lint.ignore" -> (
+        | Pstr_attribute a when a.attr_name.txt = Rt_prelude.Annot.lint_ignore -> (
             match Dim_table.string_payload a.attr_payload with
             | Some rule -> ctx.spans <- whole_file_span rule :: ctx.spans
             | None -> ctx.bad_attrs <- a.attr_loc :: ctx.bad_attrs)
@@ -237,7 +253,7 @@ let iterator ctx =
     signature_item =
       (fun it item ->
         (match item.psig_desc with
-        | Psig_attribute a when a.attr_name.txt = "rt.lint.ignore" -> (
+        | Psig_attribute a when a.attr_name.txt = Rt_prelude.Annot.lint_ignore -> (
             match Dim_table.string_payload a.attr_payload with
             | Some rule -> ctx.spans <- whole_file_span rule :: ctx.spans
             | None -> ctx.bad_attrs <- a.attr_loc :: ctx.bad_attrs)
@@ -296,25 +312,27 @@ type typed_source =
   | Best_effort  (** try standalone; skip the typed pass on failure *)
   | Untyped  (** syntactic pass only *)
 
-let typed_findings ~dims ~hot ~source ~in_lib ~check_floats path parsetree =
+let typed_findings ~dims ~hot ~unit_name ~source ~in_lib ~check_floats path
+    parsetree =
   let modname = Dim_table.modname_of_path path in
   (* with no repo-wide hotset (the standalone fixture path), hotness is
      resolved from this unit alone: its sibling interface's marks, its
      own [@rt.hot] let bindings, and its intra-unit call edges *)
   let hot_findings str =
     match hot with
-    | Some hotset -> Hot_lint.check ~hot:hotset ~file:path ~modname str
+    | Some hotset -> Hot_lint.check ~hot:hotset ~file:path ~unit_name str
     | None ->
         let marks = Hot_lint.create_marks () in
         let mli = path ^ "i" in
         let mark_errs =
-          if Sys.file_exists mli then Hot_lint.add_interface marks mli
+          if Sys.file_exists mli then
+            Hot_lint.add_interface marks ~unit_name ~export:false mli
           else []
         in
         let graph = Hot_lint.create_graph () in
-        Hot_lint.scan_unit graph ~modname str;
+        Hot_lint.scan_unit graph ~unit_name ~file:path ~role:Hot_lint.Lib str;
         let hotset = Hot_lint.resolve marks graph in
-        mark_errs @ Hot_lint.check ~hot:hotset ~file:path ~modname str
+        mark_errs @ Hot_lint.check ~hot:hotset ~file:path ~unit_name str
   in
   let run str =
     Typed_lint.check ~dims ~file:path ~modname ~in_lib ~check_floats str
@@ -338,7 +356,12 @@ let typed_findings ~dims ~hot ~source ~in_lib ~check_floats path parsetree =
                 [ { file = path; line = 1; col = 0; rule = "typecheck"; severity = Finding.Error; msg } ]
               else []))
 
-let lint_file_with ~dims ?hot ~source ?as_lib path =
+let lint_file_with ~dims ?hot ?unit_name ~source ?as_lib path =
+  let unit_name =
+    match unit_name with
+    | Some u -> u
+    | None -> Dim_table.modname_of_path path
+  in
   let in_lib = match as_lib with Some b -> b | None -> under_lib path in
   let pragmas = scan_pragmas path in
   let ctx = { path; in_lib; found = []; spans = []; bad_attrs = [] } in
@@ -364,7 +387,7 @@ let lint_file_with ~dims ?hot ~source ?as_lib path =
   let typed =
     if has_suffix path ".mli" then []
     else
-      typed_findings ~dims ~hot ~source ~in_lib
+      typed_findings ~dims ~hot ~unit_name ~source ~in_lib
         ~check_floats:(not (is_float_cmp_module path))
         path !parsetree
   in
@@ -452,7 +475,8 @@ let walk acc path = walk_suffixes [ ".ml"; ".mli" ] acc path
    directories sit next to the copied sources) and _build/default/<root>
    (when linting a source checkout).  Keys are the source paths recorded
    by the compiler, which dune passes relative to the build root — the
-   same spelling the walk produces. *)
+   same spelling the walk produces; values are the .cmt and the unit's
+   name in the call graph. *)
 let cmt_index roots =
   let tbl = Hashtbl.create 64 in
   let add_root root =
@@ -461,9 +485,12 @@ let cmt_index roots =
         match Cmt_format.read_cmt cmt with
         | { Cmt_format.cmt_annots = Cmt_format.Implementation _;
             cmt_sourcefile = Some src;
+            cmt_modname;
             _;
           } ->
-            if not (Hashtbl.mem tbl src) then Hashtbl.add tbl src cmt
+            if not (Hashtbl.mem tbl src) then
+              Hashtbl.add tbl src
+                (cmt, Hot_lint.unit_name ~dir:(Filename.dirname src) cmt_modname)
         | _ -> ()
         | exception _ -> ())
       (walk_suffixes [ ".cmt" ] [] root)
@@ -508,47 +535,124 @@ let build_dim_table files =
   in
   (dims, errors)
 
-(* The hotness prepass: harvest [@rt.hot]/[@rt.cold] marks from every
-   interface, build the intra-repo call graph from every typeable unit,
-   and resolve once so hotness propagates across compilation units.  The
+(* The source trees of a project.  Every unit under them joins the call
+   graph, linted or not: what bin, bench, examples, tool and perfbench
+   name is live, and what test names is reached by tests only. *)
+let trees = [ "lib"; "bin"; "bench"; "examples"; "tool"; "perfbench"; "test" ]
+
+let role_of path =
+  let parts = path_components path in
+  let has d = List.mem d parts in
+  if has "lib" then Hot_lint.Lib
+  else if List.exists has [ "bin"; "bench"; "examples"; "tool"; "perfbench" ]
+  then Hot_lint.Program
+  else if has "test" then Hot_lint.Test
+  else Hot_lint.Program
+
+(* the trees beside each path's last source-tree component *)
+let sibling_trees paths =
+  let root path =
+    List.fold_left
+      (fun (above, dir) c -> (above @ [ c ], if List.mem c trees then above else dir))
+      ([], []) (path_components path)
+    |> snd
+  in
+  List.sort_uniq compare (List.map root paths)
+  |> List.concat_map (fun dir ->
+         List.map (fun t -> String.concat "/" (dir @ [ t ])) trees)
+  |> List.filter (fun d -> Sys.file_exists d && Sys.is_directory d)
+
+(* Type every source and hand it to [scan], one at a time: from the .cmt
+   where dune left one, else standalone, where each unit that types joins
+   the environment of the rest, so a small multi-unit tree (a lint
+   fixture) types in dependency order.  Returns the sources that did not
+   type. *)
+let type_units ~scan cmts files =
+  let type_one sigs f =
+    match Hashtbl.find_opt cmts f with
+    | Some (cmt, u) ->
+        Typed_lint.read_cmt cmt |> Result.map (fun str -> scan f u str; [])
+    | None -> (
+        match Pparse.parse_implementation ~tool_name:"rt-lint" f with
+        | exception _ -> Error f
+        | pt ->
+            let u = Dim_table.modname_of_path f in
+            Typed_lint.type_standalone ~units:sigs pt
+            |> Result.map (fun str ->
+                   scan f u str;
+                   [ (u, str.Typedtree.str_type) ]))
+  in
+  let rec in_order sigs pending =
+    match
+      List.partition_map
+        (fun f -> match type_one sigs f with Ok s -> Left s | Error _ -> Right f)
+        pending
+    with
+    | [], still -> still
+    | newly, still -> in_order (sigs @ List.concat newly) still
+  in
+  in_order [] files
+
+(* The whole-repo prepass behind the hot rules and unused-export: harvest
+   the interfaces' marks and exports, build the call graph from the
+   linted units and every other unit of the project's source trees, and
+   resolve hotness once so it propagates across compilation units.  The
    typedtrees are re-read by the per-file pass afterwards; the walk is
-   cheap next to the typing they both rely on. *)
-let build_hotset files cmts =
+   cheap next to the typing they both rely on.  unused-export needs every
+   unit: when one has no typedtree it is off, and says so. *)
+let build_graph ~require_cmts ~unit_of files others cmts =
   let marks = Hot_lint.create_marks () in
+  let linted = interfaces_of files in
   let errors =
     List.concat_map
-      (fun f -> Hot_lint.add_interface marks f)
-      (interfaces_of files)
+      (fun f ->
+        let ml = Filename.remove_extension f ^ ".ml" in
+        let export = List.mem f linted in
+        let errs =
+          Hot_lint.add_interface marks ~unit_name:(unit_of ml)
+            ~export:(export && under_lib f) f
+        in
+        if export then errs else [])
+      (interfaces_of (files @ others))
   in
   let graph = Hot_lint.create_graph () in
-  List.iter
-    (fun f ->
-      if not (has_suffix f ".mli") then begin
-        let modname = Dim_table.modname_of_path f in
-        let str =
-          match Hashtbl.find_opt cmts f with
-          | Some cmt -> (
-              match Typed_lint.read_cmt cmt with
-              | Ok str -> Some str
-              | Error _ -> None)
-          | None -> (
-              match Pparse.parse_implementation ~tool_name:"rt-lint" f with
-              | exception _ -> None
-              | pt -> (
-                  match Typed_lint.type_standalone pt with
-                  | Ok str -> Some str
-                  | Error _ -> None))
+  let sources = List.filter (fun f -> has_suffix f ".ml") (files @ others) in
+  let untyped =
+    type_units cmts sources ~scan:(fun f unit_name str ->
+        Hot_lint.scan_unit graph ~unit_name ~file:f ~role:(role_of f) str)
+  in
+  let exports =
+    match untyped with
+    | [] -> Hot_lint.unused_exports marks graph
+    | first :: _ ->
+        let severity = if require_cmts then Finding.Error else Finding.Note in
+        let msg =
+          Printf.sprintf
+            "%d source(s) have no .cmt and do not type alone, so what they \
+             name is unknown and no export is judged; build with `dune \
+             build @check` first"
+            (List.length untyped)
         in
-        Option.iter (Hot_lint.scan_unit graph ~modname) str
-      end)
-    files;
-  (Hot_lint.resolve marks graph, errors)
+        [ { file = first; line = 1; col = 0; rule = "unused-export"; severity; msg } ]
+  in
+  (Hot_lint.resolve marks graph, errors @ exports)
 
 let lint_paths ?(require_cmts = false) paths =
   let files = List.fold_left walk [] paths in
+  let others =
+    List.fold_left walk [] (sibling_trees paths)
+    |> List.filter (fun f -> not (List.mem f files))
+  in
   let dims, dim_errors = build_dim_table files in
-  let cmts = cmt_index paths in
-  let hotset, hot_errors = build_hotset files cmts in
+  let cmts = cmt_index (paths @ sibling_trees paths) in
+  let unit_of f =
+    match Hashtbl.find_opt cmts f with
+    | Some (_, u) -> u
+    | None -> Dim_table.modname_of_path f
+  in
+  let hotset, graph_findings =
+    build_graph ~require_cmts ~unit_of files others cmts
+  in
   let findings =
     List.concat_map
       (fun f ->
@@ -556,7 +660,7 @@ let lint_paths ?(require_cmts = false) paths =
           if has_suffix f ".mli" then Untyped
           else
             match Hashtbl.find_opt cmts f with
-            | Some cmt -> From_cmt cmt
+            | Some (cmt, _) -> From_cmt cmt
             | None when require_cmts ->
                 (* a source no build rule covers would silently lose the
                    typed rules; make that visible *)
@@ -564,10 +668,11 @@ let lint_paths ?(require_cmts = false) paths =
             | None -> Best_effort
         in
         let mli = match missing_mli f with Some x -> [ x ] | None -> [] in
-        mli @ lint_file_with ~dims ~hot:hotset ~source f)
+        mli
+        @ lint_file_with ~dims ~hot:hotset ~unit_name:(unit_of f) ~source f)
       files
   in
-  List.sort Finding.compare (dim_errors @ hot_errors @ findings)
+  List.sort Finding.compare (dim_errors @ graph_findings @ findings)
 
 let dim_coverage paths ~under =
   let files = List.fold_left walk [] paths in

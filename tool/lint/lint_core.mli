@@ -47,10 +47,15 @@ val lint_paths : ?require_cmts:bool -> string list -> finding list
     sources without a [.cmt] fall back to standalone typing, silently
     skipping the typed rules when that fails — unless [require_cmts] is
     set, in which case the typing failure is reported as a [typecheck]
-    finding.  A prepass harvests [[@rt.hot]]/[[@rt.cold]] marks from
-    every interface and builds the cross-unit call graph, so hotness
-    propagates between compilation units (docs/PERF_LINT.md).  Results
-    are sorted. *)
+    finding.  A prepass harvests [[@rt.hot]]/[[@rt.cold]] marks and
+    exported values from every interface and builds the cross-unit call
+    graph, so hotness propagates between compilation units
+    (docs/PERF_LINT.md).  The graph also holds every unit of the
+    project's other source trees (lib, bin, bench, examples, tool,
+    perfbench, test, next to the roots), which are read but not linted;
+    from it [unused-export] judges the exports of lib interfaces.  When
+    some unit has no typedtree that rule judges nothing and reports so,
+    as an error under [require_cmts].  Results are sorted. *)
 
 val dim_coverage : string list -> under:string list -> Dim_table.coverage
 (** Walk the given roots, build the dimension table, and report

@@ -32,12 +32,18 @@ let read_cmt path =
 
 let stdlib_ready = lazy (Compmisc.init_path ())
 
-let type_standalone parsetree =
+let type_standalone ?(units = []) parsetree =
   Lazy.force stdlib_ready;
   (* fixtures deliberately contain smelly code; don't let the typer's own
      warnings (unused value, ...) leak onto stderr *)
   ignore (Warnings.parse_options false "-a");
-  let env = Compmisc.initial_env () in
+  let env =
+    List.fold_left
+      (fun env (name, sg) ->
+        Env.add_module (Ident.create_persistent name) Types.Mp_present
+          (Types.Mty_signature sg) env)
+      (Compmisc.initial_env ()) units
+  in
   match Typemod.type_structure env parsetree with
   | str, _, _, _, _ -> Ok str
   | exception exn -> (
@@ -304,7 +310,7 @@ let rule_iterator ctx =
 
 let float_cmp_fns =
   [
-    "approx_eq"; "leq"; "geq"; "lt"; "gt"; "compare_approx"; "exact_eq";
+    "approx_eq"; "leq"; "geq"; "lt"; "gt"; "exact_eq";
     "exact_lt"; "exact_le"; "exact_gt"; "exact_ge";
   ]
 

@@ -7,6 +7,10 @@
     repo walk), or the compiler's own type inference run on a standalone
     parsetree (self-contained fixtures). *)
 
+val split_wrapped : string -> string list
+(** Split a dune-mangled unit name at its [__] separators:
+    [Rt_prelude__Rng] becomes [["Rt_prelude"; "Rng"]]. *)
+
 val path_parts : Path.t -> string list
 (** Decompose a typedtree path into its source-level components, undoing
     dune's module wrapping ([Rt_prelude__Rng.float] becomes
@@ -25,10 +29,13 @@ val read_cmt : string -> (Typedtree.structure, string) result
 (** Load the typedtree of an implementation [.cmt]. *)
 
 val type_standalone :
-  Parsetree.structure -> (Typedtree.structure, string) result
-(** Type a standalone structure against the standard library alone; any
-    reference to repository modules fails.  Compiler warnings are
-    disabled; errors are rendered to a readable message. *)
+  ?units:(string * Types.signature) list ->
+  Parsetree.structure ->
+  (Typedtree.structure, string) result
+(** Type a standalone structure against the standard library and the
+    given [(name, signature)] units (default none); any other reference
+    to repository modules fails.  Compiler warnings are disabled; errors
+    are rendered to a readable message. *)
 
 val check :
   dims:Dim_table.t ->

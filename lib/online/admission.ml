@@ -569,7 +569,11 @@ module Exec = struct
     !hit
 
   let finish t =
-    (* drain the remaining work on every processor *)
+    (* drain every live processor one time unit past the last pending
+       deadline, so a job may complete within the completion slack, and
+       book its rest from when its work runs out (or [now]) up to that
+       deadline only; [advance] gets no rest power here, which leaves the
+       per-arrival path, [advance_to], as it is *)
     let horizon =
       Array.fold_left
         (fun acc pen ->
@@ -580,9 +584,28 @@ module Exec = struct
           !acc)
         !(t.now) t.pendings
     in
-    match advance_to t ~until:(horizon +. 1.) with
+    let start = !(t.now) in
+    let drained = ref (Ok ()) in
+    Array.iteri
+      (fun i pen ->
+        match !drained with
+        | Ok () when t.alive.(i) -> (
+            match
+              advance t.proc ~cap:t.cap ~s_floor:t.s_floor ~p_rest:0. pen
+                ~now:start ~until:(horizon +. 1.)
+            with
+            | Error e -> drained := Error e
+            | Ok (_, e, last) ->
+                let idle = Float.max 0. (horizon -. Float.max start last) in
+                t.energy := !(t.energy) +. (e +. (t.p_rest *. idle));
+                if Fc.exact_gt last 0. then
+                  t.makespan := Float.max !(t.makespan) last)
+        | _ -> ())
+      t.pendings;
+    match !drained with
     | Error e -> Error e
     | Ok () ->
+        t.now := horizon +. 1.;
         if Array.exists (fun pen -> pen.len > 0) t.pendings then
           Error (Invalid "Admission.simulate: work left after the last deadline")
         else

@@ -220,7 +220,9 @@ module Exec : sig
       fits, is dead or is out of range. *)
 
   val finish : t -> (outcome, error) result
-  (** Drain all remaining work past the last deadline and return the
-      accumulated outcome. Errors if work is left after every deadline
+  (** Drain all remaining work and return the accumulated outcome.
+      Rest power is booked up to the last pending deadline, or [now] if
+      that is later; past it, a job may still complete within the
+      completion slack. Errors if work is left after every deadline
       (over-commitment that never got re-planned). *)
 end

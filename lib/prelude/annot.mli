@@ -8,7 +8,8 @@
     so a misspelt name cannot silently switch its analysis off.  The
     grammar of each payload is specified here and in
     docs/CONCURRENCY_LINT.md (concurrency annotations) and docs/LINT.md
-    ([rt.dim], [rt.test_api], [rt.lint.ignore]).
+    ([rt.dim], [rt.test_api]).  Suppressions are not attributes: the one
+    form is a reasoned [allow-<rule>] pragma comment (docs/LINT.md).
 
     Placement cheat-sheet (where the typedtree keeps each one):
 
@@ -68,12 +69,6 @@ val test_api : string
     Placement: on the [val] ([val validate : t -> ... [@@rt.test_api
     "oracle of test_x"]]) or on a nested [module] signature, where it
     covers every value inside. *)
-
-val lint_ignore : string
-(** ["rt.lint.ignore"] — payload: a string literal naming exactly one
-    rule. Silences that rule inside the attributed expression, binding
-    or declaration, or the whole file as a floating [[@@@rt.lint.ignore
-    "rule"]] (docs/LINT.md). *)
 
 val all : string list
 (** Every attribute name above — the [rt.] namespace; the lint reports

@@ -1,9 +1,10 @@
 (* must pass: tolerance routed through a Float_cmp-style helper (whose own
-   bare comparisons carry expression-level suppressions), ints compared
-   bare *)
+   bare comparisons carry reasoned pragmas), ints compared bare *)
 module Float_cmp = struct
-  let approx_eq a b = (Float.abs (a -. b) <= 1e-9) [@rt.lint.ignore "float-cmp"]
-  let leq a b = (a -. b <= 1e-9) [@rt.lint.ignore "float-cmp"]
+  (* lint: allow-float-cmp "the tolerance helper compares bare by design" *)
+  let approx_eq a b = Float.abs (a -. b) <= 1e-9
+  (* lint: allow-float-cmp "the tolerance helper compares bare by design" *)
+  let leq a b = a -. b <= 1e-9
 end
 
 let close a b = Float_cmp.approx_eq a b

@@ -9,7 +9,7 @@ let fixture name = Filename.concat "lint_fixtures" name
 
 let rules_of path =
   Lint_core.lint_file ~as_lib:true (fixture path)
-  |> List.map (fun (f : Lint_core.finding) -> f.Lint_core.rule)
+  |> List.map (fun (f : Finding.t) -> f.Finding.rule)
 
 let count rule rules = List.length (List.filter (String.equal rule) rules)
 
@@ -37,7 +37,7 @@ let test_missing_mli () =
   check_bool "mli files never flagged" true
     (Option.is_none (Lint_core.missing_mli (good ^ "i")));
   match Lint_core.missing_mli (bad "lonely.ml") with
-  | Some f -> Alcotest.(check string) "rule id" "missing-mli" f.Lint_core.rule
+  | Some f -> Alcotest.(check string) "rule id" "missing-mli" f.Finding.rule
   | None -> Alcotest.fail "expected a finding"
 
 (* ------------------------------------------------------------------ *)
@@ -47,17 +47,17 @@ let test_lint_paths () =
   let findings = Lint_core.lint_paths [ fixture "lib" ] in
   let missing =
     List.filter
-      (fun (f : Lint_core.finding) -> f.Lint_core.rule = "missing-mli")
+      (fun (f : Finding.t) -> f.Finding.rule = "missing-mli")
       findings
   in
   check_int "two lonely modules" 2 (List.length missing);
-  let sorted = List.sort Lint_core.compare_finding findings in
+  let sorted = List.sort Finding.compare findings in
   check_bool "walk output already sorted" true (findings = sorted)
 
 let test_diagnostic_format () =
   match Lint_core.lint_file ~as_lib:true (fixture "r5_bad_phys_eq.ml") with
   | [ f ] ->
-      let s = Lint_core.to_string f in
+      let s = Finding.to_string f in
       let prefix = fixture "r5_bad_phys_eq.ml" ^ ":2:" in
       check_bool "file:line:col prefix" true
         (String.length s > String.length prefix
@@ -78,16 +78,16 @@ let test_as_lib_scoping () =
   check_int "printf ignored outside lib" 0
     (count "no-print"
        (Lint_core.lint_file ~as_lib:false (fixture "r2_bad_printf.ml")
-       |> List.map (fun (f : Lint_core.finding) -> f.Lint_core.rule)));
+       |> List.map (fun (f : Finding.t) -> f.Finding.rule)));
   check_int "failwith ignored outside lib" 0
     (count "no-raise"
        (Lint_core.lint_file ~as_lib:false (fixture "r3_bad_failwith.ml")
-       |> List.map (fun (f : Lint_core.finding) -> f.Lint_core.rule)));
+       |> List.map (fun (f : Finding.t) -> f.Finding.rule)));
   (* float-cmp applies everywhere *)
   check_int "float-cmp still on outside lib" 2
     (count "float-cmp"
        (Lint_core.lint_file ~as_lib:false (fixture "r1_bad_literal.ml")
-       |> List.map (fun (f : Lint_core.finding) -> f.Lint_core.rule)))
+       |> List.map (fun (f : Finding.t) -> f.Finding.rule)))
 
 let test_suppression () =
   clean "suppress_good.ml" ();
@@ -102,8 +102,8 @@ let findings_of path = Lint_core.lint_file ~as_lib:true (fixture path)
 
 let locations rule path =
   findings_of path
-  |> List.filter_map (fun (f : Lint_core.finding) ->
-         if f.Lint_core.rule = rule then Some f.Lint_core.line else None)
+  |> List.filter_map (fun (f : Finding.t) ->
+         if f.Finding.rule = rule then Some f.Finding.line else None)
 
 let test_local_float () =
   (* the old Sig_table pass could not see locally-bound floats *)
@@ -129,12 +129,15 @@ let test_typed_wallclock () =
     "Sys.time flagged at its site" [ 2 ]
     (locations "wallclock" "typed_wallclock.ml")
 
-let test_attr_suppress () =
-  (* three bad comparisons; exactly one is suppressed (the one whose
-     attribute names the right rule) *)
+let test_attr_unknown () =
+  (* a misspelt name, an unregistered one, and rt.lint.ignore, which
+     silences nothing: the comparison it names is still flagged *)
   Alcotest.(check (list int))
-    "suppression silences exactly one finding" [ 3; 8 ]
-    (locations "float-cmp" "attr_suppress.ml")
+    "each unregistered attribute flagged" [ 4; 5; 6 ]
+    (locations "unknown-attribute" "attr_unknown.ml");
+  Alcotest.(check (list int))
+    "the attributed comparison flagged" [ 6 ]
+    (locations "float-cmp" "attr_unknown.ml")
 
 (* ------------------------------------------------------------------ *)
 (* units of measure *)
@@ -147,7 +150,7 @@ let test_dim_planted () =
     (locations "dim-mismatch" "dim_bad_add.ml");
   let msgs =
     findings_of "dim_bad_add.ml"
-    |> List.map (fun (f : Lint_core.finding) -> f.Lint_core.msg)
+    |> List.map (fun (f : Finding.t) -> f.Finding.msg)
   in
   check_bool "message names both dimensions" true
     (List.exists
@@ -223,9 +226,9 @@ let test_conc_suppress () = clean "conc_suppress.ml" ()
 let severity_of rule path =
   match
     findings_of path
-    |> List.filter (fun (f : Lint_core.finding) -> f.Lint_core.rule = rule)
+    |> List.filter (fun (f : Finding.t) -> f.Finding.rule = rule)
   with
-  | f :: _ -> f.Lint_core.severity
+  | f :: _ -> f.Finding.severity
   | [] -> Alcotest.fail ("no " ^ rule ^ " finding in " ^ path)
 
 let test_hot_boxed_float () =
@@ -250,7 +253,7 @@ let test_hot_list_traversal () =
     (locations "hot-list-traversal" "hot_list_traversal.ml");
   match findings_of "hot_list_traversal.ml" with
   | [ f ] ->
-      check_bool "advisory severity" true (f.Lint_core.severity = Finding.Note);
+      check_bool "advisory severity" true (f.Finding.severity = Finding.Note);
       check_bool "notes do not gate" false (Finding.gates f)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
@@ -271,7 +274,7 @@ let test_hot_float_recursion () =
     (locations "hot-float-recursion" "hot_float_recursion.ml");
   match findings_of "hot_float_recursion.ml" with
   | [ f ] ->
-      check_bool "advisory severity" true (f.Lint_core.severity = Finding.Note);
+      check_bool "advisory severity" true (f.Finding.severity = Finding.Note);
       check_bool "notes do not gate" false (Finding.gates f)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
@@ -282,9 +285,9 @@ let test_conc_severity () =
   let sev rule path =
     match
       findings_of path
-      |> List.filter (fun (f : Lint_core.finding) -> f.Lint_core.rule = rule)
+      |> List.filter (fun (f : Finding.t) -> f.Finding.rule = rule)
     with
-    | f :: _ -> f.Lint_core.severity
+    | f :: _ -> f.Finding.severity
     | [] -> Alcotest.fail ("no " ^ rule ^ " finding in " ^ path)
   in
   check_bool "domain-unsafe is an error" true
@@ -352,13 +355,13 @@ let test_report_renderers () =
 
 let export_findings ?require_cmts roots =
   Lint_core.lint_paths ?require_cmts (List.map fixture roots)
-  |> List.filter (fun (f : Lint_core.finding) -> f.rule = "unused-export")
+  |> List.filter (fun (f : Finding.t) -> f.rule = "unused-export")
 
 let exports = lazy (export_findings [ "export/lib"; "export/bin" ])
 
 (* the finding naming [value], whose messages print it qualified *)
 let export_finding value =
-  let names (f : Lint_core.finding) =
+  let names (f : Finding.t) =
     String.split_on_char ' ' f.msg
     |> List.exists (fun w ->
            String.equal value
@@ -440,8 +443,6 @@ let () =
         [
           Alcotest.test_case "reasoned pragmas suppress" `Quick
             test_suppression;
-          Alcotest.test_case "attributes silence exactly one" `Quick
-            test_attr_suppress;
           Alcotest.test_case "diagnostic format" `Quick test_diagnostic_format;
         ] );
       ( "typed",
@@ -527,7 +528,7 @@ let () =
       ( "unknown-attribute",
         [
           Alcotest.test_case "unregistered rt. names flagged" `Quick
-            (flags "attr_unknown.ml" "unknown-attribute" 2);
+            test_attr_unknown;
         ] );
       ( "report",
         [

@@ -589,7 +589,12 @@ let test_yds_energy_s_min_floor () =
       check_float 1e-12 "priced as the energy rate prices it"
         (Rt_speed.Energy_rate.prepare_energy proc ~horizon:10. 0.2)
         e;
-      check_float 1e-12 "runs at s_min, idles at p_ind" 1.32 e
+      check_float 1e-12 "runs at s_min, idles at p_ind" 1.32 e;
+      match Admission.simulate ~proc ~policy:Admission.Admit_all [ j ] with
+      | Error err -> Alcotest.fail (Admission.error_to_string err)
+      | Ok o ->
+          check_float 1e-12 "the executor rests until the deadline only" e
+            o.Admission.energy
 
 let test_yds_infeasible () =
   let j = job ~id:0 ~arrival:0. ~cycles:100. ~deadline:50. ~penalty:0. in

@@ -1,27 +1,15 @@
-(* rt-lint engine, v2: a syntactic pass over the parsetree for the purity
+(* rt-lint engine: a syntactic pass over the parsetree for the purity
    rules plus a typed pass over the typedtree (see Typed_lint) for
-   everything that needs real type information.  PR 1's Sig_table name
-   heuristics are gone: float detection and the dimension analysis use the
-   compiler's own inference, via the .cmt files dune produces (repo walk)
-   or a standalone typing run (self-contained fixtures). *)
-
-type finding = Finding.t = {
-  file : string;
-  line : int;
-  col : int;
-  rule : string;
-  severity : Finding.severity;
-  msg : string;
-}
-
-let to_string = Finding.to_string
-let compare_finding = Finding.compare
+   everything that needs real type information.  Float detection and the
+   dimension analysis use the compiler's own inference, via the .cmt files
+   dune produces or a standalone typing run where a source has none (the
+   self-contained fixtures). *)
 
 (* ------------------------------------------------------------------ *)
 (* Suppression pragmas (comment-based, line-scoped)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A suppression is a comment of the form
+(* The one suppression form is a comment
 
      (* lint: allow-<rule> "reason" *)
 
@@ -99,36 +87,7 @@ let scan_pragmas path =
               malformed = !malformed;
             })
 
-(* ------------------------------------------------------------------ *)
-(* Suppression attributes: [@rt.lint.ignore "rule"]                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The in-source alternative to pragmas: an attribute on an expression,
-   let-binding, val declaration, or the whole module ([@@@rt.lint.ignore])
-   silences the named rule inside the attributed node's span.  The payload
-   must name exactly one rule, so a suppression never blankets more than
-   one class of finding. *)
-
-type span = { rule : string; from_line : int; to_line : int }
-
-let span_of_attr (loc : Location.t) rule =
-  {
-    rule;
-    from_line = loc.loc_start.Lexing.pos_lnum;
-    to_line = loc.loc_end.Lexing.pos_lnum;
-  }
-
 open Parsetree
-
-let ignore_spans_of_attrs ~host_loc attrs (spans, bad) =
-  List.fold_left
-    (fun (spans, bad) (a : attribute) ->
-      if a.attr_name.txt <> Rt_prelude.Annot.lint_ignore then (spans, bad)
-      else
-        match Dim_table.string_payload a.attr_payload with
-        | Some rule -> (span_of_attr host_loc rule :: spans, bad)
-        | None -> (spans, a.attr_loc :: bad))
-    (spans, bad) attrs
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic rule predicates                                            *)
@@ -161,12 +120,14 @@ type ctx = {
   path : string;
   in_lib : bool; (* no-print / no-raise only bind inside lib/ *)
   mutable found : Finding.t list;
-  mutable spans : span list;
-  mutable bad_attrs : Location.t list;
 }
 
 let report ctx (loc : Location.t) rule msg =
   ctx.found <- Finding.of_location ~file:ctx.path ~rule ~msg loc :: ctx.found
+
+(* a finding about a whole file, or at a line the pass computed itself *)
+let at ?(severity = Finding.Error) ?(line = 1) ?(col = 0) file rule msg =
+  { Finding.file; line; col; rule; severity; msg }
 
 let check_open ctx (loc : Location.t) (lid : Longident.t) =
   match lid with
@@ -211,17 +172,8 @@ let check_attribute ctx (a : attribute) =
          name
          (String.concat ", " Rt_prelude.Annot.all))
 
-let whole_file_span rule = { rule; from_line = 1; to_line = max_int }
-
 let iterator ctx =
   let open Ast_iterator in
-  let add_spans ~host_loc attrs =
-    let spans, bad =
-      ignore_spans_of_attrs ~host_loc attrs (ctx.spans, ctx.bad_attrs)
-    in
-    ctx.spans <- spans;
-    ctx.bad_attrs <- bad
-  in
   {
     default_iterator with
     attribute =
@@ -231,34 +183,7 @@ let iterator ctx =
     expr =
       (fun it e ->
         check_expr ctx e;
-        add_spans ~host_loc:e.pexp_loc e.pexp_attributes;
         default_iterator.expr it e);
-    value_binding =
-      (fun it vb ->
-        add_spans ~host_loc:vb.pvb_loc vb.pvb_attributes;
-        default_iterator.value_binding it vb);
-    value_description =
-      (fun it vd ->
-        add_spans ~host_loc:vd.pval_loc vd.pval_attributes;
-        default_iterator.value_description it vd);
-    structure_item =
-      (fun it item ->
-        (match item.pstr_desc with
-        | Pstr_attribute a when a.attr_name.txt = Rt_prelude.Annot.lint_ignore -> (
-            match Dim_table.string_payload a.attr_payload with
-            | Some rule -> ctx.spans <- whole_file_span rule :: ctx.spans
-            | None -> ctx.bad_attrs <- a.attr_loc :: ctx.bad_attrs)
-        | _ -> ());
-        default_iterator.structure_item it item);
-    signature_item =
-      (fun it item ->
-        (match item.psig_desc with
-        | Psig_attribute a when a.attr_name.txt = Rt_prelude.Annot.lint_ignore -> (
-            match Dim_table.string_payload a.attr_payload with
-            | Some rule -> ctx.spans <- whole_file_span rule :: ctx.spans
-            | None -> ctx.bad_attrs <- a.attr_loc :: ctx.bad_attrs)
-        | _ -> ());
-        default_iterator.signature_item it item);
     open_declaration =
       (fun it od ->
         (match od.popen_expr.pmod_desc with
@@ -271,11 +196,7 @@ let iterator ctx =
         default_iterator.open_description it od);
   }
 
-(* ------------------------------------------------------------------ *)
-(* Suppression filtering                                                *)
-(* ------------------------------------------------------------------ *)
-
-let suppressed pragmas spans (f : Finding.t) =
+let suppressed pragmas (f : Finding.t) =
   List.exists
     (fun (l, r) -> r = f.rule && (l = f.line || l = f.line - 1))
     pragmas.allows
@@ -283,13 +204,9 @@ let suppressed pragmas spans (f : Finding.t) =
      && List.exists
           (fun l -> l = f.line || l = f.line - 1 || l = f.line - 2)
           pragmas.raise_docs)
-  || List.exists
-       (fun s ->
-         s.rule = f.rule && s.from_line <= f.line && f.line <= s.to_line)
-       spans
 
 (* ------------------------------------------------------------------ *)
-(* Per-file driver                                                      *)
+(* Per-file rules                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let has_suffix s suf =
@@ -305,130 +222,49 @@ let is_float_cmp_module path =
   | "float_cmp.ml" | "float_cmp.mli" -> true
   | _ -> false
 
-(* How the typed pass obtains a typedtree for a [.ml] file. *)
-type typed_source =
-  | From_cmt of string  (** read this .cmt file *)
-  | Standalone  (** type against the stdlib; failures are findings *)
-  | Best_effort  (** try standalone; skip the typed pass on failure *)
-  | Untyped  (** syntactic pass only *)
-
-let typed_findings ~dims ~hot ~unit_name ~source ~in_lib ~check_floats path
-    parsetree =
-  let modname = Dim_table.modname_of_path path in
-  (* with no repo-wide hotset (the standalone fixture path), hotness is
-     resolved from this unit alone: its sibling interface's marks, its
-     own [@rt.hot] let bindings, and its intra-unit call edges *)
-  let hot_findings str =
-    match hot with
-    | Some hotset -> Hot_lint.check ~hot:hotset ~file:path ~unit_name str
-    | None ->
-        let marks = Hot_lint.create_marks () in
-        let mli = path ^ "i" in
-        let mark_errs =
-          if Sys.file_exists mli then
-            Hot_lint.add_interface marks ~unit_name ~export:false mli
-          else []
-        in
-        let graph = Hot_lint.create_graph () in
-        Hot_lint.scan_unit graph ~unit_name ~file:path ~role:Hot_lint.Lib str;
-        let hotset = Hot_lint.resolve marks graph in
-        mark_errs @ Hot_lint.check ~hot:hotset ~file:path ~unit_name str
-  in
-  let run str =
-    Typed_lint.check ~dims ~file:path ~modname ~in_lib ~check_floats str
-    @ Conc_lint.check ~file:path ~modname str
-    @ hot_findings str
-  in
-  match source with
-  | Untyped -> []
-  | From_cmt cmt -> (
-      match Typed_lint.read_cmt cmt with
-      | Ok str -> run str
-      | Error msg -> [ { file = path; line = 1; col = 0; rule = "no-cmt"; severity = Finding.Error; msg } ])
-  | Standalone | Best_effort -> (
-      match parsetree with
-      | None -> []
-      | Some pt -> (
-          match Typed_lint.type_standalone pt with
-          | Ok str -> run str
-          | Error msg ->
-              if source = Standalone then
-                [ { file = path; line = 1; col = 0; rule = "typecheck"; severity = Finding.Error; msg } ]
-              else []))
-
-let lint_file_with ~dims ?hot ?unit_name ~source ?as_lib path =
-  let unit_name =
-    match unit_name with
-    | Some u -> u
-    | None -> Dim_table.modname_of_path path
-  in
-  let in_lib = match as_lib with Some b -> b | None -> under_lib path in
+(* The syntactic pass over [path], and the typed rules over [typed]: the
+   unit's typedtree, the finding that says why it has none, or nothing
+   (an interface, or a source that did not type outside --require-cmts). *)
+let lint_source ~dims ~hot ~unit_name ~typed ~in_lib path =
   let pragmas = scan_pragmas path in
-  let ctx = { path; in_lib; found = []; spans = []; bad_attrs = [] } in
-  let parsetree = ref None in
+  let ctx = { path; in_lib; found = [] } in
   (try
      let it = iterator ctx in
      if has_suffix path ".mli" then
        it.Ast_iterator.signature it
          (Pparse.parse_interface ~tool_name:"rt-lint" path)
-     else begin
-       let pt = Pparse.parse_implementation ~tool_name:"rt-lint" path in
-       parsetree := Some pt;
-       it.Ast_iterator.structure it pt
-     end
+     else
+       it.Ast_iterator.structure it
+         (Pparse.parse_implementation ~tool_name:"rt-lint" path)
    with exn ->
      let msg =
        match exn with
        | Syntaxerr.Error _ -> "syntax error"
        | exn -> Printexc.to_string exn
      in
-     ctx.found <-
-       { file = path; line = 1; col = 0; rule = "parse"; severity = Finding.Error; msg } :: ctx.found);
+     ctx.found <- at path "parse" msg :: ctx.found);
   let typed =
-    if has_suffix path ".mli" then []
-    else
-      typed_findings ~dims ~hot ~unit_name ~source ~in_lib
-        ~check_floats:(not (is_float_cmp_module path))
-        path !parsetree
+    match typed with
+    | None -> []
+    | Some (Error f) -> [ f ]
+    | Some (Ok str) ->
+        let modname = Dim_table.modname_of_path path in
+        Typed_lint.check ~dims ~file:path ~modname ~in_lib
+          ~check_floats:(not (is_float_cmp_module path))
+          str
+        @ Conc_lint.check ~file:path ~modname str
+        @ Hot_lint.check ~hot ~file:path ~unit_name str
   in
-  let bad =
+  let malformed =
     List.map
-      (fun (loc : Location.t) ->
-        Finding.of_location ~file:path ~rule:"suppression"
-          ~msg:
-            "malformed suppression: [@rt.lint.ignore] expects a string \
-             naming exactly one rule"
-          loc)
-      ctx.bad_attrs
-    @ List.map
-        (fun (line, col) ->
-          {
-            file = path;
-            line;
-            col;
-            rule = "suppression";
-            severity = Finding.Error;
-            msg =
-              "malformed lint pragma: expected (* lint: allow-<rule> \
-               \"reason\" *) with a non-empty reason";
-          })
-        pragmas.malformed
+      (fun (line, col) ->
+        at ~line ~col path "suppression"
+          "malformed lint pragma: expected (* lint: allow-<rule> \"reason\" \
+           *) with a non-empty reason")
+      pragmas.malformed
   in
-  let keep f = not (suppressed pragmas ctx.spans f) in
-  List.sort Finding.compare (bad @ List.filter keep (ctx.found @ typed))
-
-let sibling_dims path =
-  let dims = Dim_table.create () in
-  let mli = if has_suffix path ".ml" then path ^ "i" else path in
-  let errs = if Sys.file_exists mli then Dim_table.add_interface dims mli else [] in
-  (dims, errs)
-
-let lint_file ?as_lib path =
-  (* the standalone entry point used by the tests: dimension annotations
-     come from the file's own [@@rt.dim] bindings plus a sibling .mli *)
-  let dims, dim_errs = sibling_dims path in
-  List.sort Finding.compare
-    (dim_errs @ lint_file_with ~dims ~source:Standalone ?as_lib path)
+  malformed
+  @ List.filter (fun f -> not (suppressed pragmas f)) (ctx.found @ typed)
 
 (* ------------------------------------------------------------------ *)
 (* Interface coverage                                                   *)
@@ -441,14 +277,8 @@ let missing_mli path =
     && not (Sys.file_exists (path ^ "i"))
   then
     Some
-      {
-        file = path;
-        line = 1;
-        col = 0;
-        rule = "missing-mli";
-        severity = Finding.Error;
-        msg = "every module under lib/ must ship an interface (.mli)";
-      }
+      (at path "missing-mli"
+         "every module under lib/ must ship an interface (.mli)")
   else None
 
 (* ------------------------------------------------------------------ *)
@@ -469,49 +299,6 @@ let rec walk_suffixes sufs acc path =
   else acc
 
 let walk acc path = walk_suffixes [ ".ml"; ".mli" ] acc path
-
-(* Index the .cmt files dune produced for the given source roots: the
-   roots themselves (when linting from inside _build, where the .objs
-   directories sit next to the copied sources) and _build/default/<root>
-   (when linting a source checkout).  Keys are the source paths recorded
-   by the compiler, which dune passes relative to the build root — the
-   same spelling the walk produces; values are the .cmt and the unit's
-   name in the call graph. *)
-let cmt_index roots =
-  let tbl = Hashtbl.create 64 in
-  let add_root root =
-    List.iter
-      (fun cmt ->
-        match Cmt_format.read_cmt cmt with
-        | { Cmt_format.cmt_annots = Cmt_format.Implementation _;
-            cmt_sourcefile = Some src;
-            cmt_modname;
-            _;
-          } ->
-            if not (Hashtbl.mem tbl src) then
-              Hashtbl.add tbl src
-                (cmt, Hot_lint.unit_name ~dir:(Filename.dirname src) cmt_modname)
-        | _ -> ()
-        | exception _ -> ())
-      (walk_suffixes [ ".cmt" ] [] root)
-  in
-  List.iter
-    (fun root ->
-      (* a single-file root carries no .cmt itself; its directory does *)
-      let root =
-        if Sys.file_exists root && not (Sys.is_directory root) then
-          Filename.dirname root
-        else root
-      in
-      if Sys.file_exists root then add_root root;
-      let built = Filename.concat "_build/default" root in
-      if Sys.file_exists built then add_root built)
-    roots;
-  tbl
-
-(* ------------------------------------------------------------------ *)
-(* The repo walk                                                        *)
-(* ------------------------------------------------------------------ *)
 
 (* when invoked on individual .ml files, their sibling interfaces still
    carry the annotations — harvest them even though they are not linted *)
@@ -562,117 +349,203 @@ let sibling_trees paths =
          List.map (fun t -> String.concat "/" (dir @ [ t ])) trees)
   |> List.filter (fun d -> Sys.file_exists d && Sys.is_directory d)
 
-(* Type every source and hand it to [scan], one at a time: from the .cmt
-   where dune left one, else standalone, where each unit that types joins
-   the environment of the rest, so a small multi-unit tree (a lint
-   fixture) types in dependency order.  Returns the sources that did not
-   type. *)
-let type_units ~scan cmts files =
-  let type_one sigs f =
-    match Hashtbl.find_opt cmts f with
-    | Some (cmt, u) ->
-        Typed_lint.read_cmt cmt |> Result.map (fun str -> scan f u str; [])
-    | None -> (
-        match Pparse.parse_implementation ~tool_name:"rt-lint" f with
-        | exception _ -> Error f
-        | pt ->
-            let u = Dim_table.modname_of_path f in
-            Typed_lint.type_standalone ~units:sigs pt
-            |> Result.map (fun str ->
-                   scan f u str;
-                   [ (u, str.Typedtree.str_type) ]))
-  in
-  let rec in_order sigs pending =
-    match
-      List.partition_map
-        (fun f -> match type_one sigs f with Ok s -> Left s | Error _ -> Right f)
-        pending
-    with
-    | [], still -> still
-    | newly, still -> in_order (sigs @ List.concat newly) still
-  in
-  in_order [] files
+(* ------------------------------------------------------------------ *)
+(* Loading every unit into the call graph                               *)
+(* ------------------------------------------------------------------ *)
 
-(* The whole-repo prepass behind the hot rules and unused-export: harvest
-   the interfaces' marks and exports, build the call graph from the
-   linted units and every other unit of the project's source trees, and
-   resolve hotness once so it propagates across compilation units.  The
-   typedtrees are re-read by the per-file pass afterwards; the walk is
-   cheap next to the typing they both rely on.  unused-export needs every
-   unit: when one has no typedtree it is off, and says so. *)
-let build_graph ~require_cmts ~unit_of files others cmts =
-  let marks = Hot_lint.create_marks () in
-  let linted = interfaces_of files in
-  let errors =
+(* Where dune leaves the .cmt files of the given roots: under the root
+   itself when linting from inside _build, where the .objs directories
+   sit next to the copied sources, and under _build/default/<root> when
+   linting a source checkout.  A file root's are in its directory, and a
+   directory inside another one listed is not walked again. *)
+let cmt_dirs roots =
+  let dirs =
     List.concat_map
-      (fun f ->
-        let ml = Filename.remove_extension f ^ ".ml" in
-        let export = List.mem f linted in
-        let errs =
-          Hot_lint.add_interface marks ~unit_name:(unit_of ml)
-            ~export:(export && under_lib f) f
+      (fun root ->
+        let root =
+          if Sys.is_directory root then root else Filename.dirname root
         in
-        if export then errs else [])
-      (interfaces_of (files @ others))
+        [ root; Filename.concat "_build/default" root ])
+      roots
+    |> List.filter Sys.file_exists |> List.sort_uniq compare
   in
-  let graph = Hot_lint.create_graph () in
-  let sources = List.filter (fun f -> has_suffix f ".ml") (files @ others) in
-  let untyped =
-    type_units cmts sources ~scan:(fun f unit_name str ->
-        Hot_lint.scan_unit graph ~unit_name ~file:f ~role:(role_of f) str)
-  in
-  let exports =
-    match untyped with
-    | [] -> Hot_lint.unused_exports marks graph
-    | first :: _ ->
-        let severity = if require_cmts then Finding.Error else Finding.Note in
-        let msg =
-          Printf.sprintf
-            "%d source(s) have no .cmt and do not type alone, so what they \
-             name is unknown and no export is judged; build with `dune \
-             build @check` first"
-            (List.length untyped)
-        in
-        [ { file = first; line = 1; col = 0; rule = "unused-export"; severity; msg } ]
-  in
-  (Hot_lint.resolve marks graph, errors @ exports)
+  let inside d d' = String.starts_with ~prefix:(d' ^ "/") d in
+  List.filter (fun d -> not (List.exists (inside d) dirs)) dirs
 
-let lint_paths ?(require_cmts = false) paths =
+(* Read each .cmt under [roots] once; those that compile one of
+   [sources] are scanned into the graph and indexed by source, with the
+   unit's name in the graph.  Keys are the source paths the compiler
+   recorded, which dune passes relative to the build root, the same
+   spelling the walk produces.  A .cmt is opened only when its name can
+   be a source's unit ([rt_core__Greedy.cmt] for [greedy.ml]), so the
+   alias modules dune generates for each library ([rt_core.cmt], or
+   [rt_check__.cmt] beside a main module [rt_check.ml]) are never
+   read. *)
+let load_cmts ~scan sources roots =
+  let wanted = Hashtbl.create 256 and modnames = Hashtbl.create 256 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace wanted f ();
+      Hashtbl.replace modnames (Dim_table.modname_of_path f) ())
+    sources;
+  let compiles_a_source cmt =
+    let name = Dim_table.modname_of_path cmt in
+    (not (String.ends_with ~suffix:"__" name))
+    &&
+    match List.rev (Typed_lint.split_wrapped name) with
+    | m :: _ -> Hashtbl.mem modnames m
+    | [] -> false
+  in
+  let index = Hashtbl.create 256 in
+  let load cmt =
+    match Cmt_format.read_cmt cmt with
+    | { Cmt_format.cmt_annots = Cmt_format.Implementation str;
+        cmt_sourcefile = Some src;
+        cmt_modname;
+        _;
+      }
+      when Hashtbl.mem wanted src && not (Hashtbl.mem index src) ->
+        let unit_name =
+          Hot_lint.unit_name ~dir:(Filename.dirname src) cmt_modname
+        in
+        Hashtbl.add index src (cmt, unit_name);
+        scan src unit_name str
+    | _ -> ()
+    | exception _ -> ()
+  in
+  List.iter
+    (fun dir ->
+      List.iter load
+        (List.filter compiles_a_source (walk_suffixes [ ".cmt" ] [] dir)))
+    (cmt_dirs roots);
+  index
+
+(* Type the sources that have no .cmt standalone, scanning each into the
+   graph: each unit that types joins the environment of the rest, so a
+   small multi-unit tree (a lint fixture) types in dependency order.
+   Maps every source that parses to its typedtree or its last typing
+   error. *)
+let load_standalone ~scan sources =
+  let typed = Hashtbl.create 16 in
+  let rec in_order units pending =
+    let newly, still =
+      List.partition_map
+        (fun (f, pt) ->
+          let u = Dim_table.modname_of_path f in
+          let r = Typed_lint.type_standalone ~units pt in
+          Hashtbl.replace typed f r;
+          match r with
+          | Ok str ->
+              scan f u str;
+              Left (u, str.Typedtree.str_type)
+          | Error _ -> Right (f, pt))
+        pending
+    in
+    match newly with [] -> () | _ -> in_order (units @ newly) still
+  in
+  in_order []
+    (List.filter_map
+       (fun f ->
+         match Pparse.parse_implementation ~tool_name:"rt-lint" f with
+         | pt -> Some (f, pt)
+         | exception _ -> None)
+       sources);
+  typed
+
+(* ------------------------------------------------------------------ *)
+(* The driver                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Lint [paths] against every unit of the project's source trees beside
+   them.  One load builds the call graph behind the hot rules and
+   unused-export: each .cmt is read once, and the sources without one are
+   typed standalone once.  The interfaces' marks and exports join it, and
+   hotness is resolved once so it propagates across compilation units.
+   The per-file rules then re-read the .cmt of each unit they lint.
+   unused-export needs every unit: when one has no typedtree it is off,
+   and says so. *)
+let lint ?as_lib ~require_cmts paths =
   let files = List.fold_left walk [] paths in
+  let trees = sibling_trees paths in
   let others =
-    List.fold_left walk [] (sibling_trees paths)
+    List.fold_left walk [] trees
     |> List.filter (fun f -> not (List.mem f files))
   in
   let dims, dim_errors = build_dim_table files in
-  let cmts = cmt_index (paths @ sibling_trees paths) in
+  let graph = Hot_lint.create_graph () in
+  let scan f unit_name str =
+    Hot_lint.scan_unit graph ~unit_name ~file:f ~role:(role_of f) str
+  in
+  let sources = List.filter (fun f -> has_suffix f ".ml") (files @ others) in
+  let cmts = load_cmts ~scan sources (paths @ trees) in
+  let standalone =
+    load_standalone ~scan
+      (List.filter (fun f -> not (Hashtbl.mem cmts f)) sources)
+  in
   let unit_of f =
     match Hashtbl.find_opt cmts f with
     | Some (_, u) -> u
     | None -> Dim_table.modname_of_path f
   in
-  let hotset, graph_findings =
-    build_graph ~require_cmts ~unit_of files others cmts
+  let marks = Hot_lint.create_marks () in
+  let linted = interfaces_of files in
+  let mark_errors =
+    List.concat_map
+      (fun f ->
+        let export = List.mem f linted in
+        let errs =
+          Hot_lint.add_interface marks
+            ~unit_name:(unit_of (Filename.remove_extension f ^ ".ml"))
+            ~export:(export && under_lib f) f
+        in
+        if export then errs else [])
+      (interfaces_of (files @ others))
+  in
+  let exports =
+    match
+      List.filter
+        (fun f ->
+          match Hashtbl.find_opt standalone f with
+          | Some (Ok _) -> false
+          | _ -> not (Hashtbl.mem cmts f))
+        sources
+    with
+    | [] -> Hot_lint.unused_exports marks graph
+    | first :: _ as untyped ->
+        let severity = if require_cmts then Finding.Error else Finding.Note in
+        [
+          at ~severity first "unused-export"
+            (Printf.sprintf
+               "%d source(s) have no .cmt and do not type alone, so what they \
+                name is unknown and no export is judged; build with `dune \
+                build @check` first"
+               (List.length untyped));
+        ]
+  in
+  let hot = Hot_lint.resolve marks graph in
+  let typed f =
+    match Hashtbl.find_opt cmts f with
+    | Some (cmt, _) ->
+        Some (Result.map_error (at f "no-cmt") (Typed_lint.read_cmt cmt))
+    | None -> (
+        match Hashtbl.find_opt standalone f with
+        | Some (Error _) when not require_cmts -> None
+        | r -> Option.map (Result.map_error (at f "typecheck")) r)
   in
   let findings =
     List.concat_map
       (fun f ->
-        let source =
-          if has_suffix f ".mli" then Untyped
-          else
-            match Hashtbl.find_opt cmts f with
-            | Some (cmt, _) -> From_cmt cmt
-            | None when require_cmts ->
-                (* a source no build rule covers would silently lose the
-                   typed rules; make that visible *)
-                Standalone
-            | None -> Best_effort
-        in
-        let mli = match missing_mli f with Some x -> [ x ] | None -> [] in
-        mli
-        @ lint_file_with ~dims ~hot:hotset ~unit_name:(unit_of f) ~source f)
+        let in_lib = Option.value as_lib ~default:(under_lib f) in
+        Option.to_list (missing_mli f)
+        @ lint_source ~dims ~hot ~unit_name:(unit_of f) ~typed:(typed f)
+            ~in_lib f)
       files
   in
-  List.sort Finding.compare (dim_errors @ graph_findings @ findings)
+  List.sort Finding.compare (dim_errors @ mark_errors @ exports @ findings)
+
+let lint_paths ?(require_cmts = false) paths = lint ~require_cmts paths
+
+let lint_file ?as_lib path = lint ?as_lib ~require_cmts:true [ path ]
 
 let dim_coverage paths ~under =
   let files = List.fold_left walk [] paths in

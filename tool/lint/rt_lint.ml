@@ -127,7 +127,7 @@ let () =
     match cfg.rules with
     | [] -> findings
     | rules ->
-        List.filter (fun (f : Lint_core.finding) -> List.mem f.rule rules)
+        List.filter (fun (f : Finding.t) -> List.mem f.rule rules)
           findings
   in
   let report = Report.render cfg.format findings in
